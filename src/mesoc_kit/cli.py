@@ -123,31 +123,6 @@ def map_from_json(obj) -> micp_solver.StructuredMap:
     raise SchemaError(f"unknown map kind {obj['kind']!r}")
 
 
-def map_to_json(m: micp_solver.StructuredMap) -> dict:
-    if isinstance(m, micp_solver.ScalarComboMap):
-        return {
-            "kind": "scalar_combo",
-            "p": m.p,
-            "q": m.q,
-            "fields": [
-                {
-                    "linear": f.linear.tolist(),
-                    "norm_coeff": f.norm_coeff,
-                    "offset": f.offset,
-                }
-                for f in m.fields
-            ],
-            "directions": m.directions.tolist(),
-        }
-    return {
-        "kind": "affine",
-        "p": m.p,
-        "q": m.q,
-        "matrix": m.matrix.tolist(),
-        "offset": m.offset.tolist(),
-    }
-
-
 def load_problem(path: str, command: str) -> tuple[ConeSpec, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -220,11 +220,6 @@ class PartitionedVector:
             raise DimensionError("block sizes differ")
         return PartitionedVector(self.x - other.x, self.u - other.u)
 
-    def __add__(self, other: PartitionedVector) -> PartitionedVector:
-        if (self.p, self.q) != (other.p, other.q):
-            raise DimensionError("block sizes differ")
-        return PartitionedVector(self.x + other.x, self.u + other.u)
-
 
 def _as_vector(z, dim: int) -> np.ndarray:
     z = np.asarray(z, dtype=float).ravel()
@@ -357,13 +352,11 @@ class CompPair:
     """A candidate complementary pair (primal point, dual point).
 
     Members may be :class:`PartitionedVector` instances or plain full-length
-    vectors; ``lambda_`` is the recovered antiparallel scaling v = -lambda * u
-    when both norm blocks are nonzero, else None.
+    vectors.
     """
 
     primal: PartitionedVector | np.ndarray
     dual: PartitionedVector | np.ndarray
-    lambda_: float | None = None
 
 
 @dataclass(frozen=True)

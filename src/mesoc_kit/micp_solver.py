@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from . import order, projections, sampling
+from . import order, projections
 from .cones import (
     ConeSpec,
     PartitionedVector,

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 import mesoc_kit as mk
-from mesoc_kit import _kernels, cones, lyapunov, order, projections, sampling
+from mesoc_kit import cones, lyapunov, order, projections, sampling
 
 
 def _check(num, desc, cond, detail=""):
@@ -28,7 +28,6 @@ def _check(num, desc, cond, detail=""):
 
 
 def test_01_solver_reaches_quoted_limit():
-    _kernels.warmup()
     inst = mk.example_instance()
     t0 = time.perf_counter()
     _, trace = mk.picard_solve(inst)

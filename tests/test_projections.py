@@ -1,15 +1,15 @@
 """Projections: closed forms and kernels against the brute-force oracle."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import mesoc_kit as mk
 from mesoc_kit import sampling
+from mesoc_kit._kernels import isotonic_decreasing
 from mesoc_kit.projections import (
     project_monotone_batch,
     project_monotone_nonneg_batch,
@@ -128,17 +128,89 @@ def test_unsupported_and_dimension_errors():
         mk.project_oracle(mk.esoc(2, 2), [1.0, 1.0, 0.0, 0.0])
 
 
-def test_pure_python_fallback_matches(tmp_path):
-    """The env-flag fallback path must produce the same projections."""
-    V = np.random.Generator(np.random.PCG64(7)).normal(size=(64, 6))
-    np.save(tmp_path / "v.npy", V)
-    script = (
-        "import numpy as np\n"
-        "from mesoc_kit.projections import project_monotone_batch\n"
-        f"V = np.load(r'{tmp_path / 'v.npy'}')\n"
-        f"np.save(r'{tmp_path / 'out.npy'}', project_monotone_batch(V))\n"
-    )
-    env = dict(os.environ, MESOC_KIT_NO_NUMBA="1")
-    subprocess.run([sys.executable, "-c", script], check=True, env=env)
-    fallback = np.load(tmp_path / "out.npy")
-    assert_allclose(fallback, project_monotone_batch(V), atol=0)
+# Batch kernel properties.  Small integers make ties common; each row is kept
+# as drawn or made constant, ascending or descending.
+_ENTRIES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+_SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 12))
+_ROW_KINDS = st.sampled_from(["drawn", "constant", "ascending", "descending"])
+
+
+@st.composite
+def _batches(draw, shape=_SHAPES):
+    V = draw(arrays(float, draw(shape), elements=_ENTRIES))
+    for row in V:
+        kind = draw(_ROW_KINDS)
+        if kind == "constant":
+            row[:] = row[0]
+        elif kind == "ascending":
+            row.sort()
+        elif kind == "descending":
+            row[:] = np.sort(row)[::-1]
+    return V
+
+
+def _cascade(n):
+    """Width-n row that pools exactly one pair per pass, for n - 1 passes."""
+    return np.append(np.arange(n - 2, -1, -1.0), float(n * n))
+
+
+def _assert_rows_match_sweep(V, B):
+    for v, b in zip(V, B):
+        tol = 1e-12 * (1.0 + np.abs(v).max())
+        assert np.abs(b - isotonic_decreasing(v)[0]).max() <= tol, v
+
+
+@settings(deadline=None)
+@given(_batches())
+def test_batch_rows_match_the_sweep(V):
+    _assert_rows_match_sweep(V, project_monotone_batch(V))
+
+
+@settings(deadline=None)
+@given(_batches())
+def test_nonneg_batch_passes_moreau_certificate(V):
+    # y in K (nonincreasing, >= 0), y - v in K* (partial sums >= 0) and
+    # <v - y, y> = 0: together they characterize the projection of v onto K
+    Y = project_monotone_nonneg_batch(V)
+    scale = 1.0 + np.abs(V).sum(axis=1)
+    assert (Y[:, :-1] >= Y[:, 1:]).all() and (Y >= 0.0).all()
+    assert (np.cumsum(Y - V, axis=1).min(axis=1) >= -1e-12 * scale).all()
+    assert (np.abs(np.einsum("ij,ij->i", V - Y, Y)) <= 1e-12 * scale**2).all()
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_cascade_row_fully_pooled(data):
+    # the cascade runs n - 1 passes; rows batched with it must still match
+    n = data.draw(st.integers(2, 60))
+    at = data.draw(st.integers(0, 4))
+    V = np.insert(data.draw(_batches(st.just((4, n)))), at, _cascade(n), axis=0)
+    B = project_monotone_batch(V)
+    _assert_rows_match_sweep(V, B)
+    assert_allclose(B[at], np.full(n, _cascade(n).mean()), rtol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0), (3, 1)])
+def test_batch_degenerate_shapes(shape):
+    V = np.arange(np.prod(shape), dtype=float).reshape(shape) - 1.0
+    for fn, expected in ((project_monotone_batch, V), (project_monotone_nonneg_batch, np.maximum(V, 0.0))):
+        out = fn(V)
+        assert out.shape == shape and out.dtype == np.float64
+        assert not np.shares_memory(out, V)
+        assert_allclose(out, expected, atol=0)
+
+
+@settings(deadline=None)
+@given(_batches(), st.data(), st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_nonfinite_entry_stays_in_its_row(V, data, bad):
+    i = data.draw(st.integers(0, V.shape[0] - 1))
+    j = data.draw(st.integers(0, V.shape[1] - 1))
+    W = V.copy()
+    W[i, j] = bad
+    clean, dirty = project_monotone_batch(V), project_monotone_batch(W)
+    others = np.arange(V.shape[0]) != i
+    assert_allclose(dirty[others], clean[others], atol=0)
+    assert np.isfinite(dirty[others]).all()
