@@ -4,16 +4,10 @@ A map F is isotone for the order of a cone K when a <=_K b implies
 F(a) <=_K F(b); the checks here falsify that statement on seeded random
 ordered pairs (plus any caller-supplied pairs) and report every violating
 pair together with the first inequality that failed.
-
-Sampling-heavy checks honor the ``MESOC_KIT_THREADS`` environment variable:
-inputs are generated up front in index order from the seed, so the report is
-identical for any worker count.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +15,6 @@ import numpy as np
 from . import sampling
 from .cones import DEFAULT_TOL, ConeSpec, Tolerances, _as_vector, _slacks_batch, dual_of
 from .errors import DimensionError
-
-
-def worker_count() -> int:
-    raw = os.environ.get("MESOC_KIT_THREADS", "").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, min(n, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -80,16 +65,6 @@ def _evaluate(map_, Z: np.ndarray) -> np.ndarray:
     return np.array([np.asarray(map_(z), dtype=float).ravel() for z in Z])
 
 
-def _chunked(map_, Z: np.ndarray) -> np.ndarray:
-    workers = worker_count()
-    if workers == 1 or len(Z) < 2 * workers:
-        return _evaluate(map_, Z)
-    chunks = np.array_split(np.arange(len(Z)), workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda idx: _evaluate(map_, Z[idx]), chunks))
-    return np.vstack(parts)
-
-
 def check_isotone(
     map_,
     cone: ConeSpec,
@@ -110,8 +85,8 @@ def check_isotone(
     if extra_pairs:
         lo = np.vstack([[_as_vector(p.lo, cone.dim) for p in extra_pairs], lo])
         hi = np.vstack([[_as_vector(p.hi, cone.dim) for p in extra_pairs], hi])
-    img_lo = _chunked(map_, lo)
-    img_hi = _chunked(map_, hi)
+    img_lo = _evaluate(map_, lo)
+    img_hi = _evaluate(map_, hi)
     if img_lo.shape[1] != cone.dim:
         raise DimensionError("map image dimension does not match the cone")
     diffs = img_hi - img_lo

@@ -4,10 +4,11 @@ The isotonic projections run through the pool-adjacent-violators kernel in
 :mod:`mesoc_kit._kernels`; the Lorentz projection is the standard three-case
 closed form; cylinders project blockwise (the free block is untouched).
 
-:func:`project_oracle` re-solves the same problems by entirely different
-means — exhaustive face enumeration for the polyhedral cones and a bounded
-one-dimensional minimization for the Lorentz cone — and is used by the test
-suite to cross-check the fast paths.
+:func:`project_oracle` re-solves the same problems by exhaustive face
+enumeration — every subset of active constraints for the polyhedral cones,
+and the interior, the apex and the boundary ray for the Lorentz cone — and
+certifies each result with the full Moreau conditions.  ``check project``
+and the test suite use it to cross-check the fast paths.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import cones
 from ._kernels import isotonic_decreasing, isotonic_decreasing_batch
@@ -167,61 +167,60 @@ def _polyhedral_oracle(cone: ConeSpec, v: np.ndarray) -> np.ndarray:
     best_dist = np.inf
     for P in _face_projectors(cone):
         cand = P @ v
-        if np.min(A @ cand) >= -1e-11:
+        if (A @ cand >= -1e-11).all():
             d = np.linalg.norm(v - cand)
             if d < best_dist:
                 best, best_dist = cand, d
     return best
 
 
-def _lorentz_oracle(v: np.ndarray, step: float, iters: int) -> np.ndarray:
+def _lorentz_oracle(v: np.ndarray) -> np.ndarray:
+    """The projection of v = (h, r) lies in the plane of e_1 and (0, r), so
+    one candidate per face suffices: v itself when feasible, the apex, and
+    the projection onto the boundary ray through (1, r/||r||) clipped at 0.
+    The nearest of them wins."""
     head, rest = v[0], v[1:]
     nr = float(np.linalg.norm(rest))
-
-    def objective(t):
-        gap = max(nr - t, 0.0)
-        return (t - head) ** 2 + gap * gap
-
-    upper = max(head + nr, nr, 1.0) + 1.0
-    res = minimize_scalar(
-        objective, bounds=(0.0, upper), method="bounded",
-        options={"maxiter": iters, "xatol": step},
-    )
-    t = float(res.x)
-    if objective(0.0) <= objective(t):
-        t = 0.0
-    tail = np.zeros_like(rest) if nr == 0.0 else rest * min(t / nr, 1.0)
-    return np.concatenate([[t], tail])
+    candidates = [np.zeros_like(v)]
+    if head >= nr:
+        candidates.append(v)
+    if nr > 0.0:
+        ray = np.concatenate([[1.0], rest / nr])
+        candidates.append(max(ray @ v / 2.0, 0.0) * ray)
+    return min(candidates, key=lambda y: np.linalg.norm(v - y))
 
 
-def _kkt_residual(cone: ConeSpec, v: np.ndarray, y: np.ndarray) -> float:
-    slacks = cones.membership_slacks(cone, y)
-    feas = -float(slacks.min()) if slacks.size else 0.0
+def _moreau_residual(cone: ConeSpec, v: np.ndarray, y: np.ndarray) -> float:
+    """Largest violation of y = P_K(v): y in K and y - v in K* (slacks
+    scaled by 1 + ||v||), and <v - y, y> = 0 (scaled by 1 + ||v||^2)."""
+    primal = np.min(cones.membership_slacks(cone, y), initial=0.0)
+    dual = np.min(cones.membership_slacks(cones.dual_of(cone), y - v), initial=0.0)
+    feas = -min(primal, dual) / (1.0 + float(np.linalg.norm(v)))
     comp = abs(float((v - y) @ y)) / (1.0 + float(v @ v))
     return max(feas, comp)
 
 
-def project_oracle(cone: ConeSpec, v, step: float = 1e-12, iters: int = 500) -> ProjectionResult:
+def project_oracle(cone: ConeSpec, v) -> ProjectionResult:
     """Independently recompute the projection of ``v`` onto ``cone``.
 
-    Polyhedral cones are solved exactly by enumerating all 2^m subsets of
-    active constraints and keeping the feasible candidate closest to ``v``;
-    the Lorentz cone by reducing to a one-dimensional convex problem in the
-    head coordinate, minimized to within ``step`` over at most ``iters``
-    evaluations; cylinders compose the two.  Raises :class:`OracleError` when
-    the result fails its own optimality check.
+    Both cone families are solved exactly by face enumeration: polyhedral
+    cones try all 2^m subsets of active constraints, the Lorentz cone its
+    interior, apex and boundary ray; each keeps the feasible candidate
+    closest to ``v``, and cylinders compose the two.  Raises
+    :class:`OracleError` when the result fails the Moreau certificate
+    (y in K, y - v in K*, <v - y, y> = 0) at 1e-8.
     """
     v = _as_1d(v)
     if v.size != cone.dim:
         raise DimensionError(f"expected length {cone.dim}, got {v.size}")
     if cone.kind == cones.CYLINDER:
-        inner = project_oracle(cone.inner, v[cone.p:], step=step, iters=iters)
+        inner = project_oracle(cone.inner, v[cone.p:])
         y = np.concatenate([v[: cone.p], inner.point])
     elif cone.kind == cones.LORENTZ:
-        y = _lorentz_oracle(v, step, iters)
+        y = _lorentz_oracle(v)
     else:
         y = _polyhedral_oracle(cone, v)
-    resid = _kkt_residual(cone, v, y)
+    resid = _moreau_residual(cone, v, y)
     if resid > 1e-8:
         raise OracleError(f"oracle optimality residual {resid:.3e} exceeds 1e-8")
     return ProjectionResult(y, float(np.linalg.norm(v - y)), None)

@@ -3,6 +3,7 @@ byte-determinism, the CSV trace, and the schema/dimension error paths."""
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -283,6 +284,42 @@ def test_check_failed_exit_for_non_solution(capsys, tmp_path):
     assert report["ok"] is False and "g_norm" in report["failed"]
     assert report["region"]["in_feasible"] is False
     assert report["exit_status"] == 5  # the report echoes its own exit code
+
+
+def test_check_project_cone_without_constraints(capsys, tmp_path):
+    doc = {
+        "version": 1,
+        "command": "check.project",
+        "cone": {"kind": "monotone", "p": 1},
+        "payload": {"point": [-2.5]},
+    }
+    code, out, _ = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
+    assert code == 0
+    report = json.loads(out)
+    assert report["point"] == [-2.5] and report["oracle_gap"] == 0.0
+
+
+def test_check_project_cylinder_over_lorentz(capsys, tmp_path, rng):
+    cone = {"kind": "cylinder", "p": 2, "inner": {"kind": "lorentz", "p": 3}}
+    for i, point in enumerate(2.0 * rng.normal(size=(200, 5))):
+        doc = {"version": 1, "command": "check.project", "cone": cone,
+               "payload": {"point": point.tolist()}}
+        code, out, _ = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
+        assert code == 0, (i, point, out)
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(mk.__file__).resolve().parent.parent
+    code = "import sys, mesoc_kit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_version_flag(capsys):

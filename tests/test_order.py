@@ -92,27 +92,6 @@ def test_violation_pattern_ignores_constant_shifts():
         assert_allclose(a.pair.lo, b.pair.lo, atol=0)
 
 
-def test_report_independent_of_worker_count(monkeypatch):
-    inst = mk.example_instance()
-    reports = []
-    for workers in ("1", "4"):
-        monkeypatch.setenv("MESOC_KIT_THREADS", workers)
-        reports.append(mk.check_isotone(inst.map, mk.esoc(2, 2), 256, seed=11))
-    a, b = reports
-    assert a.checked == b.checked and len(a.violations) == len(b.violations)
-    for va, vb in zip(a.violations, b.violations):
-        assert_allclose(va.pair.lo, vb.pair.lo, atol=0)
-        assert_allclose(va.image_diff, vb.image_diff, atol=0)
-        assert va.margin == vb.margin
-
-
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.setenv("MESOC_KIT_THREADS", "not a number")
-    assert order.worker_count() == 1
-    monkeypatch.setenv("MESOC_KIT_THREADS", "0")
-    assert order.worker_count() == 1
-
-
 def test_map_dimension_guard():
     with pytest.raises(mk.DimensionError):
         mk.check_isotone(lambda z: z[:2], mk.mesoc(2, 2), 10, seed=0)

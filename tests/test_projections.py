@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import mesoc_kit as mk
-from mesoc_kit import sampling
+from mesoc_kit import projections, sampling
 from mesoc_kit._kernels import isotonic_decreasing
 from mesoc_kit.projections import (
     project_monotone_batch,
@@ -117,6 +117,14 @@ def test_cylinder_projection_leaves_x_alone(rng):
     # oracle composes the same way
     o = mk.project_oracle(cyl, z)
     assert_allclose(o.point, r.point, atol=1e-9)
+
+
+def test_oracle_certificate_rejects_the_apex(monkeypatch):
+    # y = 0 is in K and orthogonal to v - y, but y - v = -v is not in the
+    # dual of the monotone cone, so the full Moreau certificate refuses it
+    monkeypatch.setattr(projections, "_polyhedral_oracle", lambda cone, v: np.zeros_like(v))
+    with pytest.raises(mk.OracleError, match="residual"):
+        mk.project_oracle(mk.monotone(4), [3.0, 2.0, 1.0, 0.0])
 
 
 def test_unsupported_and_dimension_errors():
