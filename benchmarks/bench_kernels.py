@@ -10,8 +10,9 @@ seeded normal rows, then recomputes every row with the single-vector sweep
 replaces) and prints the worst difference, scaled by 1 + max|row|.  The last
 row repeats the cascade ``[n-2, ..., 1, 0, n**2]`` of width n, which pools
 one pair per pass for n - 1 passes: the batch kernel's worst case, where
-the row sweep is faster.  It is reported for reference; no workload has
-that shape.  Exits 1 when any row differs by more than 1e-12.
+the row sweep is faster (about 0.95 s against 0.04 s at 100 x 1000 on a
+2-vCPU Xeon).  It is reported for reference; no workload has that shape.
+Exits 1 when any row differs by more than 1e-12.
 """
 
 import sys

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -97,9 +98,9 @@ def map_from_json(obj) -> micp_solver.StructuredMap:
         if obj["kind"] == "scalar_combo":
             fields = tuple(
                 micp_solver.ScalarField(
-                    linear=f["linear"],
-                    norm_coeff=float(f["norm_coeff"]),
-                    offset=float(f["offset"]),
+                    linear=_finite(f["linear"], "field 'linear'"),
+                    norm_coeff=float(_finite(f["norm_coeff"], "field 'norm_coeff'", depth=0)),
+                    offset=float(_finite(f["offset"], "field 'offset'", depth=0)),
                 )
                 for f in obj["fields"]
             )
@@ -107,14 +108,14 @@ def map_from_json(obj) -> micp_solver.StructuredMap:
                 p=int(obj["p"]),
                 q=int(obj["q"]),
                 fields=fields,
-                directions=np.asarray(obj["directions"], dtype=float),
+                directions=np.asarray(_finite(obj["directions"], "'directions'", depth=2), dtype=float),
             )
         if obj["kind"] == "affine":
             return micp_solver.AffineMap(
                 p=int(obj["p"]),
                 q=int(obj["q"]),
-                matrix=np.asarray(obj["matrix"], dtype=float),
-                offset=np.asarray(obj["offset"], dtype=float),
+                matrix=np.asarray(_finite(obj["matrix"], "'matrix'", depth=2), dtype=float),
+                offset=np.asarray(_finite(obj["offset"], "'offset'"), dtype=float),
             )
     except DimensionError:
         raise
@@ -147,13 +148,32 @@ def load_problem(path: str, command: str) -> tuple[ConeSpec, dict]:
     return cone_from_json(doc["cone"]), doc["payload"]
 
 
+def _finite(value, what: str, depth: int = 1):
+    """Return ``value`` if it is a finite real number (``depth`` 0) or a list
+    of depth ``depth - 1`` values; raise SchemaError otherwise.
+
+    Python's ``json`` reads ``NaN`` and ``Infinity``, and ``bool`` is an
+    ``int``, so both are refused here, as are integers too large for a float.
+    """
+    if depth:
+        if not isinstance(value, list):
+            raise SchemaError(f"{what} must be a list" + " of lists" * (depth - 1) + " of numbers")
+        for entry in value:
+            _finite(entry, what, depth - 1)
+        return value
+    try:
+        ok = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise SchemaError(f"{what} must hold finite numbers, got {value!r}")
+    return value
+
+
 def _payload_vector(payload: dict, key: str):
     if key not in payload:
         raise SchemaError(f"payload is missing the {key!r} key")
-    value = payload[key]
-    if not isinstance(value, list):
-        raise SchemaError(f"payload key {key!r} must be a list of numbers")
-    return value
+    return _finite(payload[key], f"payload key {key!r}")
 
 
 # --------------------------------------------------------------------------
@@ -252,6 +272,8 @@ def cmd_solve(args) -> int:
         raise SchemaError("solve expects a cylinder cone")
     map_ = map_from_json(payload.get("map"))
     start = payload.get("start")
+    if start is not None:
+        _finite(start, "payload key 'start'")
     instance = micp_solver.MicpInstance(
         map=map_,
         inner=cone.inner,
@@ -369,8 +391,10 @@ def cmd_check_isotone(args) -> int:
     for entry in payload.get("pairs", []):
         if not isinstance(entry, dict) or "lo" not in entry or "hi" not in entry:
             raise SchemaError("each extra pair needs 'lo' and 'hi' lists")
-        extra.append(order.OrderedPairSample(np.asarray(entry["lo"], dtype=float),
-                                             np.asarray(entry["hi"], dtype=float)))
+        extra.append(order.OrderedPairSample(
+            np.asarray(_finite(entry["lo"], "pair 'lo'"), dtype=float),
+            np.asarray(_finite(entry["hi"], "pair 'hi'"), dtype=float),
+        ))
     report = order.check_isotone(
         map_, cone, args.samples, args.seed, tol, extra_pairs=tuple(extra)
     )

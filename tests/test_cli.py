@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mesoc_kit as mk
 from mesoc_kit import cli
@@ -284,6 +286,103 @@ def test_check_failed_exit_for_non_solution(capsys, tmp_path):
     assert report["ok"] is False and "g_norm" in report["failed"]
     assert report["region"]["in_feasible"] is False
     assert report["exit_status"] == 5  # the report echoes its own exit code
+
+
+def test_solve_rejects_nan_start(capsys, tmp_path):
+    doc = json.loads((PROBLEMS / "solve_cylinder.json").read_text())
+    doc["payload"]["start"] = [0.0, float("nan"), 0.0, 0.0]
+    code, out, err = run_cli(capsys, "solve", write_problem(tmp_path, doc))
+    assert code == 2 and out == "" and "'start'" in err and "finite" in err
+
+
+def test_contains_rejects_nan_point(capsys, tmp_path):
+    doc = json.loads((PROBLEMS / "contains_mesoc.json").read_text())
+    doc["payload"]["point"][1] = float("nan")
+    code, out, err = run_cli(capsys, "contains", write_problem(tmp_path, doc))
+    assert code == 2 and out == "" and "'point'" in err and "finite" in err
+
+
+def test_contains_rejects_string_entry(capsys, tmp_path):
+    doc = json.loads((PROBLEMS / "contains_mesoc.json").read_text())
+    doc["payload"]["point"][0] = "one"
+    code, out, err = run_cli(capsys, "contains", write_problem(tmp_path, doc))
+    assert code == 2 and out == "" and "'point'" in err
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("fields", 0, "linear", 1), ("fields", 1, "norm_coeff"), ("fields", 0, "offset"),
+     ("directions", 1, 2)],
+)
+@pytest.mark.parametrize("bad", [float("inf"), True, "0.5"])
+def test_solve_rejects_bad_map_numbers(capsys, tmp_path, path, bad):
+    doc = json.loads((PROBLEMS / "solve_cylinder.json").read_text())
+    parent = doc["payload"]["map"]
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = bad
+    code, out, err = run_cli(capsys, "solve", write_problem(tmp_path, doc))
+    assert code == 2 and out == "" and "bad map description" in err
+
+
+# Small cones only: check project runs the face-enumeration oracle, whose
+# cost doubles with every extra coordinate.
+_FUZZ_CONES = st.one_of(
+    st.builds(
+        lambda kind, p, q: {"kind": kind, "p": p, "q": q},
+        st.sampled_from(sorted(set(mk.cones.KINDS) - {"cylinder", "cylinder_dual"})),
+        st.integers(1, 3),
+        st.integers(0, 3),
+    ),
+    st.builds(
+        lambda kind, p, inner, n: {"kind": kind, "p": p, "inner": {"kind": inner, "p": n}},
+        st.sampled_from(["cylinder", "cylinder_dual"]),
+        st.integers(1, 3),
+        st.sampled_from(["monotone_nonneg", "monotone", "lorentz", "nonneg_orthant"]),
+        st.integers(1, 3),
+    ),
+)
+_FUZZ_ENTRIES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(),  # NaN, +-inf and values near the float limits
+    st.sampled_from([1e308, -1e308, 10**400, -(10**400), 5e-324]),
+    st.integers(-5, 5),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.floats(-1.0, 1.0), max_size=2),
+)
+
+
+@st.composite
+def _fuzz_points(draw, dim):
+    form = draw(st.sampled_from(["clean", "one_bad", "any"]))
+    if form == "any":
+        return draw(st.one_of(_FUZZ_ENTRIES, st.lists(_FUZZ_ENTRIES, max_size=8),
+                              st.dictionaries(st.text(max_size=2), _FUZZ_ENTRIES, max_size=2)))
+    length = draw(st.sampled_from([dim, dim, dim - 1, dim + 1]))
+    point = draw(st.lists(st.floats(-10.0, 10.0), min_size=length, max_size=length))
+    if form == "one_bad" and point:
+        point[draw(st.integers(0, len(point) - 1))] = draw(_FUZZ_ENTRIES)
+    return point
+
+
+# values near the float limits overflow in norms; the exit code is the contract
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv", [("contains",), ("check", "project")])
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzz_exit_codes(capsys, tmp_path, argv, data):
+    cone = data.draw(_FUZZ_CONES)
+    try:
+        dim = cli.cone_from_json(cone).dim
+    except mk.MesocKitError:
+        dim = 2
+    payload = {"point": data.draw(_fuzz_points(dim))}
+    doc = {"version": 1, "command": ".".join(argv), "cone": cone, "payload": payload}
+    code, _, _ = run_cli(capsys, *argv, write_problem(tmp_path, doc))
+    assert code in (0, 2, 3, 4, 5)
 
 
 def test_check_project_cone_without_constraints(capsys, tmp_path):

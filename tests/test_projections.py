@@ -222,3 +222,54 @@ def test_nonfinite_entry_stays_in_its_row(V, data, bad):
     others = np.arange(V.shape[0]) != i
     assert_allclose(dirty[others], clean[others], atol=0)
     assert np.isfinite(dirty[others]).all()
+
+
+# Single-vector kernel properties, on the rows the batch strategies draw.
+_VECTORS = _batches(st.tuples(st.just(1), st.integers(1, 12))).map(lambda V: V[0])
+
+
+@settings(deadline=None)
+@given(_VECTORS)
+def test_sweep_passes_moreau_certificate(v):
+    # fit in K, fit - v in K* and <v - fit, fit> = 0 characterize P_K(v)
+    n = v.size
+    fit = isotonic_decreasing(v)[0]
+    tol = 1e-12 * (1.0 + v @ v)
+    assert mk.membership_slacks(mk.monotone(n), fit).min(initial=0.0) >= -tol
+    assert mk.membership_slacks(mk.monotone_dual(n), fit - v).min(initial=0.0) >= -tol
+    assert abs((v - fit) @ fit) <= tol
+
+
+@settings(deadline=None)
+@given(_VECTORS)
+def test_sweep_blocks_hold_their_means(v):
+    fit, starts, lengths = isotonic_decreasing(v)
+    assert starts.dtype == lengths.dtype == np.int64
+    assert (lengths >= 1).all() and starts[0] == 0
+    assert (starts[1:] == (starts + lengths)[:-1]).all()
+    assert starts[-1] + lengths[-1] == v.size
+    for lo, length in zip(starts, lengths):
+        block = fit[lo : lo + length]
+        assert (block == block[0]).all()
+        assert abs(block[0] - v[lo : lo + length].mean()) <= 1e-12 * (1.0 + np.abs(v).max())
+    assert (fit[starts[1:]] < fit[starts[:-1]]).all()
+
+
+@pytest.mark.parametrize(
+    "v,fit,starts,lengths",
+    [
+        ([3.0, 1.0, 2.0], [3.0, 1.5, 1.5], [0, 1], [1, 2]),
+        ([0.1, 0.2, 0.3], [0.2, 0.2, 0.2], [0], [3]),
+        # pooled means are updated in place, m + c (v - m) / total, which
+        # rounds differently from the block sums: 31 / 5 is 6.2
+        ([3.0, 2.0, 1.0, 0.0, 25.0], [6.200000000000001] * 5, [0], [5]),
+        ([0.3, -0.1, 0.7, 0.7, -2.0], [0.3999999999999999] * 4 + [-2.0], [0, 4], [4, 1]),
+        # NaN compares false, so it is never pooled and blocks the sweep
+        ([2.0, 3.0, np.nan, 1.0], [2.5, 2.5, np.nan, 1.0], [0, 2, 3], [2, 1, 1]),
+    ],
+)
+def test_sweep_frozen_outputs(v, fit, starts, lengths):
+    got = isotonic_decreasing(np.array(v))
+    np.testing.assert_array_equal(got[0], fit)
+    np.testing.assert_array_equal(got[1], starts)
+    np.testing.assert_array_equal(got[2], lengths)
