@@ -74,8 +74,8 @@ def cone_from_json(obj) -> ConeSpec:
     try:
         return ConeSpec(
             kind,
-            int(obj.get("p", 1)),
-            int(obj.get("q", inner.dim if inner is not None else 0)),
+            _integer(obj.get("p", 1), "cone 'p'"),
+            _integer(obj.get("q", inner.dim if inner is not None else 0), "cone 'q'"),
             inner=inner,
         )
     except (TypeError, ValueError) as exc:
@@ -105,15 +105,15 @@ def map_from_json(obj) -> micp_solver.StructuredMap:
                 for f in obj["fields"]
             )
             return micp_solver.ScalarComboMap(
-                p=int(obj["p"]),
-                q=int(obj["q"]),
+                p=_integer(obj["p"], "map 'p'"),
+                q=_integer(obj["q"], "map 'q'"),
                 fields=fields,
                 directions=np.asarray(_finite(obj["directions"], "'directions'", depth=2), dtype=float),
             )
         if obj["kind"] == "affine":
             return micp_solver.AffineMap(
-                p=int(obj["p"]),
-                q=int(obj["q"]),
+                p=_integer(obj["p"], "map 'p'"),
+                q=_integer(obj["q"], "map 'q'"),
                 matrix=np.asarray(_finite(obj["matrix"], "'matrix'", depth=2), dtype=float),
                 offset=np.asarray(_finite(obj["offset"], "'offset'"), dtype=float),
             )
@@ -167,6 +167,14 @@ def _finite(value, what: str, depth: int = 1):
         ok = False
     if not ok:
         raise SchemaError(f"{what} must hold finite numbers, got {value!r}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    """Return ``value`` if it is a JSON integer; raise SchemaError otherwise
+    (``int()`` would also take ``true``, ``"3"`` and truncate ``2.7``)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
     return value
 
 
@@ -317,7 +325,9 @@ def cmd_lyap_rank(args) -> int:
         raise UnsupportedConeError(
             "lyap-rank enumerates dim^2 x dim^2 constraints; dimension must be <= 10"
         )
-    n_pairs = int(payload.get("n_pairs", args.samples))
+    n_pairs = _integer(payload.get("n_pairs", args.samples), "'n_pairs'")
+    if n_pairs < 0:
+        raise SchemaError(f"'n_pairs' must not be negative, got {n_pairs}")
     result = lyapunov.lyapunov_rank_numeric(cone, n_pairs=n_pairs, seed=args.seed)
     try:
         predicted = lyapunov.predicted_rank(cone)

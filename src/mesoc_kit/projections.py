@@ -13,6 +13,7 @@ and the test suite use it to cross-check the fast paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,36 +34,40 @@ class ProjectionResult:
     active_blocks: tuple[tuple[int, int], ...] | None = None
 
 
-def _as_1d(v) -> np.ndarray:
+def _as_1d(v, dim: int | None = None) -> np.ndarray:
     v = np.asarray(v, dtype=float).ravel()
     if v.size == 0:
         raise DimensionError("cannot project an empty vector")
+    if dim is not None and v.size != dim:
+        raise DimensionError(f"expected length {dim}, got {v.size}")
     return v
 
 
-def project_monotone(v) -> ProjectionResult:
-    """Project onto the nonincreasing vectors x_1 >= ... >= x_n."""
-    v = _as_1d(v)
+def _result(v: np.ndarray, point: np.ndarray, blocks=None) -> ProjectionResult:
+    r = v - point
+    return ProjectionResult(point, math.sqrt(r @ r), blocks)
+
+
+def _blocks(starts: np.ndarray, lengths: np.ndarray) -> tuple[tuple[int, int], ...]:
+    return tuple((s, s + c) for s, c in zip(starts.tolist(), lengths.tolist()))
+
+
+# The routines below take a vector that _as_1d has already validated.
+
+
+def _monotone(v: np.ndarray) -> ProjectionResult:
     fit, starts, lengths = isotonic_decreasing(v)
-    blocks = tuple((int(s), int(s + c)) for s, c in zip(starts, lengths))
-    return ProjectionResult(fit, float(np.linalg.norm(v - fit)), blocks)
+    return _result(v, fit, _blocks(starts, lengths))
 
 
-def project_monotone_nonneg(v) -> ProjectionResult:
-    """Project onto nonincreasing nonnegative vectors (isotonic fit, then clip)."""
-    v = _as_1d(v)
+def _monotone_nonneg(v: np.ndarray) -> ProjectionResult:
     fit, starts, lengths = isotonic_decreasing(v)
-    point = np.maximum(fit, 0.0)
-    blocks = tuple((int(s), int(s + c)) for s, c in zip(starts, lengths))
-    return ProjectionResult(point, float(np.linalg.norm(v - point)), blocks)
+    return _result(v, np.maximum(fit, 0.0), _blocks(starts, lengths))
 
 
-def project_lorentz(v) -> ProjectionResult:
-    """Project onto the second order cone x_1 >= ||rest||: identity inside,
-    zero on the polar, and the boundary average in between."""
-    v = _as_1d(v)
+def _lorentz(v: np.ndarray) -> ProjectionResult:
     head, rest = v[0], v[1:]
-    nr = float(np.linalg.norm(rest))
+    nr = math.sqrt(rest @ rest)
     if head >= nr:
         point = v.copy()
     elif head <= -nr:
@@ -70,20 +75,38 @@ def project_lorentz(v) -> ProjectionResult:
     else:
         t = (head + nr) / 2.0
         point = np.concatenate([[t], rest * (t / nr)])
-    return ProjectionResult(point, float(np.linalg.norm(v - point)), None)
+    return _result(v, point)
+
+
+def _nonneg_orthant(v: np.ndarray) -> ProjectionResult:
+    return _result(v, np.maximum(v, 0.0))
+
+
+def project_monotone(v) -> ProjectionResult:
+    """Project onto the nonincreasing vectors x_1 >= ... >= x_n."""
+    return _monotone(_as_1d(v))
+
+
+def project_monotone_nonneg(v) -> ProjectionResult:
+    """Project onto nonincreasing nonnegative vectors (isotonic fit, then clip)."""
+    return _monotone_nonneg(_as_1d(v))
+
+
+def project_lorentz(v) -> ProjectionResult:
+    """Project onto the second order cone x_1 >= ||rest||: identity inside,
+    zero on the polar, and the boundary average in between."""
+    return _lorentz(_as_1d(v))
 
 
 def project_nonneg_orthant(v) -> ProjectionResult:
-    v = _as_1d(v)
-    point = np.maximum(v, 0.0)
-    return ProjectionResult(point, float(np.linalg.norm(v - point)), None)
+    return _nonneg_orthant(_as_1d(v))
 
 
 _PROJECTABLE = {
-    cones.MONOTONE: project_monotone,
-    cones.MONOTONE_NONNEG: project_monotone_nonneg,
-    cones.NONNEG_ORTHANT: project_nonneg_orthant,
-    cones.LORENTZ: project_lorentz,
+    cones.MONOTONE: _monotone,
+    cones.MONOTONE_NONNEG: _monotone_nonneg,
+    cones.NONNEG_ORTHANT: _nonneg_orthant,
+    cones.LORENTZ: _lorentz,
 }
 
 
@@ -98,10 +121,7 @@ def project(cone: ConeSpec, z) -> ProjectionResult:
     fn = _PROJECTABLE.get(cone.kind)
     if fn is None:
         raise UnsupportedConeError(f"no projection for {cone.kind!r}")
-    v = _as_1d(z)
-    if v.size != cone.dim:
-        raise DimensionError(f"expected length {cone.dim}, got {v.size}")
-    return fn(v)
+    return fn(_as_1d(z, cone.dim))
 
 
 def project_cylinder(p: int, inner: ConeSpec, z) -> ProjectionResult:
@@ -109,12 +129,10 @@ def project_cylinder(p: int, inner: ConeSpec, z) -> ProjectionResult:
     u block onto the base cone."""
     if isinstance(z, PartitionedVector):
         z = z.concat()
-    z = _as_1d(z)
-    if z.size != p + inner.dim:
-        raise DimensionError(f"expected length {p + inner.dim}, got {z.size}")
+    z = _as_1d(z, p + inner.dim)
     inner_result = project(inner, z[p:])
     point = np.concatenate([z[:p], inner_result.point])
-    return ProjectionResult(point, float(np.linalg.norm(z - point)), inner_result.active_blocks)
+    return _result(z, point, inner_result.active_blocks)
 
 
 def project_monotone_batch(V) -> np.ndarray:
@@ -210,9 +228,7 @@ def project_oracle(cone: ConeSpec, v) -> ProjectionResult:
     :class:`OracleError` when the result fails the Moreau certificate
     (y in K, y - v in K*, <v - y, y> = 0) at 1e-8.
     """
-    v = _as_1d(v)
-    if v.size != cone.dim:
-        raise DimensionError(f"expected length {cone.dim}, got {v.size}")
+    v = _as_1d(v, cone.dim)
     if cone.kind == cones.CYLINDER:
         inner = project_oracle(cone.inner, v[cone.p:])
         y = np.concatenate([v[: cone.p], inner.point])

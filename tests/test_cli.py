@@ -325,6 +325,63 @@ def test_solve_rejects_bad_map_numbers(capsys, tmp_path, path, bad):
     assert code == 2 and out == "" and "bad map description" in err
 
 
+@pytest.mark.parametrize(
+    "command,file,path",
+    [
+        ("contains", "contains_mesoc.json", ("cone", "p")),
+        ("contains", "contains_mesoc.json", ("cone", "q")),
+        ("solve", "solve_cylinder.json", ("cone", "inner", "p")),
+        ("solve", "solve_cylinder.json", ("payload", "map", "p")),
+        ("solve", "solve_cylinder.json", ("payload", "map", "q")),
+        ("lyap-rank", "lyap_rank_mesoc.json", ("payload", "n_pairs")),
+    ],
+)
+@pytest.mark.parametrize("bad", ["float", "truncated", True, "string", "x", None])
+def test_integer_fields_must_be_json_integers(capsys, tmp_path, command, file, path, bad):
+    doc = json.loads((PROBLEMS / file).read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    good = parent[path[-1]]
+    # the same number as a float or a string, a truncating float, a bool,
+    # a non-numeric string and null
+    parent[path[-1]] = {"float": float(good), "truncated": good + 0.7, "string": str(good)}.get(bad, bad)
+    code, out, err = run_cli(capsys, command, write_problem(tmp_path, doc))
+    assert code == 2 and out == "" and "must be an integer" in err
+
+
+def test_lyap_rank_refuses_negative_n_pairs(capsys, tmp_path):
+    doc = json.loads((PROBLEMS / "lyap_rank_mesoc.json").read_text())
+    doc["payload"]["n_pairs"] = -3
+    code, out, err = run_cli(capsys, "lyap-rank", write_problem(tmp_path, doc))
+    assert code == 2 and out == "" and "'n_pairs'" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_stops_on_nonfinite_iterate(capsys, tmp_path):
+    # the first step overflows the Lorentz projection to (0, inf, nan)
+    doc = {
+        "version": 1,
+        "command": "solve",
+        "cone": {"kind": "cylinder", "p": 1, "inner": {"kind": "lorentz", "p": 2}},
+        "payload": {
+            "map": {"kind": "affine", "p": 1, "q": 2,
+                    "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "offset": [0, 0, -1e308]},
+            "start": [0, 0, 1e308],
+        },
+    }
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, doc), "--trace", str(trace))
+    assert code == 4
+    report = json.loads(out)
+    assert report["status"] == "nonfinite" and report["exit_status"] == 4
+    assert report["iterations"] == 0
+    # the reported point is the last finite iterate, here the start
+    assert report["solution"] == {"x": [0.0], "u": [0.0, 1e308]}
+    rows = list(csv.reader(trace.open()))
+    assert len(rows) == 2 and rows[1][1:4] == ["0.0", "0.0", "1e+308"]
+
+
 # Small cones only: check project runs the face-enumeration oracle, whose
 # cost doubles with every extra coordinate.
 _FUZZ_CONES = st.one_of(

@@ -9,6 +9,8 @@ agree with it to machine precision.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import optimize
 
@@ -217,6 +219,42 @@ def test_divergence_is_detected():
     assert trace.n_steps < 100
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowed_norm_of_finite_iterate_is_divergence():
+    # ||z||^2 overflows to inf while every entry stays finite
+    grow = mk.AffineMap(p=1, q=2, matrix=-1e200 * np.eye(3), offset=-np.ones(3))
+    _, trace = mk.picard_solve(mk.MicpInstance(map=grow, inner=mk.nonneg_orthant(2)))
+    assert trace.status == "diverged" and trace.n_steps == 2
+    assert np.isfinite(trace.final).all() and not np.isfinite(trace.final @ trace.final)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_iterate_stops_the_solve():
+    # step 1 is finite, (1, 1, 0); step 2 overflows M z to +inf
+    matrix = np.zeros((3, 3))
+    matrix[0, :2] = 1e308
+    inst = mk.MicpInstance(
+        map=mk.AffineMap(p=1, q=2, matrix=matrix, offset=[-1.0, -1.0, 0.0]),
+        inner=mk.nonneg_orthant(2),
+    )
+    assert not np.isfinite(mk.picard_step(inst, [1.0, 1.0, 0.0])).all()
+    sol, trace = mk.picard_solve(inst)
+    assert trace.status == "nonfinite" and trace.n_steps == 1
+    assert trace.iterates.tolist() == [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]
+    assert trace.order_certificates.shape == (1,)
+    assert (trace.final == [1.0, 1.0, 0.0]).all()
+    assert sol.x.tolist() == [1.0] and sol.u.tolist() == [1.0, 0.0]
+    # the Lorentz reproducer: the very first step is (0, inf, nan)
+    inst = mk.MicpInstance(
+        map=mk.AffineMap(p=1, q=2, matrix=np.eye(3), offset=[0.0, 0.0, -1e308]),
+        inner=mk.lorentz(2),
+        start=[0.0, 0.0, 1e308],
+    )
+    sol, trace = mk.picard_solve(inst)
+    assert trace.status == "nonfinite" and trace.n_steps == 0
+    assert (trace.final == inst.start).all() and trace.order_certificates.shape == (0,)
+
+
 def test_identity_residual_converges_immediately():
     # residual F(z) = z has update z - F(z) = 0: one step lands on the origin
     ident = mk.AffineMap(p=2, q=2, matrix=np.eye(4), offset=np.zeros(4))
@@ -261,3 +299,70 @@ def test_sampling_cylinder_members_feed_the_solver(rng):
     W = sampling.sample(mk.dual_of(cyl), rng, 200)
     assert mk.contains_batch(cyl, Z).all()
     assert np.einsum("ij,ij->i", Z, W).min() >= -1e-10
+
+
+# ---------------------------------------------------------------------------
+# the solver loop against a plain reference loop
+
+
+def _reference_solve(instance):
+    """picard_solve as a plain loop of picard_step, np.linalg.norm and a
+    per-step order certificate."""
+    z = instance.start.copy()
+    iterates, step_norms, certs, status = [z], [], [], "max_iter"
+    for _ in range(instance.max_iter):
+        z_new = mk.picard_step(instance, z)
+        d = z_new - z
+        step_norms.append(float(np.linalg.norm(d)))
+        certs.append(mk.contains(instance.order_cone, d))
+        iterates.append(z_new)
+        z = z_new
+        if step_norms[-1] <= instance.conv_tol:
+            status = "converged"
+            break
+        if np.linalg.norm(z) > micp_solver.DIVERGENCE_LIMIT:
+            status = "diverged"
+            break
+    return np.array(iterates), np.array(step_norms), np.array(certs, dtype=bool), status
+
+
+def _assert_matches_reference(instance):
+    iterates, step_norms, certs, status = _reference_solve(instance)
+    sol, trace = mk.picard_solve(instance)
+    assert trace.status == status
+    assert trace.iterates.shape == iterates.shape
+    assert trace.iterates.tobytes() == iterates.tobytes()
+    assert trace.step_norms.tobytes() == step_norms.tobytes()
+    assert trace.order_certificates.dtype == np.bool_
+    assert trace.order_certificates.shape == certs.shape == (trace.n_steps,)
+    assert (trace.order_certificates == certs).all()
+    assert sol.concat().tobytes() == iterates[-1].tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    p=st.integers(1, 6),
+    q=st.integers(1, 6),
+    kind=st.sampled_from(["monotone_nonneg", "monotone", "lorentz", "nonneg_orthant"]),
+    seed=st.integers(0, 2**32 - 1),
+    max_iter=st.sampled_from([0, 1, 7, 2000]),
+)
+def test_solve_matches_reference_loop(p, q, kind, seed, max_iter):
+    # affine maps whose update I - M has spectral norm 0.8, so most solves
+    # converge; a random start makes the order certificates mixed
+    rng = np.random.default_rng(seed)
+    n = p + q
+    g = rng.standard_normal((n, n))
+    M = np.eye(n) - 0.8 * g / np.linalg.norm(g, 2)
+    inst = mk.MicpInstance(
+        map=mk.AffineMap(p=p, q=q, matrix=M, offset=rng.standard_normal(n)),
+        inner=getattr(mk, kind)(q),
+        start=rng.standard_normal(n) if seed % 2 else None,
+        max_iter=max_iter,
+    )
+    _assert_matches_reference(inst)
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 2000])
+def test_worked_instance_matches_reference_loop(max_iter):
+    _assert_matches_reference(mk.example_instance(max_iter=max_iter))

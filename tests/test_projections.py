@@ -136,6 +136,7 @@ def test_unsupported_and_dimension_errors():
         mk.project_oracle(mk.esoc(2, 2), [1.0, 1.0, 0.0, 0.0])
 
 
+
 # Batch kernel properties.  Small integers make ties common; each row is kept
 # as drawn or made constant, ascending or descending.
 _ENTRIES = st.one_of(
@@ -273,3 +274,68 @@ def test_sweep_frozen_outputs(v, fit, starts, lengths):
     np.testing.assert_array_equal(got[0], fit)
     np.testing.assert_array_equal(got[1], starts)
     np.testing.assert_array_equal(got[2], lengths)
+
+
+# each projectable kind with its public single-kind wrapper
+_WRAPPERS = {
+    "monotone": mk.project_monotone,
+    "monotone_nonneg": mk.project_monotone_nonneg,
+    "nonneg_orthant": mk.project_nonneg_orthant,
+    "lorentz": mk.project_lorentz,
+}
+_PAV_KINDS = ("monotone", "monotone_nonneg")
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(_WRAPPERS)), st.integers(0, 3), _VECTORS, st.data())
+def test_project_result_fields(kind, p, v, data):
+    # project, the single-kind wrapper and a cylinder give the same point
+    # bytes; the distance is np.linalg.norm of the move as a Python float
+    # and the blocks are tuples of Python ints
+    inner = getattr(mk, kind)(v.size)
+    cases = [(inner, v)]
+    if p:
+        x = data.draw(arrays(float, p, elements=_ENTRIES))
+        cases.append((mk.cylinder(p, inner), np.concatenate([x, v])))
+    expected = _WRAPPERS[kind](v)
+    for cone, z in cases:
+        r = mk.project(cone, z)
+        assert r.point.tobytes() == np.concatenate([z[: z.size - v.size], expected.point]).tobytes()
+        assert type(r.distance) is float and r.distance == float(np.linalg.norm(z - r.point))
+        assert r.active_blocks == expected.active_blocks
+        if kind in _PAV_KINDS:
+            assert type(r.active_blocks) is tuple
+            assert all(type(b) is tuple and [type(i) for i in b] == [int, int] for b in r.active_blocks)
+        else:
+            assert r.active_blocks is None
+
+
+@pytest.mark.parametrize("kind", sorted(_WRAPPERS))
+def test_dimension_errors_of_every_kind(kind):
+    cone = getattr(mk, kind)(3)
+    for z in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0], []):
+        with pytest.raises(mk.DimensionError):
+            mk.project(cone, z)
+        with pytest.raises(mk.DimensionError):
+            mk.project(mk.cylinder(2, cone), [0.0, 0.0] + z)
+    with pytest.raises(mk.DimensionError):
+        projections.project_cylinder(2, cone, [0.0, 0.0, 1.0])
+    with pytest.raises(mk.DimensionError, match="empty"):
+        _WRAPPERS[kind]([])
+    # a wrapper projects whatever length it is given, flattening nested input
+    assert _WRAPPERS[kind]([[1.0], [2.0]]).point.shape == (2,)
+
+
+@pytest.mark.parametrize("cone", [mk.esoc(2, 2), mk.mesoc(2, 2), mk.monotone_dual(4),
+                                  mk.cylinder_dual(2, mk.lorentz(2))])
+def test_unsupported_kinds(cone):
+    z = np.ones(cone.dim)
+    with pytest.raises(mk.UnsupportedConeError):
+        mk.project(cone, z)
+    with pytest.raises(mk.UnsupportedConeError):
+        mk.project(mk.cylinder(1, cone), np.ones(1 + cone.dim))
+    with pytest.raises(mk.UnsupportedConeError):
+        projections.project_cylinder(1, cone, np.ones(1 + cone.dim))
+    # an unsupported kind is reported before a wrong length
+    with pytest.raises(mk.UnsupportedConeError):
+        mk.project(cone, z[:-1])
