@@ -326,8 +326,11 @@ def cmd_lyap_rank(args) -> int:
             "lyap-rank enumerates dim^2 x dim^2 constraints; dimension must be <= 10"
         )
     n_pairs = _integer(payload.get("n_pairs", args.samples), "'n_pairs'")
-    if n_pairs < 0:
-        raise SchemaError(f"'n_pairs' must not be negative, got {n_pairs}")
+    # each pair adds one linear constraint on the dim^2 entries of T
+    if n_pairs < cone.dim**2:
+        raise SchemaError(
+            f"'n_pairs' must be at least dim^2 = {cone.dim**2} to pin down the rank, got {n_pairs}"
+        )
     result = lyapunov.lyapunov_rank_numeric(cone, n_pairs=n_pairs, seed=args.seed)
     try:
         predicted = lyapunov.predicted_rank(cone)

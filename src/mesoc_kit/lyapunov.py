@@ -26,6 +26,7 @@ from .cones import (
     NONNEG_ORTHANT,
     ConeSpec,
     _as_vector,
+    row_norms,
 )
 from .errors import OracleError, UnsupportedConeError
 
@@ -137,7 +138,7 @@ def is_lyapunov_like(
     T = matrix.entries if isinstance(matrix, LyapMatrix) else np.asarray(matrix, dtype=float)
     Z, W = _pairs(cone, sampling.rng_from_seed(seed), n_pairs, pairs)
     vals = np.abs(np.einsum("ij,jk,ik->i", W, T, Z))
-    scale = (1.0 + np.linalg.norm(Z, axis=1)) * (1.0 + np.linalg.norm(W, axis=1))
+    scale = (1.0 + row_norms(Z)) * (1.0 + row_norms(W))
     res = vals / scale
     worst = int(np.argmax(res))
     ok = bool(res[worst] <= tol)
@@ -159,6 +160,9 @@ class LyapRankResult:
 
 def _constraint_rank(Z: np.ndarray, W: np.ndarray, svd_tol: float):
     rows = np.einsum("ik,il->ikl", W, Z).reshape(len(Z), -1)
+    # np.linalg.norm, not row_norms: the two differ in the last bit from
+    # three columns on, and the singular gap, a ratio against noise-level
+    # singular values, would then change in the reports.  The SVD dominates.
     norms = np.linalg.norm(rows, axis=1)
     keep = norms > 0
     rows = rows[keep] / norms[keep, None]

@@ -41,6 +41,7 @@ from .cones import (
     dual_of,
     mesoc,
     monotone_nonneg,
+    row_norms,
 )
 from .errors import DimensionError
 
@@ -84,7 +85,7 @@ class ScalarComboMap:
 
     def field_values(self, Z: np.ndarray) -> np.ndarray:
         X, U = Z[:, : self.p], Z[:, self.p :]
-        norms = np.linalg.norm(U, axis=1)
+        norms = row_norms(U)
         cols = [X @ f.linear + f.norm_coeff * norms + f.offset for f in self.fields]
         return np.stack(cols, axis=1)
 

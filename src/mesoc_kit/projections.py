@@ -163,6 +163,10 @@ def _constraint_rows(cone: ConeSpec) -> np.ndarray:
     raise UnsupportedConeError(f"{cone.kind!r} is not polyhedral here")
 
 
+# The oracle tries all 2^m faces of a cone with m constraint rows and caches
+# their projectors per (kind, dim); above this many rows it refuses to run.
+ORACLE_MAX_ROWS = 12
+
 _FACE_CACHE: dict[tuple[str, int], list[np.ndarray]] = {}
 
 
@@ -181,6 +185,11 @@ def _face_projectors(cone: ConeSpec) -> list[np.ndarray]:
 
 def _polyhedral_oracle(cone: ConeSpec, v: np.ndarray) -> np.ndarray:
     A = _constraint_rows(cone)
+    if len(A) > ORACLE_MAX_ROWS:
+        raise UnsupportedConeError(
+            f"the face-enumeration oracle tries 2^m faces; {cone} has m = {len(A)} "
+            f"constraint rows, more than {ORACLE_MAX_ROWS}"
+        )
     best = None
     best_dist = np.inf
     for P in _face_projectors(cone):
@@ -226,7 +235,9 @@ def project_oracle(cone: ConeSpec, v) -> ProjectionResult:
     interior, apex and boundary ray; each keeps the feasible candidate
     closest to ``v``, and cylinders compose the two.  Raises
     :class:`OracleError` when the result fails the Moreau certificate
-    (y in K, y - v in K*, <v - y, y> = 0) at 1e-8.
+    (y in K, y - v in K*, <v - y, y> = 0) at 1e-8, and
+    :class:`UnsupportedConeError` for a polyhedral cone with more than
+    :data:`ORACLE_MAX_ROWS` constraint rows.
     """
     v = _as_1d(v, cone.dim)
     if cone.kind == cones.CYLINDER:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import cones
-from .cones import ConeSpec
+from .cones import ConeSpec, row_norms
 from .errors import UnsupportedConeError
 
 
@@ -23,7 +23,7 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 def _scaled_directions(rng, size, q):
     """Random u blocks with well-spread, decisively nonzero magnitudes."""
     g = rng.standard_normal((size, q))
-    norms = np.linalg.norm(g, axis=1)
+    norms = row_norms(g)
     norms[norms == 0] = 1.0
     radii = rng.uniform(0.2, 2.5, size)
     return g / norms[:, None] * radii[:, None]
@@ -38,12 +38,12 @@ def sample(cone: ConeSpec, rng: np.random.Generator, size: int) -> np.ndarray:
     kind, p, q = cone.kind, cone.p, cone.q
     if kind == cones.MESOC:
         u = _scaled_directions(rng, size, q) if q else np.empty((size, 0))
-        nu = np.linalg.norm(u, axis=1)
+        nu = row_norms(u)
         x = _rev_cumsum(rng.exponential(1.0, (size, p))) + nu[:, None]
         return np.hstack([x, u])
     if kind == cones.MESOC_DUAL:
         v = _scaled_directions(rng, size, q) if q else np.empty((size, 0))
-        nv = np.linalg.norm(v, axis=1)
+        nv = row_norms(v)
         S = np.empty((size, p))
         if p > 1:
             S[:, :-1] = rng.exponential(1.0, (size, p - 1))
@@ -52,7 +52,7 @@ def sample(cone: ConeSpec, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.hstack([y, v])
     if kind == cones.ESOC:
         u = _scaled_directions(rng, size, q) if q else np.empty((size, 0))
-        nu = np.linalg.norm(u, axis=1)
+        nu = row_norms(u)
         x = nu[:, None] + rng.exponential(1.0, (size, p))
         return np.hstack([x, u])
     if kind == cones.ESOC_DUAL:
@@ -60,7 +60,7 @@ def sample(cone: ConeSpec, rng: np.random.Generator, size: int) -> np.ndarray:
         if not q:
             return x
         g = rng.standard_normal((size, q))
-        norms = np.linalg.norm(g, axis=1)
+        norms = row_norms(g)
         norms[norms == 0] = 1.0
         u = g / norms[:, None] * (x.sum(axis=1) * rng.uniform(0.0, 1.0, size))[:, None]
         return np.hstack([x, u])
@@ -88,7 +88,7 @@ def sample(cone: ConeSpec, rng: np.random.Generator, size: int) -> np.ndarray:
         if p == 1:
             return rng.exponential(1.0, (size, 1))
         r = _scaled_directions(rng, size, p - 1)
-        head = np.linalg.norm(r, axis=1) + rng.exponential(1.0, size)
+        head = row_norms(r) + rng.exponential(1.0, size)
         return np.hstack([head[:, None], r])
     if kind == cones.CYLINDER:
         x = rng.standard_normal((size, p)) * rng.uniform(0.2, 2.5, (size, 1))
@@ -197,7 +197,7 @@ def _mesoc_random(rng, size, p, q):
     m = len(idx)
     x, srest = chain_with_floor(idx, np.zeros(m))
     v = _scaled_directions(rng, m, q)
-    S = np.hstack([srest, (np.linalg.norm(v, axis=1) + rng.exponential(1.0, m))[:, None]])
+    S = np.hstack([srest, (row_norms(v) + rng.exponential(1.0, m))[:, None]])
     W[idx, :p] = np.diff(S, axis=1, prepend=0.0)
     W[idx, p:] = v
     Z[idx, :p] = x
@@ -208,8 +208,8 @@ def _mesoc_random(rng, size, p, q):
     u = _scaled_directions(rng, m, q)
     lam = rng.uniform(0.2, 3.0, m)
     v = -lam[:, None] * u
-    x, srest = chain_with_floor(idx, np.linalg.norm(u, axis=1))
-    S = np.hstack([srest, np.linalg.norm(v, axis=1)[:, None]])
+    x, srest = chain_with_floor(idx, row_norms(u))
+    S = np.hstack([srest, row_norms(v)[:, None]])
     Z[idx, :p] = x
     Z[idx, p:] = u
     W[idx, :p] = np.diff(S, axis=1, prepend=0.0)
@@ -219,7 +219,7 @@ def _mesoc_random(rng, size, p, q):
     idx = quarters[3]
     m = len(idx)
     u = _scaled_directions(rng, m, q)
-    x, srest = chain_with_floor(idx, np.linalg.norm(u, axis=1))
+    x, srest = chain_with_floor(idx, row_norms(u))
     S = np.hstack([srest, np.zeros((m, 1))])
     Z[idx, :p] = x
     Z[idx, p:] = u
@@ -284,7 +284,7 @@ def complementarity_pairs(
                 det.append((zhat, what))
         if p > 1:
             d = _scaled_directions(rng, n_random, p - 1)
-            d /= np.linalg.norm(d, axis=1)[:, None]
+            d /= row_norms(d)[:, None]
             t = rng.exponential(1.0, n_random)
             s = rng.exponential(1.0, n_random)
             Zr = np.hstack([t[:, None], t[:, None] * d])

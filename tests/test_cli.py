@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mesoc_kit as mk
-from mesoc_kit import cli
+from mesoc_kit import cli, projections
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -357,6 +358,20 @@ def test_lyap_rank_refuses_negative_n_pairs(capsys, tmp_path):
     assert code == 2 and out == "" and "'n_pairs'" in err
 
 
+@pytest.mark.parametrize("n_pairs,code", [(0, 2), (1, 2), (15, 2), (16, 0)])
+def test_lyap_rank_needs_dim_squared_pairs(capsys, tmp_path, n_pairs, code):
+    # mesoc(2, 2): each pair constrains the 16 entries of T once, so fewer
+    # than 16 pairs cannot pin the rank down (0 and 1 used to report rank 6)
+    doc = json.loads((PROBLEMS / "lyap_rank_mesoc.json").read_text())
+    doc["payload"]["n_pairs"] = n_pairs
+    got, out, err = run_cli(capsys, "lyap-rank", write_problem(tmp_path, doc))
+    assert got == code
+    if code:
+        assert out == "" and "'n_pairs'" in err and "16" in err
+    else:
+        assert json.loads(out)["agree"] is True
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solve_stops_on_nonfinite_iterate(capsys, tmp_path):
     # the first step overflows the Lorentz projection to (0, inf, nan)
@@ -462,6 +477,26 @@ def test_check_project_cylinder_over_lorentz(capsys, tmp_path, rng):
                "payload": {"point": point.tolist()}}
         code, out, _ = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
         assert code == 0, (i, point, out)
+
+
+@pytest.mark.parametrize(
+    "cone,key",
+    [
+        ({"kind": "monotone", "p": 14}, ("monotone", 14)),
+        ({"kind": "cylinder", "p": 1, "inner": {"kind": "nonneg_orthant", "p": 13}},
+         ("nonneg_orthant", 13)),
+    ],
+)
+def test_check_project_caps_the_oracle(capsys, tmp_path, cone, key):
+    # 13 constraint rows: the oracle would build 2^13 face projectors
+    dim = cli.cone_from_json(cone).dim
+    doc = {"version": 1, "command": "check.project", "cone": cone,
+           "payload": {"point": np.linspace(-1.0, 1.0, dim).tolist()}}
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == "" and "constraint rows" in err
+    assert key not in projections._FACE_CACHE
 
 
 def test_cli_import_loads_no_scipy():

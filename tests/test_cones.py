@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import mesoc_kit as mk
-from mesoc_kit import sampling
-from mesoc_kit.cones import ConeSpec
+from mesoc_kit import cones, sampling
+from mesoc_kit.cones import ConeSpec, _slacks_batch, row_norms
 
 SHAPES = [(2, 2), (3, 2), (2, 3), (4, 1), (1, 2)]
 
@@ -76,8 +79,7 @@ def test_partitioned_vector_roundtrip():
     back = mk.PartitionedVector.from_array(z.concat(), 2, 2)
     assert_allclose(back.x, z.x)
     assert_allclose(np.asarray(z), z.concat())
-    d = z - back
-    assert_allclose(d.concat(), np.zeros(4))
+    assert_allclose(back.concat() - z.concat(), np.zeros(4))
     with pytest.raises(ValueError):
         mk.PartitionedVector([np.nan, 1.0], [0.0])
     with pytest.raises(mk.DimensionError):
@@ -148,6 +150,127 @@ def test_contains_batch_matches_scalar(rng):
     assert (batch == scalar).all()
     with pytest.raises(mk.DimensionError):
         mk.contains_batch(cone, np.zeros((3, 4)))
+
+
+# Batch membership properties.  Every kind is drawn with random p and q (and
+# a random inner cone for cylinders); rows mix small integers, which make
+# ties and exact boundary points common, with floats up to 1e6, and half of
+# each batch is sampled cone members.
+_FLAT_KINDS = ["monotone", "monotone_dual", "monotone_nonneg", "monotone_nonneg_dual",
+               "nonneg_orthant", "lorentz"]
+_NORM_KINDS = ["mesoc", "mesoc_dual", "esoc", "esoc_dual"]
+_ENTRIES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+def _draw_cone(data, kind):
+    p = data.draw(st.integers(1, 4))
+    if kind in _NORM_KINDS:
+        return ConeSpec(kind, p, data.draw(st.integers(0, 3)))
+    if kind in ("cylinder", "cylinder_dual"):
+        inner = _draw_cone(data, data.draw(st.sampled_from(_FLAT_KINDS + _NORM_KINDS)))
+        return ConeSpec(kind, p, inner.dim, inner)
+    return ConeSpec(kind, p)
+
+
+def _draw_rows(data, cone):
+    m = data.draw(st.integers(0, 6))
+    Z = data.draw(arrays(float, (m, cone.dim), elements=_ENTRIES))
+    members = sampling.sample(cone, sampling.rng_from_seed(data.draw(st.integers(0, 99))), m)
+    Z[::2] = members[::2]
+    return Z
+
+
+def _row_slacks(cone, z):
+    """Membership slacks of one vector, written out from the definitions."""
+    x, u = z[: cone.p], z[cone.p :]
+    kind, S = cone.kind, np.cumsum(x)
+    drops = list(x[:-1] - x[1:])
+    if kind == "mesoc":
+        return drops + [x[-1] - np.linalg.norm(u)]
+    if kind == "mesoc_dual":
+        return list(S[:-1]) + [S[-1] - np.linalg.norm(u)]
+    if kind == "esoc":
+        return list(x - np.linalg.norm(u))
+    if kind == "esoc_dual":
+        return list(x) + [x.sum() - np.linalg.norm(u)]
+    if kind == "monotone":
+        return drops
+    if kind == "monotone_dual":
+        return list(S[:-1]) + [S[-1], -S[-1]]
+    if kind == "monotone_nonneg":
+        return drops + [x[-1]]
+    if kind == "monotone_nonneg_dual":
+        return list(S)
+    if kind == "nonneg_orthant":
+        return list(x)
+    if kind == "lorentz":
+        return [z[0] - np.linalg.norm(z[1:])]
+    if kind == "cylinder":
+        return _row_slacks(cone.inner, u)
+    return list(x) + list(-x) + _row_slacks(cone.inner, u)
+
+
+@pytest.mark.parametrize("kind", sorted(cones.KINDS))
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_slacks_batch_matches_row_reference(kind, data):
+    cone = _draw_cone(data, kind)
+    Z = _draw_rows(data, cone)
+    S = _slacks_batch(cone, Z)
+    width = len(_row_slacks(cone, np.zeros(cone.dim)))
+    ref = np.array([_row_slacks(cone, z) for z in Z], dtype=float).reshape(len(Z), width)
+    assert S.shape == ref.shape and S.dtype == np.float64
+    assert S.flags.f_contiguous
+    # the norms may differ from np.linalg.norm in the last bits
+    assert_allclose(S, ref, rtol=0, atol=1e-14 * (1.0 + np.abs(Z).max(initial=0.0)))
+
+
+@pytest.mark.parametrize("kind", sorted(cones.KINDS))
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_contains_batch_agrees_with_contains(kind, data):
+    cone = _draw_cone(data, kind)
+    Z = _draw_rows(data, cone)
+    got = mk.contains_batch(cone, Z)
+    assert got.shape == (len(Z),) and got.dtype == bool
+    assert got.tolist() == [mk.contains(cone, z) for z in Z]
+    S = _slacks_batch(cone, Z)
+    for z, row in zip(Z, S):
+        s = mk.membership_slacks(cone, z)
+        assert s.ndim == 1
+        np.testing.assert_array_equal(s, row)
+
+
+# whole rows set to these after drawing
+_SPECIAL_ROWS = st.sampled_from(["drawn", "zero", "nan", "inf", "-inf", "one_nan", "one_inf"])
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_row_norms_match_linalg_norm(data):
+    m, n = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 16))
+    A = data.draw(arrays(float, (m, n), elements=st.floats(-1e150, 1e150, allow_nan=False)))
+    for row in A:
+        form = data.draw(_SPECIAL_ROWS)
+        if form in ("zero", "nan", "inf", "-inf"):
+            row[:] = {"zero": 0.0, "nan": np.nan, "inf": np.inf, "-inf": -np.inf}[form]
+        elif form != "drawn" and n:
+            row[data.draw(st.integers(0, n - 1))] = np.nan if form == "one_nan" else np.inf
+    got, ref = row_norms(A), np.linalg.norm(A, axis=1)
+    assert got.shape == (m,) and got.dtype == np.float64
+    nan = np.isnan(ref)
+    assert (np.isnan(got) == nan).all()
+    got, ref = got[~nan], ref[~nan]
+    if n <= 2:
+        # one multiply and at most one add in either form: the same bits
+        np.testing.assert_array_equal(got, ref)
+    finite = np.isfinite(ref)
+    np.testing.assert_array_equal(got[~finite], ref[~finite])
+    got, ref = got[finite], ref[finite]
+    assert (np.abs(got - ref) <= 4 * np.spacing(ref)).all(), (A, got, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -148,8 +148,8 @@ _ROW_KINDS = st.sampled_from(["drawn", "constant", "ascending", "descending"])
 
 
 @st.composite
-def _batches(draw, shape=_SHAPES):
-    V = draw(arrays(float, draw(shape), elements=_ENTRIES))
+def _batches(draw, shape=_SHAPES, elements=_ENTRIES):
+    V = draw(arrays(float, draw(shape), elements=elements))
     for row in V:
         kind = draw(_ROW_KINDS)
         if kind == "constant":
@@ -175,6 +175,21 @@ def _assert_rows_match_sweep(V, B):
 @settings(deadline=None)
 @given(_batches())
 def test_batch_rows_match_the_sweep(V):
+    _assert_rows_match_sweep(V, project_monotone_batch(V))
+
+
+# entries of one row spread over 1e-3 to 1e6 in magnitude, so a row's small
+# tail sits next to the large head of the row after it
+_MIXED_SCALES = st.builds(
+    lambda mantissa, exponent: mantissa * 10.0**exponent,
+    st.floats(-10.0, 10.0, allow_nan=False),
+    st.integers(-3, 5),
+)
+
+
+@settings(deadline=None)
+@given(_batches(st.tuples(st.integers(1, 8), st.integers(1, 24)), elements=_MIXED_SCALES))
+def test_batch_rows_match_the_sweep_across_scales(V):
     _assert_rows_match_sweep(V, project_monotone_batch(V))
 
 
