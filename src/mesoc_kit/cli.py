@@ -527,13 +527,40 @@ _CHECKS = {
 # argument parsing
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer flag no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for ``--tol``: a finite number >= 0.  Every comparison
+    with NaN is false, so a NaN tolerance would pass any check."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("problem", help="path to a JSON problem file")
-    common.add_argument("--tol", type=float, default=None, help="override tolerance")
-    common.add_argument("--max-iter", type=int, default=2000)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=200)
+    common.add_argument("--tol", type=_tolerance, default=None, help="override tolerance")
+    common.add_argument("--max-iter", type=_int_at_least(0), default=2000)
+    common.add_argument("--seed", type=_int_at_least(0), default=0)
+    common.add_argument("--samples", type=_int_at_least(1), default=200)
     common.add_argument("--trace", default=None, metavar="PATH", help="write a CSV iteration trace")
     common.add_argument("--output", choices=("json", "text"), default="json")
 

@@ -191,10 +191,16 @@ class PartitionedVector:
 
     @classmethod
     def from_array(cls, z, p: int, q: int) -> PartitionedVector:
+        """Split ``z`` into views of its two blocks, checked in one pass."""
         z = np.asarray(z, dtype=float).ravel()
         if z.size != p + q:
             raise DimensionError(f"expected length {p + q}, got {z.size}")
-        return cls(z[:p], z[p:])
+        if not np.isfinite(z).all():
+            raise ValueError("blocks must contain finite values")
+        out = object.__new__(cls)
+        object.__setattr__(out, "x", z[:p])
+        object.__setattr__(out, "u", z[p:])
+        return out
 
     @property
     def p(self) -> int:
@@ -247,8 +253,15 @@ def _columns(*blocks) -> np.ndarray:
     """``np.hstack`` of 1-D columns and 2-D blocks into a column-major matrix.
 
     Row-wise reductions of a column-major slack matrix (``min(axis=1)``) run
-    one vectorised pass per column instead of a short loop per row.
+    one vectorised pass per column instead of a short loop per row.  A lone
+    block that owns its memory and is already column-major (one row, or one
+    column) is returned as it is; a view, such as a slice of the caller's
+    input, is always copied, so the slacks never alias the input.
     """
+    if len(blocks) == 1 and blocks[0].base is None:
+        b = blocks[0] if blocks[0].ndim == 2 else blocks[0][:, None]
+        if b.flags.f_contiguous:
+            return b
     blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
     out = np.empty((len(blocks[0]), sum(b.shape[1] for b in blocks)), order="F")
     j = 0

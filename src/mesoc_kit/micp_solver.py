@@ -93,7 +93,14 @@ class ScalarComboMap:
         return self.field_values(np.asarray(Z, dtype=float)) @ self.directions
 
     def update(self, z: np.ndarray) -> np.ndarray:
-        return self.update_batch(np.asarray(z, dtype=float)[None, :])[0]
+        """:meth:`update_batch` of one vector, with the same arithmetic: a dot
+        product per field and :func:`row_norms` for |u| (a plain dot norm
+        differs from it in the last bit from three tail entries on)."""
+        z = np.asarray(z, dtype=float)
+        x = z[: self.p]
+        norm = row_norms(z[None, self.p :])[0]
+        vals = [x @ f.linear + f.norm_coeff * norm + f.offset for f in self.fields]
+        return np.array(vals) @ self.directions
 
     def residual(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -125,7 +132,7 @@ class AffineMap:
 
     def update(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        return z - self.residual(z)
+        return z - (self.matrix @ z + self.offset)
 
     def update_batch(self, Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)

@@ -1,8 +1,14 @@
 """Euclidean projections onto the solvable cones, plus a slow exact oracle.
 
-The isotonic projections run through the pool-adjacent-violators kernel in
+The isotonic projections run through the pool-adjacent-violators sweep in
 :mod:`mesoc_kit._kernels`; the Lorentz projection is the standard three-case
 closed form; cylinders project blockwise (the free block is untouched).
+
+:func:`project` computes only the projected point.  Its
+:class:`ProjectionResult` keeps a copy of the input and, for the isotonic
+kinds, the block lengths of the sweep; the distance and the blocks are
+worked out from them the first time they are read.  The solver reads only
+the point, once per step.
 
 :func:`project_oracle` re-solves the same problems by exhaustive face
 enumeration — every subset of active constraints for the polyhedral cones,
@@ -14,24 +20,78 @@ and the test suite use it to cross-check the fast paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import cones
-from ._kernels import isotonic_decreasing, isotonic_decreasing_batch
+from ._kernels import isotonic_decreasing_batch, pav_sweep
+# Not called here: the benchmark tracer (perfbench/tracing.py) wraps the
+# kernels at this module's names, and this one must stay for it to install.
+from ._kernels import isotonic_decreasing  # noqa: F401
 from .cones import ConeSpec, PartitionedVector
 from .errors import DimensionError, OracleError, UnsupportedConeError
 
 
-@dataclass(frozen=True)
 class ProjectionResult:
-    """Projection output: the point, its distance from the input, and (for
-    the isotonic solvers) the index ranges merged into constant blocks."""
+    """Projection output: the ``point``, its ``distance`` from the input, and
+    ``active_blocks``, the index ranges ``(start, stop)`` that the isotonic
+    solvers merged into constant blocks (``None`` for the other kinds).
 
-    point: np.ndarray
-    distance: float
-    active_blocks: tuple[tuple[int, int], ...] | None = None
+    ``ProjectionResult(point, distance, active_blocks=None)`` reports the
+    values it is given.  A result from :func:`project` holds the point, a
+    private copy of the input and the block lengths; the first read of
+    ``distance`` computes ``math.sqrt(r @ r)`` with r = input - point (a
+    Python float), and the first read of ``active_blocks`` builds the tuple
+    of Python-int pairs.  Writing into the input after the call does not
+    change either.  The public attributes are read-only.
+    """
+
+    __slots__ = ("_point", "_distance", "_blocks", "_source", "_lengths")
+
+    def __init__(self, point: np.ndarray, distance: float, active_blocks=None):
+        self._point = point
+        self._distance = distance
+        self._blocks = active_blocks
+        self._source = None
+        self._lengths = None
+
+    @property
+    def point(self) -> np.ndarray:
+        return self._point
+
+    @property
+    def distance(self) -> float:
+        # a local, so a concurrent first read cannot see the source cleared
+        source = self._source
+        if source is not None:
+            r = source - self._point
+            self._distance = math.sqrt(r @ r)
+            self._source = None
+        return self._distance
+
+    @property
+    def active_blocks(self) -> tuple[tuple[int, int], ...] | None:
+        lengths = self._lengths
+        if lengths is not None:
+            stops = list(accumulate(lengths))
+            self._blocks = tuple(zip([0] + stops[:-1], stops))
+            self._lengths = None
+        return self._blocks
+
+    def __repr__(self) -> str:
+        return (f"ProjectionResult(point={self.point!r}, distance={self.distance!r}, "
+                f"active_blocks={self.active_blocks!r})")
+
+
+def _result(v: np.ndarray, point: np.ndarray, lengths=None) -> ProjectionResult:
+    """The result of projecting ``v`` to ``point``, distance and blocks pending."""
+    r = ProjectionResult.__new__(ProjectionResult)
+    r._point = point
+    r._distance = r._blocks = None
+    r._source = v.copy()
+    r._lengths = lengths
+    return r
 
 
 def _as_1d(v, dim: int | None = None) -> np.ndarray:
@@ -43,63 +103,59 @@ def _as_1d(v, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def _result(v: np.ndarray, point: np.ndarray, blocks=None) -> ProjectionResult:
-    r = v - point
-    return ProjectionResult(point, math.sqrt(r @ r), blocks)
+# The routines below take a vector that _as_1d has already validated and
+# return the projected point with the block lengths (None without blocks).
 
 
-def _blocks(starts: np.ndarray, lengths: np.ndarray) -> tuple[tuple[int, int], ...]:
-    return tuple((s, s + c) for s, c in zip(starts.tolist(), lengths.tolist()))
+def _monotone(v: np.ndarray):
+    means, counts = pav_sweep(v.tolist())
+    return np.array(means).repeat(counts), counts
 
 
-# The routines below take a vector that _as_1d has already validated.
+def _monotone_nonneg(v: np.ndarray):
+    means, counts = pav_sweep(v.tolist())
+    return np.maximum(np.array(means).repeat(counts), 0.0), counts
 
 
-def _monotone(v: np.ndarray) -> ProjectionResult:
-    fit, starts, lengths = isotonic_decreasing(v)
-    return _result(v, fit, _blocks(starts, lengths))
-
-
-def _monotone_nonneg(v: np.ndarray) -> ProjectionResult:
-    fit, starts, lengths = isotonic_decreasing(v)
-    return _result(v, np.maximum(fit, 0.0), _blocks(starts, lengths))
-
-
-def _lorentz(v: np.ndarray) -> ProjectionResult:
+def _lorentz(v: np.ndarray):
     head, rest = v[0], v[1:]
     nr = math.sqrt(rest @ rest)
     if head >= nr:
-        point = v.copy()
-    elif head <= -nr:
-        point = np.zeros_like(v)
-    else:
-        t = (head + nr) / 2.0
-        point = np.concatenate([[t], rest * (t / nr)])
-    return _result(v, point)
+        return v.copy(), None
+    if head <= -nr:
+        return np.zeros_like(v), None
+    t = (head + nr) / 2.0
+    point = v * (t / nr)
+    point[0] = t
+    return point, None
 
 
-def _nonneg_orthant(v: np.ndarray) -> ProjectionResult:
-    return _result(v, np.maximum(v, 0.0))
+def _nonneg_orthant(v: np.ndarray):
+    return np.maximum(v, 0.0), None
 
 
 def project_monotone(v) -> ProjectionResult:
     """Project onto the nonincreasing vectors x_1 >= ... >= x_n."""
-    return _monotone(_as_1d(v))
+    v = _as_1d(v)
+    return _result(v, *_monotone(v))
 
 
 def project_monotone_nonneg(v) -> ProjectionResult:
     """Project onto nonincreasing nonnegative vectors (isotonic fit, then clip)."""
-    return _monotone_nonneg(_as_1d(v))
+    v = _as_1d(v)
+    return _result(v, *_monotone_nonneg(v))
 
 
 def project_lorentz(v) -> ProjectionResult:
     """Project onto the second order cone x_1 >= ||rest||: identity inside,
     zero on the polar, and the boundary average in between."""
-    return _lorentz(_as_1d(v))
+    v = _as_1d(v)
+    return _result(v, *_lorentz(v))
 
 
 def project_nonneg_orthant(v) -> ProjectionResult:
-    return _nonneg_orthant(_as_1d(v))
+    v = _as_1d(v)
+    return _result(v, *_nonneg_orthant(v))
 
 
 _PROJECTABLE = {
@@ -110,6 +166,13 @@ _PROJECTABLE = {
 }
 
 
+def _routine(cone: ConeSpec):
+    fn = _PROJECTABLE.get(cone.kind)
+    if fn is None:
+        raise UnsupportedConeError(f"no projection for {cone.kind!r}")
+    return fn
+
+
 def project(cone: ConeSpec, z) -> ProjectionResult:
     """Dispatch to the projection for ``cone``.
 
@@ -118,10 +181,18 @@ def project(cone: ConeSpec, z) -> ProjectionResult:
     """
     if cone.kind == cones.CYLINDER:
         return project_cylinder(cone.p, cone.inner, z)
-    fn = _PROJECTABLE.get(cone.kind)
-    if fn is None:
-        raise UnsupportedConeError(f"no projection for {cone.kind!r}")
-    return fn(_as_1d(z, cone.dim))
+    fn = _routine(cone)
+    v = _as_1d(z, cone.dim)
+    return _result(v, *fn(v))
+
+
+def _cylinder(p: int, inner: ConeSpec, z: np.ndarray):
+    u = z[p:]
+    if inner.kind == cones.CYLINDER:
+        point, lengths = _cylinder(inner.p, inner.inner, u)
+    else:
+        point, lengths = _routine(inner)(u)
+    return np.concatenate([z[:p], point]), lengths
 
 
 def project_cylinder(p: int, inner: ConeSpec, z) -> ProjectionResult:
@@ -130,9 +201,7 @@ def project_cylinder(p: int, inner: ConeSpec, z) -> ProjectionResult:
     if isinstance(z, PartitionedVector):
         z = z.concat()
     z = _as_1d(z, p + inner.dim)
-    inner_result = project(inner, z[p:])
-    point = np.concatenate([z[:p], inner_result.point])
-    return _result(z, point, inner_result.active_blocks)
+    return _result(z, *_cylinder(p, inner, z))
 
 
 def project_monotone_batch(V) -> np.ndarray:

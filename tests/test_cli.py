@@ -372,6 +372,31 @@ def test_lyap_rank_needs_dim_squared_pairs(capsys, tmp_path, n_pairs, code):
         assert json.loads(out)["agree"] is True
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("check", "isotone", "check_isotone_mesoc.json", "--samples", "-3"), "--samples"),
+        # zero samples checked nothing and reported the map isotone
+        (("check", "isotone", "check_isotone_mesoc.json", "--samples", "0"), "--samples"),
+        (("check", "isotone", "check_isotone_mesoc.json", "--seed", "-1"), "--seed"),
+        (("lyap-rank", "lyap_rank_mesoc.json", "--seed", "-1"), "--seed"),
+        # every comparison with NaN is false, so a NaN tolerance passed any point
+        (("check", "verify", "check_verify_cylinder.json", "--tol", "nan"), "--tol"),
+        (("check", "complementarity", "check_complementarity_mesoc.json", "--tol", "inf"), "--tol"),
+        (("contains", "contains_mesoc.json", "--tol", "-0.001"), "--tol"),
+        (("solve", "solve_cylinder.json", "--tol", "nan"), "--tol"),
+        (("solve", "solve_cylinder.json", "--max-iter", "-1"), "--max-iter"),
+    ],
+)
+def test_bad_flag_values_exit_2(capsys, argv, flag):
+    command = [a if not a.endswith(".json") else str(PROBLEMS / a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {flag}" in captured.err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solve_stops_on_nonfinite_iterate(capsys, tmp_path):
     # the first step overflows the Lorentz projection to (0, inf, nan)

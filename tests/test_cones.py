@@ -84,6 +84,12 @@ def test_partitioned_vector_roundtrip():
         mk.PartitionedVector([np.nan, 1.0], [0.0])
     with pytest.raises(mk.DimensionError):
         mk.PartitionedVector.from_array([1.0, 2.0], 2, 2)
+    # from_array checks the whole vector once, either block may hold the bad entry
+    for bad in ([np.nan, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, -np.inf]):
+        with pytest.raises(ValueError):
+            mk.PartitionedVector.from_array(bad, 2, 2)
+    one = mk.PartitionedVector.from_array([[4]], 1, 0)
+    assert one.x.tolist() == [4.0] and one.x.dtype == np.float64 and one.u.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +230,10 @@ def test_slacks_batch_matches_row_reference(kind, data):
     ref = np.array([_row_slacks(cone, z) for z in Z], dtype=float).reshape(len(Z), width)
     assert S.shape == ref.shape and S.dtype == np.float64
     assert S.flags.f_contiguous
+    # a lone slack block may be returned without a copy, but never a view of Z
+    assert not np.shares_memory(S, Z)
+    for z in Z[:1]:
+        assert not np.shares_memory(mk.membership_slacks(cone, z), z)
     # the norms may differ from np.linalg.norm in the last bits
     assert_allclose(S, ref, rtol=0, atol=1e-14 * (1.0 + np.abs(Z).max(initial=0.0)))
 

@@ -305,13 +305,22 @@ def test_sampling_cylinder_members_feed_the_solver(rng):
 # the solver loop against a plain reference loop
 
 
+def _reference_step(instance, z):
+    """The half-projected step from the batch map update and the projected
+    point, so it shares neither the solver's single-vector update nor its
+    write-back into the updated vector."""
+    p = instance.map.p
+    t = instance.map.update_batch(z[None, :])[0]
+    return np.concatenate([t[:p], mk.project(instance.inner, t[p:]).point])
+
+
 def _reference_solve(instance):
-    """picard_solve as a plain loop of picard_step, np.linalg.norm and a
+    """picard_solve as a plain loop of _reference_step, np.linalg.norm and a
     per-step order certificate."""
     z = instance.start.copy()
     iterates, step_norms, certs, status = [z], [], [], "max_iter"
     for _ in range(instance.max_iter):
-        z_new = mk.picard_step(instance, z)
+        z_new = _reference_step(instance, z)
         d = z_new - z
         step_norms.append(float(np.linalg.norm(d)))
         certs.append(mk.contains(instance.order_cone, d))
@@ -339,23 +348,42 @@ def _assert_matches_reference(instance):
     assert sol.concat().tobytes() == iterates[-1].tobytes()
 
 
-@settings(deadline=None, max_examples=60)
+def _scalar_combo(rng, p, q):
+    """A map sum_i f_i(z) w_i whose update has Lipschitz constant at most 0.8:
+    each term is bounded by |w_i| (|linear_i| + |norm_coeff_i|)."""
+    k = int(rng.integers(1, 4))
+    fields = tuple(
+        mk.ScalarField(rng.standard_normal(p), float(rng.standard_normal()), float(rng.standard_normal()))
+        for _ in range(k)
+    )
+    W = rng.standard_normal((k, p + q))
+    bound = sum(np.linalg.norm(w) * (np.linalg.norm(f.linear) + abs(f.norm_coeff)) for f, w in zip(fields, W))
+    return mk.ScalarComboMap(p=p, q=q, fields=fields, directions=0.8 * W / bound)
+
+
+@settings(deadline=None, max_examples=80)
 @given(
     p=st.integers(1, 6),
     q=st.integers(1, 6),
     kind=st.sampled_from(["monotone_nonneg", "monotone", "lorentz", "nonneg_orthant"]),
+    map_kind=st.sampled_from(["affine", "scalar_combo"]),
     seed=st.integers(0, 2**32 - 1),
     max_iter=st.sampled_from([0, 1, 7, 2000]),
 )
-def test_solve_matches_reference_loop(p, q, kind, seed, max_iter):
-    # affine maps whose update I - M has spectral norm 0.8, so most solves
-    # converge; a random start makes the order certificates mixed
+def test_solve_matches_reference_loop(p, q, kind, map_kind, seed, max_iter):
+    # affine maps whose update I - M has spectral norm 0.8, and scalar-field
+    # combinations with the same bound, so most solves converge; a random
+    # start makes the order certificates mixed
     rng = np.random.default_rng(seed)
     n = p + q
-    g = rng.standard_normal((n, n))
-    M = np.eye(n) - 0.8 * g / np.linalg.norm(g, 2)
+    if map_kind == "affine":
+        g = rng.standard_normal((n, n))
+        M = np.eye(n) - 0.8 * g / np.linalg.norm(g, 2)
+        map_ = mk.AffineMap(p=p, q=q, matrix=M, offset=rng.standard_normal(n))
+    else:
+        map_ = _scalar_combo(rng, p, q)
     inst = mk.MicpInstance(
-        map=mk.AffineMap(p=p, q=q, matrix=M, offset=rng.standard_normal(n)),
+        map=map_,
         inner=getattr(mk, kind)(q),
         start=rng.standard_normal(n) if seed % 2 else None,
         max_iter=max_iter,

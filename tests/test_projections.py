@@ -306,7 +306,8 @@ _PAV_KINDS = ("monotone", "monotone_nonneg")
 def test_project_result_fields(kind, p, v, data):
     # project, the single-kind wrapper and a cylinder give the same point
     # bytes; the distance is np.linalg.norm of the move as a Python float
-    # and the blocks are tuples of Python ints
+    # and the blocks are tuples of Python ints, a cylinder's those of its
+    # inner cone
     inner = getattr(mk, kind)(v.size)
     cases = [(inner, v)]
     if p:
@@ -314,15 +315,30 @@ def test_project_result_fields(kind, p, v, data):
         cases.append((mk.cylinder(p, inner), np.concatenate([x, v])))
     expected = _WRAPPERS[kind](v)
     for cone, z in cases:
-        r = mk.project(cone, z)
+        # the solver writes the point back into the vector it projected; the
+        # distance and blocks are read later and must not see that write
+        written = z.copy()
+        r = mk.project(cone, written)
+        written[:] = 1e9
         assert r.point.tobytes() == np.concatenate([z[: z.size - v.size], expected.point]).tobytes()
-        assert type(r.distance) is float and r.distance == float(np.linalg.norm(z - r.point))
+        distance = r.distance
+        assert type(distance) is float and distance == float(np.linalg.norm(z - r.point))
+        assert r.distance == distance and r.active_blocks == r.active_blocks
         assert r.active_blocks == expected.active_blocks
         if kind in _PAV_KINDS:
             assert type(r.active_blocks) is tuple
             assert all(type(b) is tuple and [type(i) for i in b] == [int, int] for b in r.active_blocks)
         else:
             assert r.active_blocks is None
+        for name in ("point", "distance", "active_blocks"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, None)
+    # built directly, a result reports exactly what it was given
+    given = mk.ProjectionResult(expected.point, 0.0)
+    assert given.point is expected.point and given.distance == 0.0 and given.active_blocks is None
+    blocks = ((0, v.size),)
+    given = mk.ProjectionResult(v, 2.5, blocks)
+    assert given.point is v and given.distance == 2.5 and given.active_blocks is blocks
 
 
 @pytest.mark.parametrize("kind", sorted(_WRAPPERS))
