@@ -5,11 +5,14 @@ Run from the repository root::
     PYTHONPATH=src python3 benchmarks/bench_solver.py
 
 The instances are the shipped worked example (a scalar-field map on a
-cylinder over ``monotone_nonneg(2)``) and, for each of the four projectable
-inner cones, one seeded affine problem F(z) = M z + b per size in ``SIZES``
+cylinder over ``monotone_nonneg(2)``) and, for each inner cone kind in
+``KINDS``, one seeded affine problem F(z) = M z + b per size in ``SIZES``
 (dimension 4 to 16), with the update I - M scaled to spectral norm 0.8 as in
-the ``solve_sweep`` benchmark workload.  Small solves like these are bound
-by the fixed cost of each step: one map update and one projection.
+the ``solve_sweep`` benchmark workload.  The first four kinds are the ones
+``solve_sweep`` runs; ``mesoc`` (inner cone L(q - q//2, q//2)) times the
+norm-tail reduction of ``project`` and ``monotone_nonneg_dual`` its Moreau
+rule.  Small solves like these are bound by the fixed cost of each step:
+one map update and one projection.
 
 Each of ``ROUNDS`` rounds solves every instance once; a group's figure for
 the round is its total ``picard_solve`` wall time over its total steps, so
@@ -46,7 +49,7 @@ import numpy as np
 import mesoc_kit as mk
 
 SIZES = ((2, 2), (3, 3), (4, 4), (6, 6), (8, 8), (2, 6), (6, 2), (4, 8), (8, 4), (3, 5), (5, 3), (7, 7))
-KINDS = ("monotone_nonneg", "monotone", "lorentz", "nonneg_orthant")
+KINDS = ("monotone_nonneg", "monotone", "lorentz", "nonneg_orthant", "mesoc", "monotone_nonneg_dual")
 ROUNDS = 25
 SEED = 20240817
 
@@ -62,7 +65,8 @@ def instances() -> dict[str, list]:
             g = rng.standard_normal((n, n))
             M = np.eye(n) - 0.8 * g / np.linalg.norm(g, 2)
             map_ = mk.AffineMap(p=p, q=q, matrix=M, offset=rng.standard_normal(n))
-            groups[kind].append(mk.MicpInstance(map=map_, inner=getattr(mk, kind)(q)))
+            inner = mk.mesoc(q - q // 2, q // 2) if kind == "mesoc" else getattr(mk, kind)(q)
+            groups[kind].append(mk.MicpInstance(map=map_, inner=inner))
     return groups
 
 

@@ -1,8 +1,15 @@
-"""Euclidean projections onto the solvable cones, plus a slow exact oracle.
+"""Euclidean projections onto every cone kind but the ESOC, plus a slow exact oracle.
 
-The isotonic projections run through the pool-adjacent-violators sweep in
-:mod:`mesoc_kit._kernels`; the Lorentz projection is the standard three-case
-closed form; cylinders project blockwise (the free block is untouched).
+:func:`project` reaches each kind from three leaves and three reductions.
+The leaves are the monotone cone (the pool-adjacent-violators sweep of
+:mod:`mesoc_kit._kernels`), the nonnegative orthant (a clip) and the Lorentz
+cone (the three-case closed form).  The **norm tail** projects L(p, q):
+P(w, z) = (x, s z/||z||), where (x, s) projects (w, ||z||) onto the monotone
+nonnegative cone of R^(p+1); with no tail it is that cone's own projection.
+A **cylinder** R^p x C keeps the x block and projects the u block onto C.
+**Moreau** gives each dual kind, P_K*(v) = v + P_K(-v).  The ESOC and its
+dual need a root finder (Ferreira & Németh, J. Global Optim. 70, 2018) and
+raise :class:`UnsupportedConeError`, as do cylinders over them.
 
 :func:`project` computes only the projected point.  Its
 :class:`ProjectionResult` keeps a copy of the input and, for the isotonic
@@ -10,11 +17,11 @@ kinds, the block lengths of the sweep; the distance and the blocks are
 worked out from them the first time they are read.  The solver reads only
 the point, once per step.
 
-:func:`project_oracle` re-solves the same problems by exhaustive face
-enumeration — every subset of active constraints for the polyhedral cones,
-and the interior, the apex and the boundary ray for the Lorentz cone — and
-certifies each result with the full Moreau conditions.  ``check project``
-and the test suite use it to cross-check the fast paths.
+:func:`project_oracle` re-solves the polyhedral and Lorentz problems by
+exhaustive face enumeration — every subset of active constraints for the
+polyhedral cones, and the interior, the apex and the boundary ray for the
+Lorentz cone — and certifies each result with the full Moreau conditions.
+``check project`` and the test suite use it to cross-check the fast paths.
 """
 
 from __future__ import annotations
@@ -29,14 +36,16 @@ from ._kernels import isotonic_decreasing_batch, pav_sweep
 # Not called here: the benchmark tracer (perfbench/tracing.py) wraps the
 # kernels at this module's names, and this one must stay for it to install.
 from ._kernels import isotonic_decreasing  # noqa: F401
-from .cones import ConeSpec, PartitionedVector
+from .cones import ConeSpec
 from .errors import DimensionError, OracleError, UnsupportedConeError
 
 
 class ProjectionResult:
     """Projection output: the ``point``, its ``distance`` from the input, and
     ``active_blocks``, the index ranges ``(start, stop)`` that the isotonic
-    solvers merged into constant blocks (``None`` for the other kinds).
+    solvers merged into constant blocks.  The monotone cones and L(p, q)
+    have them; those of L(p, q) run over (x, ||u||), so index p stands for
+    ||u||.  The other kinds, the duals included, give ``None``.
 
     ``ProjectionResult(point, distance, active_blocks=None)`` reports the
     values it is given.  A result from :func:`project` holds the point, a
@@ -94,27 +103,27 @@ def _result(v: np.ndarray, point: np.ndarray, lengths=None) -> ProjectionResult:
     return r
 
 
-def _as_1d(v, dim: int | None = None) -> np.ndarray:
+def _as_1d(v, dim: int) -> np.ndarray:
     v = np.asarray(v, dtype=float).ravel()
-    if v.size == 0:
-        raise DimensionError("cannot project an empty vector")
-    if dim is not None and v.size != dim:
+    if v.size != dim:
         raise DimensionError(f"expected length {dim}, got {v.size}")
     return v
 
 
-# The routines below take a vector that _as_1d has already validated and
-# return the projected point with the block lengths (None without blocks).
-
-
-def _monotone(v: np.ndarray):
-    means, counts = pav_sweep(v.tolist())
-    return np.array(means).repeat(counts), counts
-
-
-def _monotone_nonneg(v: np.ndarray):
-    means, counts = pav_sweep(v.tolist())
-    return np.maximum(np.array(means).repeat(counts), 0.0), counts
+def _norm_tail(v: np.ndarray, p: int):
+    """Project (w, z) = (v[:p], v[p:]) onto {x_1 >= ... >= x_p >= ||u||}:
+    (x, s) fits (w, ||z||) in the monotone nonnegative cone and u = s z/||z||.
+    Its blocks are those of that fit, index p standing for ||u||."""
+    head = v.tolist()
+    if p < len(head):
+        tail = v[p:]
+        norm = math.sqrt(tail @ tail)
+        head[p:] = [norm]
+    means, counts = pav_sweep(head)
+    fit = np.maximum(np.array(means).repeat(counts), 0.0)
+    if p == v.size:
+        return fit, counts
+    return np.concatenate([fit[:p], tail * (fit[p] / norm if norm > 0.0 else 0.0)]), counts
 
 
 def _lorentz(v: np.ndarray):
@@ -130,88 +139,50 @@ def _lorentz(v: np.ndarray):
     return point, None
 
 
-def _nonneg_orthant(v: np.ndarray):
-    return np.maximum(v, 0.0), None
+def _point(cone: ConeSpec, v: np.ndarray):
+    """The projection of the validated ``v`` onto ``cone`` and the block
+    lengths of its isotonic fit (None for kinds without one)."""
+    kind = cone.kind
+    if kind == cones.MONOTONE_NONNEG or kind == cones.MESOC:
+        return _norm_tail(v, cone.p)
+    if kind == cones.MONOTONE:
+        means, counts = pav_sweep(v.tolist())
+        return np.array(means).repeat(counts), counts
+    if kind == cones.NONNEG_ORTHANT:
+        return np.maximum(v, 0.0), None
+    if kind == cones.LORENTZ:
+        return _lorentz(v)
+    if kind == cones.CYLINDER:
+        point, lengths = _point(cone.inner, v[cone.p :])
+        return np.concatenate([v[: cone.p], point]), lengths
+    # project has refused the ESOC kinds, so every kind left is the dual of
+    # one above; the blocks of the primal fit do not describe this point
+    return v + _point(cones.dual_of(cone), -v)[0], None
 
 
-def project_monotone(v) -> ProjectionResult:
-    """Project onto the nonincreasing vectors x_1 >= ... >= x_n."""
-    v = _as_1d(v)
-    return _result(v, *_monotone(v))
-
-
-def project_monotone_nonneg(v) -> ProjectionResult:
-    """Project onto nonincreasing nonnegative vectors (isotonic fit, then clip)."""
-    v = _as_1d(v)
-    return _result(v, *_monotone_nonneg(v))
-
-
-def project_lorentz(v) -> ProjectionResult:
-    """Project onto the second order cone x_1 >= ||rest||: identity inside,
-    zero on the polar, and the boundary average in between."""
-    v = _as_1d(v)
-    return _result(v, *_lorentz(v))
-
-
-def project_nonneg_orthant(v) -> ProjectionResult:
-    v = _as_1d(v)
-    return _result(v, *_nonneg_orthant(v))
-
-
-_PROJECTABLE = {
-    cones.MONOTONE: _monotone,
-    cones.MONOTONE_NONNEG: _monotone_nonneg,
-    cones.NONNEG_ORTHANT: _nonneg_orthant,
-    cones.LORENTZ: _lorentz,
-}
-
-
-def _routine(cone: ConeSpec):
-    fn = _PROJECTABLE.get(cone.kind)
-    if fn is None:
-        raise UnsupportedConeError(f"no projection for {cone.kind!r}")
-    return fn
+# the kinds (also as a cylinder's base) that project refuses
+_UNSUPPORTED = (cones.ESOC, cones.ESOC_DUAL)
 
 
 def project(cone: ConeSpec, z) -> ProjectionResult:
-    """Dispatch to the projection for ``cone``.
-
-    Supported: the monotone / monotone nonnegative cones, the nonnegative
-    orthant, the Lorentz cone, and cylinders over any of those.
-    """
-    if cone.kind == cones.CYLINDER:
-        return project_cylinder(cone.p, cone.inner, z)
-    fn = _routine(cone)
+    """Project ``z`` onto ``cone``; see the module docstring for the kinds."""
+    base = cone
+    while base.inner is not None:
+        base = base.inner
+    if base.kind in _UNSUPPORTED:
+        raise UnsupportedConeError(f"no projection for {base.kind!r}")
     v = _as_1d(z, cone.dim)
-    return _result(v, *fn(v))
-
-
-def _cylinder(p: int, inner: ConeSpec, z: np.ndarray):
-    u = z[p:]
-    if inner.kind == cones.CYLINDER:
-        point, lengths = _cylinder(inner.p, inner.inner, u)
-    else:
-        point, lengths = _routine(inner)(u)
-    return np.concatenate([z[:p], point]), lengths
-
-
-def project_cylinder(p: int, inner: ConeSpec, z) -> ProjectionResult:
-    """Project onto R^p x C by leaving the x block alone and projecting the
-    u block onto the base cone."""
-    if isinstance(z, PartitionedVector):
-        z = z.concat()
-    z = _as_1d(z, p + inner.dim)
-    return _result(z, *_cylinder(p, inner, z))
+    return _result(v, *_point(cone, v))
 
 
 def project_monotone_batch(V) -> np.ndarray:
-    """Row-wise :func:`project_monotone` (no block bookkeeping)."""
+    """Row-wise :func:`project` onto the monotone cone (no block bookkeeping)."""
     V = np.ascontiguousarray(np.atleast_2d(np.asarray(V, dtype=float)))
     return isotonic_decreasing_batch(V)
 
 
 def project_monotone_nonneg_batch(V) -> np.ndarray:
-    """Row-wise :func:`project_monotone_nonneg`."""
+    """Row-wise :func:`project` onto the monotone nonnegative cone."""
     return np.maximum(project_monotone_batch(V), 0.0)
 
 

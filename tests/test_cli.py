@@ -432,11 +432,12 @@ _FUZZ_CONES = st.one_of(
         st.integers(0, 3),
     ),
     st.builds(
-        lambda kind, p, inner, n: {"kind": kind, "p": p, "inner": {"kind": inner, "p": n}},
+        lambda kind, p, inner, n, q: {"kind": kind, "p": p, "inner": {"kind": inner, "p": n, "q": q}},
         st.sampled_from(["cylinder", "cylinder_dual"]),
         st.integers(1, 3),
-        st.sampled_from(["monotone_nonneg", "monotone", "lorentz", "nonneg_orthant"]),
+        st.sampled_from(sorted(set(mk.cones.KINDS) - {"cylinder", "cylinder_dual"})),
         st.integers(1, 3),
+        st.integers(0, 2),
     ),
 )
 _FUZZ_ENTRIES = st.one_of(
@@ -502,6 +503,30 @@ def test_check_project_cylinder_over_lorentz(capsys, tmp_path, rng):
                "payload": {"point": point.tolist()}}
         code, out, _ = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
         assert code == 0, (i, point, out)
+
+
+def test_solve_on_cylinder_over_mesoc(capsys, tmp_path, rng):
+    # an affine map whose update I - M has spectral norm 0.5 is a contraction,
+    # so the Picard iteration converges on any closed convex inner cone
+    g = rng.normal(size=(6, 6))
+    doc = {"version": 1, "command": "solve",
+           "cone": {"kind": "cylinder", "p": 2, "inner": {"kind": "mesoc", "p": 2, "q": 2}},
+           "payload": {"map": {"kind": "affine", "p": 2, "q": 4,
+                               "matrix": (np.eye(6) - 0.5 * g / np.linalg.norm(g, 2)).tolist(),
+                               "offset": rng.normal(size=6).tolist()}}}
+    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, doc))
+    report = json.loads(out)
+    assert code == 0 and report["status"] == "converged"
+    assert report["verify"]["ok"] is True and report["verify"]["failed"] == []
+    assert mk.contains(mk.mesoc(2, 2), report["solution"]["u"])
+
+
+def test_check_project_refuses_mesoc(capsys, tmp_path):
+    # project reaches L(p, q), but no face-enumeration oracle covers it
+    doc = {"version": 1, "command": "check.project", "cone": {"kind": "mesoc", "p": 2, "q": 2},
+           "payload": {"point": [1.0, 0.0, 3.0, 4.0]}}
+    code, out, err = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
+    assert code == 3 and out == "" and "mesoc" in err
 
 
 @pytest.mark.parametrize(

@@ -65,11 +65,16 @@ def test_worked_map_not_isotone_for_componentwise_cone():
 
 
 def test_cylinder_projections_are_isotone():
-    # both inner cones the solver supports give an order-isotone projection
-    for inner in (mk.monotone_nonneg(2), mk.nonneg_orthant(2)):
-        proj = lambda z: np.concatenate([z[:2], mk.project(inner, z[2:]).point])
+    # R^p x C is an isotonic projection set for L(p, q) whatever the closed
+    # convex C, because P_C is nonexpansive: every projectable C of dimension 2
+    for inner in (mk.monotone(2), mk.monotone_nonneg(2), mk.nonneg_orthant(2), mk.lorentz(2),
+                  mk.mesoc(1, 1), mk.mesoc(2, 0), mk.mesoc_dual(1, 1), mk.mesoc_dual(2, 0),
+                  mk.monotone_dual(2), mk.monotone_nonneg_dual(2),
+                  mk.cylinder(1, mk.lorentz(1)), mk.cylinder_dual(1, mk.nonneg_orthant(1))):
+        cyl = mk.cylinder(2, inner)
+        proj = lambda z: mk.project(cyl, z).point
         rep = mk.check_isotone(proj, mk.mesoc(2, 2), 3000, seed=9, scale=2.0)
-        assert rep.ok and rep.checked == 3000
+        assert rep.ok and rep.checked == 3000, inner
 
 
 def test_violation_pattern_ignores_constant_shifts():

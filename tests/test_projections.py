@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -18,39 +18,53 @@ from mesoc_kit.projections import (
 
 def test_monotone_frozen_cases():
     # merges computed by hand
-    r = mk.project_monotone([1.0, 3.0, 2.0])
+    r = mk.project(mk.monotone(3), [1.0, 3.0, 2.0])
     assert_allclose(r.point, [2.0, 2.0, 2.0])
     assert r.distance == pytest.approx(np.sqrt(2.0))
     assert r.active_blocks == ((0, 3),)
 
-    r = mk.project_monotone([3.0, 1.0, 2.0])
+    r = mk.project(mk.monotone(3), [3.0, 1.0, 2.0])
     assert_allclose(r.point, [3.0, 1.5, 1.5])
     assert r.active_blocks == ((0, 1), (1, 3))
 
     # already nonincreasing: untouched, singleton blocks
-    r = mk.project_monotone([3.0, 2.0, -1.0])
+    r = mk.project(mk.monotone(3), [3.0, 2.0, -1.0])
     assert_allclose(r.point, [3.0, 2.0, -1.0])
     assert r.distance == 0.0
     assert r.active_blocks == ((0, 1), (1, 2), (2, 3))
 
 
 def test_monotone_nonneg_frozen_cases():
-    r = mk.project_monotone_nonneg([1.2, 2.4, -0.5, 0.7, 0.1])
+    r = mk.project(mk.monotone_nonneg(5), [1.2, 2.4, -0.5, 0.7, 0.1])
     assert_allclose(r.point, [1.8, 1.8, 0.1, 0.1, 0.1])
-    r = mk.project_monotone_nonneg([-3.0, -1.0])
+    r = mk.project(mk.monotone_nonneg(2), [-3.0, -1.0])
     assert_allclose(r.point, [0.0, 0.0])
     assert r.distance == pytest.approx(np.sqrt(10.0))
 
 
 def test_lorentz_three_cases():
+    K = mk.lorentz(3)
     inside = np.array([5.0, 3.0, 4.0])
-    assert_allclose(mk.project_lorentz(inside).point, inside)
+    assert_allclose(mk.project(K, inside).point, inside)
     polar = np.array([-5.0, 3.0, 4.0])
-    assert_allclose(mk.project_lorentz(polar).point, np.zeros(3))
+    assert_allclose(mk.project(K, polar).point, np.zeros(3))
     between = np.array([0.0, 3.0, 4.0])
-    r = mk.project_lorentz(between)
+    r = mk.project(K, between)
     assert_allclose(r.point, [2.5, 1.5, 2.0])
-    assert mk.contains(mk.lorentz(3), r.point)
+    assert mk.contains(K, r.point)
+
+
+def test_mesoc_frozen_cases():
+    # the norm tail fits (w, ||z||) = (1, 0, 5) by (2, 2, 2): x = (2, 2) and
+    # u = 2 z/||z||; its blocks are those of that fit, index 2 being ||u||
+    r = mk.project(mk.mesoc(2, 2), [1.0, 0.0, 3.0, 4.0])
+    assert_allclose(r.point, [2.0, 2.0, 1.2, 1.6])
+    assert r.active_blocks == ((0, 3),)
+    # a zero tail stays zero, and q = 0 is the monotone nonnegative cone
+    r = mk.project(mk.mesoc(2, 2), [1.0, -1.0, 0.0, 0.0])
+    assert_allclose(r.point, [1.0, 0.0, 0.0, 0.0])
+    v = np.array([1.2, 2.4, -0.5])
+    assert mk.project(mk.mesoc(3, 0), v).point.tobytes() == mk.project(mk.monotone_nonneg(3), v).point.tobytes()
 
 
 def test_fast_agrees_with_oracle(rng):
@@ -66,8 +80,12 @@ def test_fast_agrees_with_oracle(rng):
 
 def test_projection_optimality_conditions(rng):
     # membership, idempotence, orthogonality of the residual, and the polar
-    # inequality <v - Pv, k> <= 0 against sampled cone members
-    for cone in [mk.monotone(6), mk.monotone_nonneg(6), mk.lorentz(4)]:
+    # inequality <v - Pv, k> <= 0 against sampled cone members; the Moreau
+    # certificate reads only membership slacks of the cone and its dual, so
+    # it does not share code with the reductions behind project
+    for cone in [mk.monotone(6), mk.monotone_nonneg(6), mk.lorentz(4), mk.mesoc(2, 2),
+                 mk.mesoc(3, 0), mk.mesoc_dual(2, 2), mk.monotone_dual(5),
+                 mk.monotone_nonneg_dual(5), mk.cylinder_dual(2, mk.lorentz(3))]:
         K = sampling.sample(cone, rng, 200)
         for v in rng.normal(size=(100, cone.dim)) * 2.0:
             y = mk.project(cone, v).point
@@ -75,6 +93,7 @@ def test_projection_optimality_conditions(rng):
             assert_allclose(mk.project(cone, y).point, y, atol=1e-9)
             assert abs((v - y) @ y) < 1e-9 * (1 + v @ v)
             assert ((K @ (v - y)) < 1e-9).all()
+            assert projections._moreau_residual(cone, v, y) <= 1e-12
 
 
 def test_nonexpansive(rng):
@@ -92,15 +111,15 @@ def test_batch_matches_scalar(rng):
     V = rng.normal(size=(300, 9)) * 2
     B = project_monotone_batch(V)
     for i, v in enumerate(V):
-        assert_allclose(B[i], mk.project_monotone(v).point, atol=1e-13)
+        assert_allclose(B[i], mk.project(mk.monotone(9), v).point, atol=1e-13)
     B = project_monotone_nonneg_batch(V)
     for i, v in enumerate(V):
-        assert_allclose(B[i], mk.project_monotone_nonneg(v).point, atol=1e-13)
+        assert_allclose(B[i], mk.project(mk.monotone_nonneg(9), v).point, atol=1e-13)
 
 
 def test_blocks_partition_and_are_constant(rng):
     for v in rng.normal(size=(100, 8)):
-        r = mk.project_monotone(v)
+        r = mk.project(mk.monotone(8), v)
         edges = [b[0] for b in r.active_blocks] + [r.active_blocks[-1][1]]
         assert edges[0] == 0 and edges[-1] == 8
         assert edges == sorted(edges)
@@ -113,7 +132,7 @@ def test_cylinder_projection_leaves_x_alone(rng):
     z = np.array([9.0, -4.0, 0.1, -1.0, 2.0])
     r = mk.project(cyl, z)
     assert_allclose(r.point[:3], z[:3])
-    assert_allclose(r.point[3:], mk.project_monotone_nonneg(z[3:]).point)
+    assert_allclose(r.point[3:], mk.project(mk.monotone_nonneg(2), z[3:]).point)
     # oracle composes the same way
     o = mk.project_oracle(cyl, z)
     assert_allclose(o.point, r.point, atol=1e-9)
@@ -291,29 +310,34 @@ def test_sweep_frozen_outputs(v, fit, starts, lengths):
     np.testing.assert_array_equal(got[2], lengths)
 
 
-# each projectable kind with its public single-kind wrapper
-_WRAPPERS = {
-    "monotone": mk.project_monotone,
-    "monotone_nonneg": mk.project_monotone_nonneg,
-    "nonneg_orthant": mk.project_nonneg_orthant,
-    "lorentz": mk.project_lorentz,
-}
-_PAV_KINDS = ("monotone", "monotone_nonneg")
+# every projectable kind but the cylinder, whose inner cone the tests choose
+_KINDS = ("monotone", "monotone_nonneg", "nonneg_orthant", "lorentz", "mesoc", "mesoc_dual",
+          "monotone_dual", "monotone_nonneg_dual", "cylinder_dual")
+_PAV_KINDS = ("monotone", "monotone_nonneg", "mesoc")
+
+
+def _cone(kind, n):
+    """A cone of ``kind`` in R^n (n >= 2 for cylinder_dual)."""
+    if kind in ("mesoc", "mesoc_dual"):
+        return getattr(mk, kind)(n - n // 2, n // 2)
+    if kind == "cylinder_dual":
+        return mk.cylinder_dual(1, mk.lorentz(n - 1))
+    return getattr(mk, kind)(n)
 
 
 @settings(deadline=None)
-@given(st.sampled_from(sorted(_WRAPPERS)), st.integers(0, 3), _VECTORS, st.data())
+@given(st.sampled_from(_KINDS), st.integers(0, 3), _VECTORS, st.data())
 def test_project_result_fields(kind, p, v, data):
-    # project, the single-kind wrapper and a cylinder give the same point
-    # bytes; the distance is np.linalg.norm of the move as a Python float
-    # and the blocks are tuples of Python ints, a cylinder's those of its
-    # inner cone
-    inner = getattr(mk, kind)(v.size)
+    # a cone and a cylinder over it give the same point bytes; the distance
+    # is np.linalg.norm of the move as a Python float and the blocks are
+    # tuples of Python ints, a cylinder's those of its inner cone
+    assume(kind != "cylinder_dual" or v.size > 1)
+    inner = _cone(kind, v.size)
     cases = [(inner, v)]
     if p:
         x = data.draw(arrays(float, p, elements=_ENTRIES))
         cases.append((mk.cylinder(p, inner), np.concatenate([x, v])))
-    expected = _WRAPPERS[kind](v)
+    expected = mk.project(inner, v)
     for cone, z in cases:
         # the solver writes the point back into the vector it projected; the
         # distance and blocks are read later and must not see that write
@@ -341,32 +365,29 @@ def test_project_result_fields(kind, p, v, data):
     assert given.point is v and given.distance == 2.5 and given.active_blocks is blocks
 
 
-@pytest.mark.parametrize("kind", sorted(_WRAPPERS))
+@pytest.mark.parametrize("kind", _KINDS)
 def test_dimension_errors_of_every_kind(kind):
-    cone = getattr(mk, kind)(3)
+    cone = _cone(kind, 3)
     for z in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0], []):
         with pytest.raises(mk.DimensionError):
             mk.project(cone, z)
         with pytest.raises(mk.DimensionError):
             mk.project(mk.cylinder(2, cone), [0.0, 0.0] + z)
-    with pytest.raises(mk.DimensionError):
-        projections.project_cylinder(2, cone, [0.0, 0.0, 1.0])
-    with pytest.raises(mk.DimensionError, match="empty"):
-        _WRAPPERS[kind]([])
-    # a wrapper projects whatever length it is given, flattening nested input
-    assert _WRAPPERS[kind]([[1.0], [2.0]]).point.shape == (2,)
+    # nested input of the right size is flattened
+    assert mk.project(cone, [[1.0], [2.0], [3.0]]).point.shape == (3,)
 
 
-@pytest.mark.parametrize("cone", [mk.esoc(2, 2), mk.mesoc(2, 2), mk.monotone_dual(4),
-                                  mk.cylinder_dual(2, mk.lorentz(2))])
+@pytest.mark.parametrize("cone", [mk.esoc(2, 2), mk.esoc_dual(2, 2), mk.esoc(1, 0),
+                                  mk.cylinder(2, mk.esoc_dual(1, 2))])
 def test_unsupported_kinds(cone):
     z = np.ones(cone.dim)
     with pytest.raises(mk.UnsupportedConeError):
         mk.project(cone, z)
-    with pytest.raises(mk.UnsupportedConeError):
-        mk.project(mk.cylinder(1, cone), np.ones(1 + cone.dim))
-    with pytest.raises(mk.UnsupportedConeError):
-        projections.project_cylinder(1, cone, np.ones(1 + cone.dim))
+    for outer in (mk.cylinder(1, cone), mk.cylinder_dual(1, cone), mk.cylinder(1, mk.cylinder(1, cone))):
+        with pytest.raises(mk.UnsupportedConeError):
+            mk.project(outer, np.ones(outer.dim))
     # an unsupported kind is reported before a wrong length
     with pytest.raises(mk.UnsupportedConeError):
         mk.project(cone, z[:-1])
+    with pytest.raises(mk.UnsupportedConeError):
+        mk.project(mk.cylinder(1, cone), z)
