@@ -91,7 +91,7 @@ def measure_membership(m: int, p: int, q: int) -> int:
     got = cones.contains_batch(cone, Z)
     batch_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    ref = stacked_contains(Z, p, cones.DEFAULT_TOL.membership)
+    ref = stacked_contains(Z, p, cones.DEFAULT_TOL)
     ref_s = time.perf_counter() - t0
     wrong = int(np.count_nonzero(got != ref))
     label = f"membership {m}x{p + q}"

@@ -30,14 +30,16 @@ from . import __version__, lyapunov, micp_solver, order, projections
 from .cones import (
     CYLINDER,
     CYLINDER_DUAL,
+    DEFAULT_TOL,
     KINDS,
     MESOC,
     CompPair,
     ConeSpec,
-    Tolerances,
+    check_tol,
     contains,
     decompose_mesoc,
     in_complementarity_set,
+    least_slack,
     membership_slacks,
 )
 from .errors import (
@@ -249,28 +251,22 @@ def write_trace(path: str, p: int, q: int, trace: micp_solver.IterationTrace) ->
 # subcommands
 
 
-def _tolerances(args) -> Tolerances:
-    if args.tol is None:
-        return Tolerances()
-    return Tolerances(membership=args.tol, orthogonality=args.tol)
-
-
 def cmd_contains(args) -> int:
     cone, payload = load_problem(args.problem, "contains")
     point = _payload_vector(payload, "point")
     slacks = membership_slacks(cone, point)
-    tol = _tolerances(args)
+    tol = DEFAULT_TOL if args.tol is None else args.tol
     return emit(
         {
             "cone": cone_to_json(cone),
             "contains": contains(cone, point, tol),
-            "min_slack": float(slacks.min()) if slacks.size else None,
+            "min_slack": least_slack(slacks),
             "slacks": slacks,
         },
         args.output,
         "contains",
         EXIT_OK,
-        {"tol": tol.membership},
+        {"tol": tol},
     )
 
 
@@ -378,12 +374,17 @@ def cmd_check_project(args) -> int:
 
 def cmd_check_isotone(args) -> int:
     cone, payload = load_problem(args.problem, "check.isotone")
-    tol = _tolerances(args)
-    settings = {"samples": args.samples, "seed": args.seed, "tol": tol.membership}
+    tol = DEFAULT_TOL if args.tol is None else args.tol
+    settings = {"samples": args.samples, "seed": args.seed, "tol": tol}
     if "normal" in payload:
-        report = order.hyperplane_isotone_test(
-            cone, _payload_vector(payload, "normal"), args.samples, args.seed, tol
-        )
+        try:
+            report = order.hyperplane_isotone_test(
+                cone, _payload_vector(payload, "normal"), args.samples, args.seed, tol
+            )
+        except MesocKitError:
+            raise
+        except ValueError as exc:  # the normal is not a unit vector
+            raise SchemaError(f"payload key 'normal': {exc}") from exc
         out = {
             "mode": "hyperplane",
             "held": report.held,
@@ -441,7 +442,7 @@ def cmd_check_complementarity(args) -> int:
         primal=_payload_vector(payload, "primal"),
         dual=_payload_vector(payload, "dual"),
     )
-    tol = _tolerances(args)
+    tol = DEFAULT_TOL if args.tol is None else args.tol
     report = in_complementarity_set(cone, pair, tol)
     return emit(
         {
@@ -454,7 +455,7 @@ def cmd_check_complementarity(args) -> int:
         args.output,
         "check.complementarity",
         EXIT_OK if report.member else EXIT_CHECK_FAILED,
-        {"tol": tol.membership},
+        {"tol": tol},
     )
 
 
@@ -494,11 +495,10 @@ def cmd_check_decompose(args) -> int:
     if cone.kind != MESOC:
         raise SchemaError("check.decompose expects a mesoc cone")
     point = _payload_vector(payload, "point")
-    tol = _tolerances(args)
+    tol = DEFAULT_TOL if args.tol is None else args.tol
     dec = decompose_mesoc(cone.p, cone.q, point, tol)
     residual = float(np.abs(dec.reconstruct() - np.asarray(point, dtype=float)).max())
-    gap_tol = args.tol if args.tol is not None else 1e-10
-    ok = residual <= gap_tol
+    ok = residual <= tol
     return emit(
         {
             "weights": dec.weights,
@@ -510,7 +510,7 @@ def cmd_check_decompose(args) -> int:
         args.output,
         "check.decompose",
         EXIT_OK if ok else EXIT_CHECK_FAILED,
-        {"tol": gap_tol},
+        {"tol": tol},
     )
 
 
@@ -543,14 +543,15 @@ def _int_at_least(low: int):
 
 
 def _tolerance(text: str) -> float:
-    """argparse type for ``--tol``: a finite number >= 0.  Every comparison
-    with NaN is false, so a NaN tolerance would pass any check."""
+    """argparse type for ``--tol``: a number that :func:`check_tol` accepts."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
+    try:
+        check_tol(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 

@@ -22,6 +22,7 @@ inequality failed, not just a boolean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,25 +59,25 @@ KINDS = frozenset(
     }
 )
 
-# kinds whose vectors meaningfully split into (x, u) blocks
+# kinds whose vectors split into (x, u) blocks; only they take a q
 PARTITIONED_KINDS = frozenset({MESOC, MESOC_DUAL, ESOC, ESOC_DUAL, CYLINDER, CYLINDER_DUAL})
-# kinds that may have q == 0 (they degenerate to cones over the x block alone)
-_Q_ZERO_OK = frozenset({MESOC, MESOC_DUAL, ESOC, ESOC_DUAL})
+
+# slack allowed by membership and complementarity checks
+DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric slack allowed by membership and orthogonality checks."""
-
-    membership: float = 1e-10
-    orthogonality: float = 1e-10
-
-    def __post_init__(self):
-        if self.membership < 0 or self.orthogonality < 0:
-            raise ValueError("tolerances must be nonnegative")
+def check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not a finite number >= 0.  Every comparison
+    with NaN is false, so a NaN tolerance would let a check pass untested."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
 
 
-DEFAULT_TOL = Tolerances()
+def least_slack(slacks):
+    """The least membership slack over the last axis of ``slacks`` (one value
+    per row of a batch); +inf for a cone with no inequality, which holds
+    every vector of its space.  A NaN slack gives NaN, which no check passes."""
+    return np.minimum.reduce(slacks, axis=-1, initial=np.inf)
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,8 @@ class ConeSpec:
             raise ValueError("dimension parameters must be strictly positive")
         if self.q < 0 or (self.q == 0 and self.kind in (CYLINDER, CYLINDER_DUAL)):
             raise ValueError("cylinder cones need a nonempty base")
-        if self.q == 0 and self.kind in PARTITIONED_KINDS and self.kind not in _Q_ZERO_OK:
-            raise ValueError(f"q = 0 is not allowed for kind {self.kind!r}")
+        if self.q and self.kind not in PARTITIONED_KINDS:
+            raise ValueError(f"kind {self.kind!r} has no u block, so q must be 0")
         if self.kind in (CYLINDER, CYLINDER_DUAL):
             if self.inner is None:
                 raise ValueError("cylinder cones require an inner cone")
@@ -305,21 +306,19 @@ def _slacks_batch(cone: ConeSpec, Z: np.ndarray) -> np.ndarray:
     raise UnsupportedConeError(f"no membership rule for {kind!r}")
 
 
-def contains(cone: ConeSpec, z, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when every membership slack of ``z`` is >= -tol.membership."""
-    s = membership_slacks(cone, z)
-    return bool(s.size == 0 or s.min() >= -tol.membership)
+def contains(cone: ConeSpec, z, tol: float = DEFAULT_TOL) -> bool:
+    """True when the least membership slack of ``z`` is >= -tol."""
+    check_tol(tol)
+    return bool(least_slack(membership_slacks(cone, z)) >= -tol)
 
 
-def contains_batch(cone: ConeSpec, Z, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def contains_batch(cone: ConeSpec, Z, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Vectorized :func:`contains` over the rows of ``Z``."""
+    check_tol(tol)
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != cone.dim:
         raise DimensionError(f"expected shape (n, {cone.dim})")
-    s = _slacks_batch(cone, Z)
-    if s.shape[1] == 0:
-        return np.ones(len(Z), dtype=bool)
-    return s.min(axis=1) >= -tol.membership
+    return least_slack(_slacks_batch(cone, Z)) >= -tol
 
 
 _DUAL_MAP = {
@@ -351,7 +350,7 @@ def dual_of(cone: ConeSpec) -> ConeSpec:
 
 
 def duality_chain(
-    xu: PartitionedVector, yv: PartitionedVector, tol: Tolerances = DEFAULT_TOL
+    xu: PartitionedVector, yv: PartitionedVector, tol: float = DEFAULT_TOL
 ) -> tuple[float, float, float]:
     """The chained pairing bounds for a primal/dual pair.
 
@@ -395,7 +394,7 @@ class ComplementarityReport:
     and "direct" when the test fell back to plain orthogonality (always the
     case for degenerate pairs with a vanishing norm block).  Residuals are
     slack-like: a condition passes when its value is >= -tol, so equality
-    conditions report minus their absolute violation.
+    conditions report minus their absolute violation, and a NaN fails.
     """
 
     member: bool
@@ -408,30 +407,28 @@ class ComplementarityReport:
         return self.member
 
 
-def _direct_report(cone, zp, zd, tol, residuals=None):
-    residuals = dict(residuals or {})
-    residuals["primal_membership"] = float(_min_slack(cone, zp))
-    residuals["dual_membership"] = float(_min_slack(dual_of(cone), zd))
-    residuals["orthogonality"] = -abs(float(zp @ zd))
-    failed = []
-    if residuals["primal_membership"] < -tol.membership:
-        failed.append("primal_membership")
-    if residuals["dual_membership"] < -tol.membership:
-        failed.append("dual_membership")
-    if residuals["orthogonality"] < -tol.orthogonality:
-        failed.append("orthogonality")
+def _report(mode, residuals, tol, scaling=None):
+    failed = tuple(name for name, r in residuals.items() if not r >= -tol)
     return ComplementarityReport(
-        member=not failed, mode="direct", residuals=residuals, failed=tuple(failed)
+        member=not failed, mode=mode, residuals=residuals, failed=failed, scaling=scaling
     )
 
 
-def _min_slack(cone, z):
-    s = membership_slacks(cone, z)
-    return np.inf if s.size == 0 else s.min()
+def _memberships(cone, zp, zd):
+    return {
+        "primal_membership": float(least_slack(membership_slacks(cone, zp))),
+        "dual_membership": float(least_slack(membership_slacks(dual_of(cone), zd))),
+    }
+
+
+def _direct_report(cone, zp, zd, tol):
+    res = _memberships(cone, zp, zd)
+    res["orthogonality"] = -abs(float(zp @ zd))
+    return _report("direct", res, tol)
 
 
 def in_complementarity_set(
-    cone: ConeSpec, pair: CompPair, tol: Tolerances = DEFAULT_TOL
+    cone: ConeSpec, pair: CompPair, tol: float = DEFAULT_TOL
 ) -> ComplementarityReport:
     """Test whether (primal, dual) is a complementary pair of ``cone``.
 
@@ -443,6 +440,7 @@ def in_complementarity_set(
     the test on their own), degenerate pairs fall back to the direct
     orthogonality test; the report's ``mode`` records which route ran.
     """
+    check_tol(tol)
     zp = _as_vector(pair.primal, cone.dim)
     zd = _as_vector(pair.dual, cone.dim)
 
@@ -450,55 +448,24 @@ def in_complementarity_set(
         x, u = zp[: cone.p], zp[cone.p :]
         y, v = zd[: cone.p], zd[cone.p :]
         nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-        if nu > tol.membership and nv > tol.membership:
+        if nu > tol and nv > tol:
             lam = nv / nu
             S = np.cumsum(y)
-            res = {
-                "primal_membership": float(_min_slack(cone, zp)),
-                "dual_membership": float(_min_slack(dual_of(cone), zd)),
-                "face_products": -float(np.max(np.abs((x[:-1] - x[1:]) * S[:-1]), initial=0.0)),
-                "primal_tightness": -abs(float(x[-1] - nu)),
-                "dual_tightness": -abs(float(S[-1] - nv)),
-                "antiparallel": -float(np.max(np.abs(v + lam * u))),
-            }
-            failed = []
-            for name in ("primal_membership", "dual_membership"):
-                if res[name] < -tol.membership:
-                    failed.append(name)
-            for name in ("face_products", "primal_tightness", "dual_tightness", "antiparallel"):
-                if res[name] < -tol.orthogonality:
-                    failed.append(name)
-            return ComplementarityReport(
-                member=not failed,
-                mode="structured",
-                residuals=res,
-                failed=tuple(failed),
-                scaling=lam,
-            )
+            res = _memberships(cone, zp, zd)
+            res["face_products"] = -float(np.max(np.abs((x[:-1] - x[1:]) * S[:-1]), initial=0.0))
+            res["primal_tightness"] = -abs(float(x[-1] - nu))
+            res["dual_tightness"] = -abs(float(S[-1] - nv))
+            res["antiparallel"] = -float(np.max(np.abs(v + lam * u)))
+            return _report("structured", res, tol, scaling=lam)
         return _direct_report(cone, zp, zd, tol)
 
     if cone.kind == MONOTONE_NONNEG or (cone.kind == MESOC and cone.q == 0):
         x = zp[: cone.p]
-        y = zd[: cone.p]
-        S = np.cumsum(y)
+        S = np.cumsum(zd[: cone.p])
         drops = np.append(x[:-1] - x[1:], x[-1])
-        res = {
-            "primal_membership": float(_min_slack(cone, zp)),
-            "dual_membership": float(_min_slack(dual_of(cone), zd)),
-            "face_products": -float(np.max(np.abs(drops * S))),
-        }
-        failed = [
-            name
-            for name, cut in (
-                ("primal_membership", tol.membership),
-                ("dual_membership", tol.membership),
-                ("face_products", tol.orthogonality),
-            )
-            if res[name] < -cut
-        ]
-        return ComplementarityReport(
-            member=not failed, mode="structured", residuals=res, failed=tuple(failed)
-        )
+        res = _memberships(cone, zp, zd)
+        res["face_products"] = -float(np.max(np.abs(drops * S)))
+        return _report("structured", res, tol)
 
     return _direct_report(cone, zp, zd, tol)
 
@@ -540,7 +507,7 @@ class Decomposition:
         return self.first_summand + self.second_summand
 
 
-def decompose_mesoc(p: int, q: int, z, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
+def decompose_mesoc(p: int, q: int, z, tol: float = DEFAULT_TOL) -> Decomposition:
     """Split a point of L(p, q) into its flat and staircase summands.
 
     Weights are a_1 = x_p and a_i = x_{p-i+1} - x_{p-i+2} for i >= 2; all are

@@ -26,6 +26,7 @@ from .cones import (
     NONNEG_ORTHANT,
     ConeSpec,
     _as_vector,
+    check_tol,
     row_norms,
 )
 from .errors import OracleError, UnsupportedConeError
@@ -94,10 +95,9 @@ def lyap_basis_mesoc(p: int, q: int) -> list[LyapMatrix]:
 
 def predicted_rank(cone: ConeSpec) -> int:
     """Closed-form Lyapunov rank for the kinds where one is known."""
-    if cone.kind == MESOC:
+    # the monotone nonnegative cone is L(p, 0)
+    if cone.kind == MESOC or cone.kind == MONOTONE_NONNEG:
         return cone.p + cone.q * (cone.q + 1) // 2
-    if cone.kind == MONOTONE_NONNEG:
-        return cone.p
     if cone.kind == NONNEG_ORTHANT:
         return cone.p
     if cone.kind == LORENTZ:
@@ -135,6 +135,7 @@ def is_lyapunov_like(
     Residuals are normalized per pair by (1 + |z|)(1 + |w|); the worst pair
     is returned as a witness when the check fails.
     """
+    check_tol(tol)
     T = matrix.entries if isinstance(matrix, LyapMatrix) else np.asarray(matrix, dtype=float)
     Z, W = _pairs(cone, sampling.rng_from_seed(seed), n_pairs, pairs)
     vals = np.abs(np.einsum("ij,jk,ik->i", W, T, Z))

@@ -35,10 +35,12 @@ from .cones import (
     ConeSpec,
     PartitionedVector,
     _as_vector,
+    check_tol,
     contains,
     contains_batch,
     membership_slacks,
     dual_of,
+    least_slack,
     mesoc,
     monotone_nonneg,
     row_norms,
@@ -247,28 +249,28 @@ class SolutionReport:
 
 def verify_solution(instance: MicpInstance, z, tol: float = 1e-8) -> SolutionReport:
     """Check the four complementarity conditions at z against a scalar
-    tolerance: G = 0, u in C, H in C*, <u, H> = 0."""
+    tolerance: G = 0, u in C, H in C*, <u, H> = 0.  The two slacks are
+    least membership slacks, +inf for a cone with no inequality; a NaN
+    residual fails its condition."""
+    check_tol(tol)
     zv = _as_vector(z, instance.map.p + instance.map.q)
     G, H = evaluate_map(instance.map, zv)
     u = zv[instance.map.p :]
-    inner_s = membership_slacks(instance.inner, u)
-    dual_s = membership_slacks(dual_of(instance.inner), H)
     report = {
         "g_norm": float(np.abs(G).max()) if G.size else 0.0,
-        "inner_slack": float(inner_s.min()) if inner_s.size else 0.0,
-        "dual_slack": float(dual_s.min()) if dual_s.size else 0.0,
+        "inner_slack": float(least_slack(membership_slacks(instance.inner, u))),
+        "dual_slack": float(least_slack(membership_slacks(dual_of(instance.inner), H))),
         "orthogonality": float(abs(u @ H)),
     }
-    failed = []
-    if report["g_norm"] > tol:
-        failed.append("g_norm")
-    if report["inner_slack"] < -tol:
-        failed.append("inner_membership")
-    if report["dual_slack"] < -tol:
-        failed.append("dual_membership")
-    if report["orthogonality"] > tol:
-        failed.append("orthogonality")
-    return SolutionReport(ok=not failed, failed=tuple(failed), **report)
+    # each condition as a slack that passes at >= -tol, so a NaN fails
+    slacks = {
+        "g_norm": -report["g_norm"],
+        "inner_membership": report["inner_slack"],
+        "dual_membership": report["dual_slack"],
+        "orthogonality": -report["orthogonality"],
+    }
+    failed = tuple(name for name, s in slacks.items() if not s >= -tol)
+    return SolutionReport(ok=not failed, failed=failed, **report)
 
 
 @dataclass(frozen=True)
@@ -287,6 +289,7 @@ def region_membership(instance: MicpInstance, z, tol: float = 1e-10) -> RegionRe
     the weaker floor |u - P_C(u - H)| (the actual move of the u-block), so
     the feasible region sits inside the descent region.
     """
+    check_tol(tol)
     p = instance.map.p
     zv = _as_vector(z, p + instance.map.q)
     u = zv[p:]

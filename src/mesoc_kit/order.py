@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampling
-from .cones import DEFAULT_TOL, ConeSpec, Tolerances, _as_vector, _slacks_batch, dual_of
+from .cones import (
+    DEFAULT_TOL, ConeSpec, _as_vector, _slacks_batch, check_tol, contains, dual_of, least_slack,
+)
 from .errors import DimensionError
 
 
@@ -44,12 +46,9 @@ class IsotonicityReport:
         return not self.violations
 
 
-def cone_leq(cone: ConeSpec, a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
+def cone_leq(cone: ConeSpec, a, b, tol: float = DEFAULT_TOL) -> bool:
     """True when a <=_K b, i.e. ``b - a`` is in the cone."""
-    a = _as_vector(a, cone.dim)
-    b = _as_vector(b, cone.dim)
-    s = _slacks_batch(cone, (b - a)[None, :])[0]
-    return bool(s.size == 0 or s.min() >= -tol.membership)
+    return contains(cone, _as_vector(b, cone.dim) - _as_vector(a, cone.dim), tol)
 
 
 def _evaluate(map_, Z: np.ndarray) -> np.ndarray:
@@ -70,7 +69,7 @@ def check_isotone(
     cone: ConeSpec,
     n_samples: int,
     seed: int,
-    tol: Tolerances = DEFAULT_TOL,
+    tol: float = DEFAULT_TOL,
     extra_pairs: tuple[OrderedPairSample, ...] = (),
     scale: float = 1.0,
 ) -> IsotonicityReport:
@@ -78,8 +77,14 @@ def check_isotone(
 
     ``map_`` is either a structured map (checked through its update
     z - F(z)) or a callable on full-length vectors.  ``extra_pairs`` are
-    checked first and count toward ``checked``.
+    checked first and count toward ``checked``.  A pair whose image
+    difference has a NaN slack counts as a violation.
     """
+    check_tol(tol)
+    if hasattr(map_, "update_batch") and map_.p + map_.q != cone.dim:
+        raise DimensionError(
+            f"map dimension {map_.p + map_.q} does not match the cone dimension {cone.dim}"
+        )
     rng = sampling.rng_from_seed(seed)
     lo, hi = sampling.sample_ordered_pairs(cone, rng, n_samples, scale=scale)
     if extra_pairs:
@@ -92,18 +97,16 @@ def check_isotone(
     diffs = img_hi - img_lo
     slacks = _slacks_batch(cone, diffs)
     violations = []
-    if slacks.shape[1]:
-        mins = slacks.min(axis=1)
-        for i in np.flatnonzero(mins < -tol.membership):
-            j = int(np.argmin(slacks[i]))
-            violations.append(
-                IsotonicityViolation(
-                    pair=OrderedPairSample(lo[i], hi[i]),
-                    image_diff=diffs[i],
-                    failed_inequality=j,
-                    margin=float(slacks[i, j]),
-                )
+    for i in np.flatnonzero(~(least_slack(slacks) >= -tol)):
+        j = int(np.argmin(slacks[i]))
+        violations.append(
+            IsotonicityViolation(
+                pair=OrderedPairSample(lo[i], hi[i]),
+                image_diff=diffs[i],
+                failed_inequality=j,
+                margin=float(slacks[i, j]),
             )
+        )
     return IsotonicityReport(cone=cone, checked=len(lo), violations=tuple(violations))
 
 
@@ -123,12 +126,13 @@ def hyperplane_isotone_test(
     normal,
     n_samples: int,
     seed: int,
-    tol: Tolerances = DEFAULT_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> HyperplaneReport:
     """Sampled test of the inequality characterizing order-preserving
     reflection hyperplanes: for every x in the cone and y in its dual,
     <x, y> >= <a, x> <a, y> must hold for the unit normal ``a``.
     """
+    check_tol(tol)
     a = _as_vector(normal, cone.dim)
     na = np.linalg.norm(a)
     if not np.isclose(na, 1.0, atol=1e-8):
@@ -138,7 +142,7 @@ def hyperplane_isotone_test(
     Y = sampling.sample(dual_of(cone), rng, n_samples)
     margins = np.einsum("ij,ij->i", X, Y) - (X @ a) * (Y @ a)
     worst = int(np.argmin(margins))
-    held = bool(margins[worst] >= -tol.orthogonality)
+    held = bool(margins[worst] >= -tol)
     witness = None if held else OrderedPairSample(X[worst], Y[worst])
     return HyperplaneReport(
         held=held,

@@ -37,7 +37,7 @@ from ._kernels import isotonic_decreasing_batch, pav_sweep
 # kernels at this module's names, and this one must stay for it to install.
 from ._kernels import isotonic_decreasing  # noqa: F401
 from .cones import ConeSpec
-from .errors import DimensionError, OracleError, UnsupportedConeError
+from .errors import OracleError, UnsupportedConeError
 
 
 class ProjectionResult:
@@ -103,11 +103,22 @@ def _result(v: np.ndarray, point: np.ndarray, lengths=None) -> ProjectionResult:
     return r
 
 
-def _as_1d(v, dim: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != dim:
-        raise DimensionError(f"expected length {dim}, got {v.size}")
-    return v
+# Every cone is closed under positive scaling, so P(v) = 2^k P(2^-k v), and
+# scaling by a power of two is exact.  When a fast value overflows on a
+# finite input, the leaf is redone on v scaled so that its largest entry lies
+# in [1/2, 1).  Only an overflowed value takes that branch, so every finite
+# result keeps its bits.  The sweep pools a block into the one before it only
+# when its mean is not lower, so from finite values a pooled difference
+# overflows to +inf alone, and +inf then pools into the first block: an
+# overflowed norm or mean shows as means[0] == inf, one compare per call, and
+# the pooling loop itself stays unguarded.
+
+
+def _rescaled(leaf, v: np.ndarray):
+    """``2^k leaf(2^-k v)`` for the finite ``v``, with 2^-k v in (-1, 1)."""
+    k = math.frexp(float(np.abs(v).max()))[1]
+    point, lengths = leaf(np.ldexp(v, -k))
+    return np.ldexp(point, k), lengths
 
 
 def _norm_tail(v: np.ndarray, p: int):
@@ -120,6 +131,8 @@ def _norm_tail(v: np.ndarray, p: int):
         norm = math.sqrt(tail @ tail)
         head[p:] = [norm]
     means, counts = pav_sweep(head)
+    if means[0] == math.inf and np.isfinite(v).all():
+        return _rescaled(lambda w: _norm_tail(w, p), v)
     fit = np.maximum(np.array(means).repeat(counts), 0.0)
     if p == v.size:
         return fit, counts
@@ -134,6 +147,9 @@ def _lorentz(v: np.ndarray):
     if head <= -nr:
         return np.zeros_like(v), None
     t = (head + nr) / 2.0
+    # an overflowed norm or sum; head is above -nr, so neither gives -inf
+    if t == math.inf and np.isfinite(v).all():
+        return _rescaled(_lorentz, v)
     point = v * (t / nr)
     point[0] = t
     return point, None
@@ -147,6 +163,8 @@ def _point(cone: ConeSpec, v: np.ndarray):
         return _norm_tail(v, cone.p)
     if kind == cones.MONOTONE:
         means, counts = pav_sweep(v.tolist())
+        if means[0] == math.inf and np.isfinite(v).all():
+            return _rescaled(lambda w: _point(cone, w), v)
         return np.array(means).repeat(counts), counts
     if kind == cones.NONNEG_ORTHANT:
         return np.maximum(v, 0.0), None
@@ -171,7 +189,7 @@ def project(cone: ConeSpec, z) -> ProjectionResult:
         base = base.inner
     if base.kind in _UNSUPPORTED:
         raise UnsupportedConeError(f"no projection for {base.kind!r}")
-    v = _as_1d(z, cone.dim)
+    v = cones._as_vector(z, cone.dim)
     return _result(v, *_point(cone, v))
 
 
@@ -260,8 +278,8 @@ def _lorentz_oracle(v: np.ndarray) -> np.ndarray:
 def _moreau_residual(cone: ConeSpec, v: np.ndarray, y: np.ndarray) -> float:
     """Largest violation of y = P_K(v): y in K and y - v in K* (slacks
     scaled by 1 + ||v||), and <v - y, y> = 0 (scaled by 1 + ||v||^2)."""
-    primal = np.min(cones.membership_slacks(cone, y), initial=0.0)
-    dual = np.min(cones.membership_slacks(cones.dual_of(cone), y - v), initial=0.0)
+    primal = cones.least_slack(cones.membership_slacks(cone, y))
+    dual = cones.least_slack(cones.membership_slacks(cones.dual_of(cone), y - v))
     feas = -min(primal, dual) / (1.0 + float(np.linalg.norm(v)))
     comp = abs(float((v - y) @ y)) / (1.0 + float(v @ v))
     return max(feas, comp)
@@ -279,7 +297,7 @@ def project_oracle(cone: ConeSpec, v) -> ProjectionResult:
     :class:`UnsupportedConeError` for a polyhedral cone with more than
     :data:`ORACLE_MAX_ROWS` constraint rows.
     """
-    v = _as_1d(v, cone.dim)
+    v = cones._as_vector(v, cone.dim)
     if cone.kind == cones.CYLINDER:
         inner = project_oracle(cone.inner, v[cone.p:])
         y = np.concatenate([v[: cone.p], inner.point])

@@ -241,15 +241,10 @@ def complementarity_pairs(
     """
     kind, p, q = cone.kind, cone.p, cone.q
     det: list[tuple[np.ndarray, np.ndarray]] = []
-    if kind == cones.MESOC:
+    # the monotone nonnegative cone is L(p, 0), with q = 0
+    if kind == cones.MESOC or kind == cones.MONOTONE_NONNEG:
         det = _mesoc_deterministic(p, q)
         Zr, Wr = _mesoc_random(rng, n_random, p, q)
-    elif kind == cones.MONOTONE_NONNEG:
-        det = [
-            (z[:p], w[:p])
-            for z, w in _mesoc_deterministic(p, 0)
-        ]
-        Zr, Wr = _staircase_pairs(rng, n_random, p)
     elif kind == cones.NONNEG_ORTHANT:
         eye = np.eye(p)
         det = [(eye[i], eye[j]) for i in range(p) for j in range(p) if i != j]

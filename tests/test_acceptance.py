@@ -316,7 +316,7 @@ def test_12_complementarity_routes_agree():
     bump = Z[:, 0] > 0.1
     Wp[bump, 0] += 1.0   # breaks orthogonality
     Zp[~bump, 0] -= 2.0  # breaks the primal ordering
-    tol = cones.Tolerances()
+    tol = cones.DEFAULT_TOL
     mismatches = 0
     valid_ok = invalid_ok = 0
     for zs, ws, want in ((Z, W, True), (Zp, Wp, False)):

@@ -56,6 +56,20 @@ def test_shipped_problems(capsys, name, args, code):
     json.loads(out)  # always a single well-formed JSON document
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+# stdout of every shipped file, byte for byte; a golden file changes only with
+# an intended change to a report
+@pytest.mark.parametrize("mode", ["json", "text"])
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda path: path.stem)
+def test_golden_reports(capsys, path, mode):
+    command = json.loads(path.read_text())["command"]
+    code, out, _ = run_cli(capsys, *command.split("."), str(path), "--output", mode)
+    assert out == (GOLDEN / f"{path.stem}.{mode}.out").read_text(encoding="utf-8")
+    assert code == json.loads((GOLDEN / f"{path.stem}.json.out").read_text())["exit_status"]
+
+
 def test_contains_report(capsys):
     _, out, _ = run_cli(capsys, "contains", str(PROBLEMS / "contains_mesoc.json"))
     doc = json.loads(out)
@@ -195,6 +209,97 @@ def test_hyperplane_mode(capsys, tmp_path):
     assert code == 5
     report = json.loads(out)
     assert report["held"] is False and "witness" in report
+
+
+def _edited(name, path=(), value=None):
+    """The shipped problem ``name`` with the entry at ``path`` set to ``value``."""
+    doc = json.loads((PROBLEMS / name).read_text())
+    if path:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "args,name,path,value,tol",
+    [
+        # each point misses its check by 0.1
+        (("contains",), "contains_mesoc.json", ("payload", "point"), [3.0, 2.0, 1.4, 0.9, 1.2], 0.25),
+        (("check", "complementarity"), "check_complementarity_mesoc.json",
+         ("payload", "primal"), [1.1, 1.0, 0.6, 0.8], 0.25),
+        (("check", "decompose"), "check_decompose_mesoc.json",
+         ("payload", "point"), [5.0, 3.5, 1.9, 1.2, 1.6], 0.25),
+        # the worst image difference has margin -2.985
+        (("check", "isotone"), "check_isotone_esoc.json", (), None, 3.0),
+    ],
+)
+def test_tol_flag_reaches_the_check(capsys, tmp_path, args, name, path, value, tol):
+    path_ = write_problem(tmp_path, _edited(name, path, value))
+    code, out, _ = run_cli(capsys, *args, path_)
+    assert code == 5 or json.loads(out)["contains"] is False
+    code, out, _ = run_cli(capsys, *args, path_, "--tol", str(tol))
+    report = json.loads(out)
+    assert code == 0 and report["settings"]["tol"] == tol
+    assert report.get("contains", True) is True
+
+
+@pytest.mark.parametrize(
+    "args,name,cone",
+    [
+        (("solve",), "solve_cylinder.json", {"kind": "mesoc", "p": 2, "q": 2}),
+        (("check", "verify"), "check_verify_cylinder.json", {"kind": "mesoc", "p": 2, "q": 2}),
+        (("check", "decompose"), "check_decompose_mesoc.json", {"kind": "mesoc_dual", "p": 3, "q": 2}),
+    ],
+)
+def test_commands_refuse_other_cone_kinds(capsys, tmp_path, args, name, cone):
+    code, out, err = run_cli(capsys, *args, write_problem(tmp_path, _edited(name, ("cone",), cone)))
+    assert code == 2 and out == "" and "expects a" in err
+
+
+@pytest.mark.parametrize("cone", [{"kind": "nonneg_orthant", "p": 2, "q": 1},
+                                  {"kind": "monotone", "p": 2, "q": 2}])
+def test_unpartitioned_kinds_take_no_q(capsys, tmp_path, cone):
+    # nonneg_orthant(2) with q = 1 read only x: it held [1, 1, -5] but
+    # projected it to [1, 1, 0]
+    doc = {"version": 1, "command": "contains", "cone": cone,
+           "payload": {"point": [1.0] * (cone["p"] + cone["q"])}}
+    code, out, err = run_cli(capsys, "contains", write_problem(tmp_path, doc))
+    assert code == 2 and out == "" and "q must be 0" in err
+
+
+def test_lyap_rank_without_a_closed_form(capsys, tmp_path):
+    doc = {"version": 1, "command": "lyap-rank", "cone": {"kind": "monotone", "p": 3},
+           "payload": {"n_pairs": 100}}
+    code, out, _ = run_cli(capsys, "lyap-rank", write_problem(tmp_path, doc))
+    report = json.loads(out)
+    assert code == 0 and report["predicted"] is None and report["agree"] is None
+    assert report["rank"] == mk.lyapunov_rank_numeric(mk.monotone(3), n_pairs=100).rank
+
+
+def test_check_isotone_refuses_before_evaluating(capsys, tmp_path):
+    doc = json.loads((PROBLEMS / "check_isotone_mesoc.json").read_text())
+    hyper = dict(doc, payload={"normal": [0.0, 0.0, 2.0, 0.0]})
+    code, out, err = run_cli(capsys, "check", "isotone", write_problem(tmp_path, hyper))
+    assert code == 2 and out == "" and "unit vector" in err
+    for n in (3, 5):  # an affine map of another size than the cone's 4
+        bad = dict(doc, payload={"map": {"kind": "affine", "p": 2, "q": n - 2,
+                                         "matrix": np.eye(n).tolist(), "offset": [0.0] * n}})
+        code, out, err = run_cli(capsys, "check", "isotone", write_problem(tmp_path, bad))
+        assert code == 3 and out == "" and "does not match" in err
+
+
+def test_verify_reports_no_slack_for_a_cone_without_inequalities(capsys, tmp_path):
+    # monotone(1) holds every u: its least slack is +inf, reported as null
+    doc = {"version": 1, "command": "check.verify",
+           "cone": {"kind": "cylinder", "p": 1, "inner": {"kind": "monotone", "p": 1}},
+           "payload": {"map": {"kind": "affine", "p": 1, "q": 1,
+                               "matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [0.0, 0.0]},
+                       "point": [0.0, 0.0]}}
+    code, out, _ = run_cli(capsys, "check", "verify", write_problem(tmp_path, doc))
+    report = json.loads(out)
+    assert code == 0 and report["inner_slack"] is None and report["dual_slack"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +504,15 @@ def test_bad_flag_values_exit_2(capsys, argv, flag):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solve_stops_on_nonfinite_iterate(capsys, tmp_path):
-    # the first step overflows the Lorentz projection to (0, inf, nan)
+    # the first update overflows to (0, 0, inf), and its Lorentz projection is
+    # not finite
     doc = {
         "version": 1,
         "command": "solve",
         "cone": {"kind": "cylinder", "p": 1, "inner": {"kind": "lorentz", "p": 2}},
         "payload": {
             "map": {"kind": "affine", "p": 1, "q": 2,
-                    "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "offset": [0, 0, -1e308]},
+                    "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, -1]], "offset": [0, 0, -1e308]},
             "start": [0, 0, 1e308],
         },
     }
@@ -465,21 +571,57 @@ def _fuzz_points(draw, dim):
     return point
 
 
-# values near the float limits overflow in norms; the exit code is the contract
+@st.composite
+def _fuzz_maps(draw, p, q):
+    """A map description for R^p x R^q, now and then of another size or with
+    one malformed entry."""
+    p, q = draw(st.sampled_from([(p, q), (p, q), (p, q), (p + 1, q), (p, max(q - 1, 0))]))
+    n = p + q
+    if draw(st.booleans()):
+        doc = {"kind": "affine", "p": p, "q": q,
+               "matrix": [draw(_fuzz_points(n)) for _ in range(n)],
+               "offset": draw(_fuzz_points(n))}
+    else:
+        k = draw(st.integers(1, 2))
+        doc = {"kind": "scalar_combo", "p": p, "q": q,
+               "fields": [{"linear": draw(_fuzz_points(p)),
+                           "norm_coeff": draw(st.floats(-1.0, 1.0)),
+                           "offset": draw(st.floats(-1.0, 1.0))} for _ in range(k)],
+               "directions": [draw(_fuzz_points(n)) for _ in range(k)]}
+    if draw(st.integers(0, 9)) == 0:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_FUZZ_ENTRIES)
+    return doc
+
+
+# values near the float limits overflow in norms and maps; the exit code is
+# the contract
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("argv", [("contains",), ("check", "project")])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv", [("contains",), ("check", "project"), ("check", "isotone"), ("solve",)])
 @settings(deadline=None, max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_fuzz_exit_codes(capsys, tmp_path, argv, data):
     cone = data.draw(_FUZZ_CONES)
     try:
-        dim = cli.cone_from_json(cone).dim
+        spec = cli.cone_from_json(cone)
+        dim, p = spec.dim, (spec.p if spec.inner is not None else 1)
     except mk.MesocKitError:
-        dim = 2
-    payload = {"point": data.draw(_fuzz_points(dim))}
+        dim, p = 2, 1
+    flags = []
+    if argv == ("check", "isotone"):
+        flags = ["--samples", "20"]
+        if data.draw(st.booleans()):
+            payload = {"normal": data.draw(_fuzz_points(dim))}
+        else:
+            payload = {"map": data.draw(_fuzz_maps(p, max(dim - p, 0)))}
+    elif argv == ("solve",):
+        flags = ["--max-iter", "50"]
+        payload = {"map": data.draw(_fuzz_maps(p, max(dim - p, 0)))}
+    else:
+        payload = {"point": data.draw(_fuzz_points(dim))}
     doc = {"version": 1, "command": ".".join(argv), "cone": cone, "payload": payload}
-    code, _, _ = run_cli(capsys, *argv, write_problem(tmp_path, doc))
+    code, _, _ = run_cli(capsys, *argv, write_problem(tmp_path, doc), *flags)
     assert code in (0, 2, 3, 4, 5)
 
 

@@ -54,6 +54,17 @@ def test_spec_validation():
     assert mk.mesoc(3, 0).dim == 3
     with pytest.raises(ValueError):
         ConeSpec("cylinder", 2, 0)
+    # a kind without a u block takes no q: its slacks would read only x, and
+    # project would clip the tail that contains let through
+    for kind in sorted(cones.KINDS - cones.PARTITIONED_KINDS):
+        with pytest.raises(ValueError, match="q must be 0"):
+            ConeSpec(kind, 2, 1)
+
+
+def test_spec_str():
+    assert str(mk.mesoc(3, 0)) == "mesoc(3, 0)"
+    assert str(mk.lorentz(3)) == "lorentz(3)"
+    assert str(mk.cylinder_dual(2, mk.mesoc_dual(1, 2))) == "cylinder_dual(p=2, inner=mesoc_dual(1, 2))"
 
 
 def test_mesoc_q0_matches_monotone_nonneg(rng):
@@ -323,6 +334,65 @@ def test_duality_chain_frozen_value():
 
 
 # ---------------------------------------------------------------------------
+# tolerances and the least slack
+
+_PV = mk.PartitionedVector
+# one call per public function that takes a tolerance; the check_isotone,
+# in_complementarity_set and verify_solution calls passed with a NaN one
+_TOL_CALLS = {
+    "contains": lambda tol: mk.contains(mk.mesoc(2, 2), [2, 1, 0, 0], tol),
+    "contains_batch": lambda tol: mk.contains_batch(mk.mesoc(2, 2), [[2, 1, 0, 0]], tol),
+    "duality_chain": lambda tol: mk.duality_chain(_PV([2, 1], [0, 0]), _PV([1, 0], [0, 0]), tol),
+    "in_complementarity_set": lambda tol: mk.in_complementarity_set(
+        mk.nonneg_orthant(2), mk.CompPair([1, 1], [1, 1]), tol),
+    "decompose_mesoc": lambda tol: mk.decompose_mesoc(2, 2, [2, 1, 0, 0], tol),
+    "cone_leq": lambda tol: mk.cone_leq(mk.mesoc(2, 2), [0, 0, 0, 0], [2, 1, 0, 0], tol),
+    "check_isotone": lambda tol: mk.check_isotone(lambda z: -z, mk.mesoc(2, 2), 200, 0, tol),
+    "hyperplane_isotone_test": lambda tol: mk.hyperplane_isotone_test(
+        mk.mesoc(2, 2), [0, 0, 1, 0], 20, 0, tol),
+    "verify_solution": lambda tol: mk.verify_solution(mk.example_instance(), [100, -7, 3, 9], tol),
+    "region_membership": lambda tol: mk.region_membership(mk.example_instance(), [0, 0, 0, 0], tol),
+    "is_lyapunov_like": lambda tol: mk.is_lyapunov_like(np.eye(2), mk.nonneg_orthant(2), 20, 0, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+@pytest.mark.parametrize("name", sorted(_TOL_CALLS))
+def test_every_tolerance_is_checked(name, tol):
+    _TOL_CALLS[name](0.0)
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        _TOL_CALLS[name](tol)
+
+
+def test_least_slack_of_a_cone_without_inequalities():
+    # monotone(1) has no inequality, so it holds every vector of R
+    cone = mk.monotone(1)
+    assert mk.membership_slacks(cone, [-3.0]).size == 0
+    assert cones.least_slack(mk.membership_slacks(cone, [-3.0])) == np.inf
+    assert cones.least_slack(np.empty((2, 0))).tolist() == [np.inf, np.inf]
+    assert mk.contains(cone, [-3.0]) and mk.contains_batch(cone, [[-3.0], [5.0]]).all()
+    assert mk.check_isotone(lambda z: -z, cone, 20, 0).ok
+    rep = mk.in_complementarity_set(cone, mk.CompPair([-3.0], [0.0]))
+    assert rep.member and rep.residuals["primal_membership"] == np.inf
+    inst = mk.MicpInstance(mk.AffineMap(1, 1, np.eye(2), np.zeros(2)), inner=cone)
+    assert mk.verify_solution(inst, [0.0, -3.0]).inner_slack == np.inf
+
+
+def test_nan_slack_fails_every_check():
+    nan = float("nan")
+    assert np.isnan(cones.least_slack(np.array([1.0, nan])))
+    assert not mk.contains(mk.nonneg_orthant(2), [1.0, nan])
+    assert not mk.contains_batch(mk.nonneg_orthant(2), [[1.0, nan], [1.0, 1.0]])[0]
+    report = mk.check_isotone(lambda z: z * nan, mk.nonneg_orthant(2), 5, 0)
+    assert len(report.violations) == report.checked == 5
+    rep = mk.in_complementarity_set(mk.lorentz(2), mk.CompPair([1.0, nan], [1.0, -1.0]))
+    assert not rep.member and "primal_membership" in rep.failed
+    # a NaN point used to verify as a solution: every residual was NaN
+    rep = mk.verify_solution(mk.example_instance(), [nan] * 4)
+    assert not rep.ok and rep.failed == ("g_norm", "inner_membership", "dual_membership", "orthogonality")
+
+
+# ---------------------------------------------------------------------------
 # complementarity
 
 
@@ -336,6 +406,29 @@ def test_generated_pairs_are_complementary(rng):
         assert np.abs(np.einsum("ij,ij->i", Z, W)).max() < 1e-12
         for z, w in zip(Z, W):
             assert mk.in_complementarity_set(cone, mk.CompPair(z, w)).member
+
+
+def test_monotone_nonneg_pairs_are_those_of_mesoc_q0():
+    # the monotone nonnegative cone is L(p, 0): same generator, same draws
+    p = 3
+    Z, W = sampling.complementarity_pairs(mk.monotone_nonneg(p), sampling.rng_from_seed(5), 40)
+    Zm, Wm = sampling.complementarity_pairs(mk.mesoc(p, 0), sampling.rng_from_seed(5), 40)
+    assert Z.tobytes() == Zm.tobytes() and W.tobytes() == Wm.tobytes()
+    # and the draws of the staircase generator the cone used on its own
+    det = sampling._mesoc_deterministic(p, 0)
+    Zr, Wr = sampling._staircase_pairs(sampling.rng_from_seed(5), 40, p)
+    assert Z.tobytes() == np.vstack([[z for z, _ in det], Zr]).tobytes()
+    assert W.tobytes() == np.vstack([[w for _, w in det], Wr]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_monotone_pairs_are_complementary(rng, n):
+    cone = mk.monotone(n)
+    Z, W = sampling.complementarity_pairs(cone, rng, 100)
+    assert len(Z) >= 100
+    assert mk.contains_batch(cone, Z).all()
+    assert mk.contains_batch(mk.dual_of(cone), W, 1e-12).all()
+    assert np.abs(np.einsum("ij,ij->i", Z, W)).max() < 1e-12
 
 
 def test_complementarity_structured_report():

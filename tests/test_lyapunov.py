@@ -106,3 +106,8 @@ def test_lyap_matrix_container():
     b = mk.lyap_basis_mesoc(2, 2)[0]
     assert b.dim == 4 and b.params == {"diag": 1.0}
     assert_allclose(b.entries, np.eye(4))
+
+
+@pytest.mark.parametrize("cone", [mk.monotone_nonneg(4), mk.nonneg_orthant(4)], ids=str)
+def test_numeric_rank_matches_closed_form_without_a_tail(cone):
+    assert mk.lyapunov_rank_numeric(cone, n_pairs=100).rank == mk.predicted_rank(cone) == 4

@@ -244,9 +244,10 @@ def test_nonfinite_iterate_stops_the_solve():
     assert trace.order_certificates.shape == (1,)
     assert (trace.final == [1.0, 1.0, 0.0]).all()
     assert sol.x.tolist() == [1.0] and sol.u.tolist() == [1.0, 0.0]
-    # the Lorentz reproducer: the very first step is (0, inf, nan)
+    # the very first update is (0, 0, inf), and its Lorentz projection is
+    # not finite
     inst = mk.MicpInstance(
-        map=mk.AffineMap(p=1, q=2, matrix=np.eye(3), offset=[0.0, 0.0, -1e308]),
+        map=mk.AffineMap(p=1, q=2, matrix=np.diag([1.0, 1.0, -1.0]), offset=[0.0, 0.0, -1e308]),
         inner=mk.lorentz(2),
         start=[0.0, 0.0, 1e308],
     )

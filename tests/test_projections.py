@@ -1,5 +1,7 @@
 """Projections: closed forms and kernels against the brute-force oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -89,7 +91,7 @@ def test_projection_optimality_conditions(rng):
         K = sampling.sample(cone, rng, 200)
         for v in rng.normal(size=(100, cone.dim)) * 2.0:
             y = mk.project(cone, v).point
-            assert mk.contains(cone, y, mk.Tolerances(1e-9, 1e-9))
+            assert mk.contains(cone, y, 1e-9)
             assert_allclose(mk.project(cone, y).point, y, atol=1e-9)
             assert abs((v - y) @ y) < 1e-9 * (1 + v @ v)
             assert ((K @ (v - y)) < 1e-9).all()
@@ -391,3 +393,47 @@ def test_unsupported_kinds(cone):
         mk.project(cone, z[:-1])
     with pytest.raises(mk.UnsupportedConeError):
         mk.project(mk.cylinder(1, cone), z)
+
+
+def _scaled_projection(cone, v):
+    """2^k P(2^-k v), with the largest entry of 2^-k v in [1/2, 1)."""
+    k = math.frexp(np.abs(v).max())[1]
+    return np.ldexp(mk.project(cone, np.ldexp(v, -k)).point, k)
+
+
+# square sums and pooled differences of these entries overflow; the
+# projections are finite all the same
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", _KINDS + ("cylinder",))
+def test_near_limit_inputs_project_to_finite_points(kind, rng):
+    cones = [_cone(kind, n) for n in (2, 3, 5)] if kind != "cylinder" else [
+        mk.cylinder(1, mk.mesoc(2, 2)), mk.cylinder(2, mk.lorentz(3))]
+    for cone in cones:
+        for _ in range(100):
+            v = rng.standard_normal(cone.dim) * 10.0 ** rng.uniform(0.0, 307.0, cone.dim)
+            y = mk.project(cone, v).point
+            assert np.isfinite(y).all(), (cone, v, y)
+            assert np.abs(y - _scaled_projection(cone, v)).max() <= 1e-12 * np.abs(v).max()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "cone,v",
+    [
+        (mk.mesoc(2, 2), [1e-300, -1.0, -1.0, -1e308]),  # was [inf, inf, nan, nan]
+        (mk.lorentz(3), [-1e308, 5.0, 1e308]),  # was [inf, nan, nan]
+        (mk.monotone(2), [-1e308, 1.7e308]),  # was [inf, inf]
+        (mk.monotone_nonneg_dual(3), [5.0, 1e308, -1e308]),  # was [inf, inf, inf]
+        (mk.lorentz(3), [1.7e308, 1.7e308, 1e307]),  # head + ||rest|| overflows
+    ],
+)
+def test_overflowing_fast_values_are_redone(cone, v):
+    y = mk.project(cone, v).point
+    assert np.isfinite(y).all()
+    assert_allclose(y, _scaled_projection(cone, np.array(v)), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_input_is_not_rescaled():
+    assert not np.isfinite(mk.project(mk.lorentz(2), [0.0, np.inf]).point).all()
+    assert not np.isfinite(mk.project(mk.mesoc(1, 1), [np.nan, 1.0]).point).all()
