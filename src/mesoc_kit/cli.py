@@ -340,7 +340,9 @@ def cmd_lyap_rank(args) -> int:
             "agree": None if predicted is None else result.rank == predicted,
             "matrix_dim": result.matrix_dim,
             "n_pairs": result.n_pairs,
-            "singular_gap": result.singular_gap,
+            # to one decimal: more digits would pin the summation order of
+            # every step before the SVD
+            "singular_gap_log10": round(math.log10(result.singular_gap), 1),
         },
         args.output,
         "lyap-rank",

@@ -9,7 +9,10 @@ it live here:
   ordered cone with a norm tail (``lyap_basis_*``), and
 * ``lyapunov_rank_numeric``, which stacks the rank-one constraints
   kron(w, z) coming from sampled complementary pairs and counts the
-  dimension of their null space.
+  dimension of their null space.  The pairs are Moreau splits of random
+  points (:func:`mesoc_kit.sampling.complementarity_pairs`), so every kind
+  :func:`mesoc_kit.projections.project_batch` reaches is measured, and the
+  sample is doubled until the rank is stable.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from . import sampling
 from .cones import (
+    CYLINDER,
     LORENTZ,
     MESOC,
     MONOTONE_NONNEG,
@@ -27,6 +31,7 @@ from .cones import (
     ConeSpec,
     _as_vector,
     check_tol,
+    dual_of,
     row_norms,
 )
 from .errors import OracleError, UnsupportedConeError
@@ -94,16 +99,25 @@ def lyap_basis_mesoc(p: int, q: int) -> list[LyapMatrix]:
 
 
 def predicted_rank(cone: ConeSpec) -> int:
-    """Closed-form Lyapunov rank for the kinds where one is known."""
+    """Closed-form Lyapunov rank for the kinds where one is known.
+
+    A dual kind has the rank of its primal, beta(K*) = beta(K) (Gowda & Tao,
+    Math. Program. 147, 2014), and a cylinder R^p x C has p(p + q) + beta(C).
+    """
+    kind = cone.kind
     # the monotone nonnegative cone is L(p, 0)
-    if cone.kind == MESOC or cone.kind == MONOTONE_NONNEG:
+    if kind == MESOC or kind == MONOTONE_NONNEG:
         return cone.p + cone.q * (cone.q + 1) // 2
-    if cone.kind == NONNEG_ORTHANT:
+    if kind == NONNEG_ORTHANT:
         return cone.p
-    if cone.kind == LORENTZ:
+    if kind == LORENTZ:
         n = cone.p
         return n * (n - 1) // 2 + 1
-    raise UnsupportedConeError(f"no closed-form Lyapunov rank for {cone.kind!r}")
+    if kind == CYLINDER:
+        return cone.p * cone.dim + predicted_rank(cone.inner)
+    if kind.endswith("_dual"):
+        return predicted_rank(dual_of(cone))
+    raise UnsupportedConeError(f"no closed-form Lyapunov rank for {kind!r}")
 
 
 def _pairs(cone, rng, n_pairs, pairs):
@@ -177,6 +191,11 @@ def _constraint_rank(Z: np.ndarray, W: np.ndarray, svd_tol: float):
     return r, gap
 
 
+# doublings of the sample before the rank is declared unstable; the last
+# round holds 81 times the first draw
+MAX_DOUBLINGS = 4
+
+
 def lyapunov_rank_numeric(
     cone: ConeSpec,
     n_pairs: int = 400,
@@ -187,23 +206,29 @@ def lyapunov_rank_numeric(
 
     Each pair (z, w) contributes the linear constraint <vec(T), kron(w, z)>
     = 0; the rank is dim^2 minus the numerical rank of the stacked
-    constraints.  The batch is doubled once and the result must agree, else
-    the sample is deemed too thin and an OracleError is raised.
+    constraints.  The sample is doubled until that rank repeats, at most
+    :data:`MAX_DOUBLINGS` times; if it never does, the sample is deemed too
+    thin and an OracleError is raised.  ``n_pairs`` of the result counts
+    every pair drawn, and ``singular_gap`` is the smaller gap of the two
+    agreeing rounds.
     """
     m = cone.dim
     rng = sampling.rng_from_seed(seed)
-    Z1, W1 = sampling.complementarity_pairs(cone, rng, n_pairs)
-    r1, gap1 = _constraint_rank(Z1, W1, svd_tol)
-    Z2, W2 = sampling.complementarity_pairs(cone, rng, 2 * n_pairs)
-    r2, gap2 = _constraint_rank(np.vstack([Z1, Z2]), np.vstack([W1, W2]), svd_tol)
-    if r1 != r2:
-        raise OracleError(
-            f"constraint rank did not stabilize ({r1} vs {r2} after doubling); "
-            "increase n_pairs"
-        )
-    return LyapRankResult(
-        rank=m * m - r2,
-        matrix_dim=m,
-        n_pairs=len(Z1) + len(Z2),
-        singular_gap=min(gap1, gap2),
+    Z, W = sampling.complementarity_pairs(cone, rng, n_pairs)
+    r, gap = _constraint_rank(Z, W, svd_tol)
+    for _ in range(MAX_DOUBLINGS):
+        Z2, W2 = sampling.complementarity_pairs(cone, rng, 2 * len(Z))
+        Z, W = np.vstack([Z, Z2]), np.vstack([W, W2])
+        r_next, gap_next = _constraint_rank(Z, W, svd_tol)
+        if r_next == r:
+            return LyapRankResult(
+                rank=m * m - r,
+                matrix_dim=m,
+                n_pairs=len(Z),
+                singular_gap=min(gap, gap_next),
+            )
+        r, gap = r_next, gap_next
+    raise OracleError(
+        f"constraint rank did not stabilize over {MAX_DOUBLINGS} doublings "
+        f"({len(Z)} pairs, last rank {r}); increase n_pairs"
     )

@@ -135,7 +135,8 @@ def hyperplane_isotone_test(
     check_tol(tol)
     a = _as_vector(normal, cone.dim)
     na = np.linalg.norm(a)
-    if not np.isclose(na, 1.0, atol=1e-8):
+    # held to 1e-8 absolutely; written so that a NaN norm is refused too
+    if not abs(na - 1.0) <= 1e-8:
         raise ValueError("normal must be a unit vector")
     rng = sampling.rng_from_seed(seed)
     X = sampling.sample(cone, rng, n_samples)

@@ -5,6 +5,8 @@ fixed seed reproduces the exact same arrays.  Members are produced by exact
 parametrizations of each cone (cumulative sums of nonnegative increments,
 norm floors, partial-sum coordinates), never by rejection, so every returned
 point satisfies its defining inequalities up to float rounding.
+Complementary pairs come from one rule for every projectable kind: the
+Moreau split (P_K(v), P_K(v) - v) of standard normal points v.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 from . import cones
 from .cones import ConeSpec, row_norms
 from .errors import UnsupportedConeError
+from .projections import project_batch
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -108,125 +111,6 @@ def sample_ordered_pairs(
     return lo, hi
 
 
-def _mask_split(rng, size, n):
-    """Random disjoint-support weight rows (alpha on mask, beta off it)."""
-    mask = rng.random((size, n)) < 0.5
-    alpha = np.where(mask, rng.exponential(1.0, (size, n)), 0.0)
-    beta = np.where(mask, 0.0, rng.exponential(1.0, (size, n)))
-    return mask, alpha, beta
-
-
-def _staircase_pairs(rng, size, n):
-    """Random complementary pairs of the monotone nonnegative cone."""
-    _, alpha, beta = _mask_split(rng, size, n)
-    x = _rev_cumsum(alpha)
-    y = np.diff(beta, axis=1, prepend=0.0)
-    return x, y
-
-
-def _mesoc_deterministic(p, q):
-    dim = p + q
-    pairs = []
-
-    def pad(xpart, upart=None):
-        z = np.zeros(dim)
-        z[:p] = xpart
-        if upart is not None:
-            z[p:] = upart
-        return z
-
-    ones = np.ones(p)
-    steps = [np.concatenate([np.ones(i), np.zeros(p - i)]) for i in range(1, p + 1)]
-    drops = [None] * p
-    for j in range(p):
-        d = np.zeros(p)
-        d[j] = 1.0
-        if j + 1 < p:
-            d[j + 1] = -1.0
-        drops[j] = d
-    for i in range(p):
-        for j in range(p):
-            if i != j:
-                pairs.append((pad(steps[i]), pad(drops[j])))
-    units = []
-    for k in range(q):
-        for sign in (1.0, -1.0):
-            e = np.zeros(q)
-            e[k] = sign
-            units.append(e)
-    ej = [np.eye(p)[j] for j in range(p)]
-    for uhat in units:
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                pairs.append((pad(steps[i]), pad(ej[j], uhat)))
-        for m in range(p - 1):
-            for n in range(m + 1, p):
-                pairs.append((pad(ones, uhat), pad(ej[m] - ej[n])))
-        pairs.append((pad(ones, uhat), pad(ones / p, -uhat)))
-        for j in range(p):
-            pairs.append((pad(ones, uhat), pad(ej[j], -uhat)))
-    return pairs
-
-
-def _mesoc_random(rng, size, p, q):
-    """Random complementary pairs of L(p, q) covering all four norm cases."""
-    dim = p + q
-    Z = np.zeros((size, dim))
-    W = np.zeros((size, dim))
-    quarters = np.array_split(np.arange(size), 4 if q else 1)
-
-    # both norm blocks zero: embedded monotone-nonnegative pairs
-    idx = quarters[0]
-    Z[idx, :p], W[idx, :p] = _staircase_pairs(rng, len(idx), p)
-
-    if not q:
-        return Z, W
-
-    def chain_with_floor(idx, floor):
-        m = len(idx)
-        if p > 1:
-            mask, alpha, srest = _mask_split(rng, m, p - 1)
-            x = np.hstack([_rev_cumsum(alpha) + floor[:, None], floor[:, None]])
-        else:
-            srest = np.empty((m, 0))
-            x = floor[:, None]
-        return x, srest
-
-    # dual norm block only: x ends at zero, dual total exceeds ||v||
-    idx = quarters[1]
-    m = len(idx)
-    x, srest = chain_with_floor(idx, np.zeros(m))
-    v = _scaled_directions(rng, m, q)
-    S = np.hstack([srest, (row_norms(v) + rng.exponential(1.0, m))[:, None]])
-    W[idx, :p] = np.diff(S, axis=1, prepend=0.0)
-    W[idx, p:] = v
-    Z[idx, :p] = x
-
-    # both norm blocks nonzero: antiparallel u and v, tight norm equalities
-    idx = quarters[2]
-    m = len(idx)
-    u = _scaled_directions(rng, m, q)
-    lam = rng.uniform(0.2, 3.0, m)
-    v = -lam[:, None] * u
-    x, srest = chain_with_floor(idx, row_norms(u))
-    S = np.hstack([srest, row_norms(v)[:, None]])
-    Z[idx, :p] = x
-    Z[idx, p:] = u
-    W[idx, :p] = np.diff(S, axis=1, prepend=0.0)
-    W[idx, p:] = v
-
-    # primal norm block only: dual total sums to zero
-    idx = quarters[3]
-    m = len(idx)
-    u = _scaled_directions(rng, m, q)
-    x, srest = chain_with_floor(idx, row_norms(u))
-    S = np.hstack([srest, np.zeros((m, 1))])
-    Z[idx, :p] = x
-    Z[idx, p:] = u
-    W[idx, :p] = np.diff(S, axis=1, prepend=0.0)
-    return Z, W
-
-
 def complementarity_pairs(
     cone: ConeSpec,
     rng: np.random.Generator,
@@ -235,63 +119,16 @@ def complementarity_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (z, w) with z in the cone, w in its dual, and <z, w> = 0.
 
-    The deterministic block enumerates the generator pairs that pin down the
-    cone's face structure; the random block fills in generic points of every
-    face combination.  Rows of the two returned (n, dim) arrays correspond.
-    """
-    kind, p, q = cone.kind, cone.p, cone.q
-    det: list[tuple[np.ndarray, np.ndarray]] = []
-    # the monotone nonnegative cone is L(p, 0), with q = 0
-    if kind == cones.MESOC or kind == cones.MONOTONE_NONNEG:
-        det = _mesoc_deterministic(p, q)
-        Zr, Wr = _mesoc_random(rng, n_random, p, q)
-    elif kind == cones.NONNEG_ORTHANT:
-        eye = np.eye(p)
-        det = [(eye[i], eye[j]) for i in range(p) for j in range(p) if i != j]
-        _, Zr, Wr = _mask_split(rng, n_random, p)
-    elif kind == cones.MONOTONE:
-        steps = [np.concatenate([np.ones(i), np.zeros(p - i)]) for i in range(1, p)]
-        drops = []
-        for j in range(p - 1):
-            d = np.zeros(p)
-            d[j], d[j + 1] = 1.0, -1.0
-            drops.append(d)
-        det = [(steps[i], drops[j]) for i in range(p - 1) for j in range(p - 1) if i != j]
-        det += [(s * np.ones(p), d) for s in (1.0, -1.0) for d in drops]
-        if p > 1:
-            mask, alpha, srest = _mask_split(rng, n_random, p - 1)
-            base = rng.standard_normal(n_random)
-            Zr = base[:, None] + np.hstack([_rev_cumsum(alpha), np.zeros((n_random, 1))])
-            S = np.hstack([srest, np.zeros((n_random, 1))])
-            Wr = np.diff(S, axis=1, prepend=0.0)
-        else:
-            Zr = rng.standard_normal((n_random, 1))
-            Wr = np.zeros((n_random, 1))
-    elif kind == cones.LORENTZ:
-        det = []
-        for k in range(p - 1):
-            for sign in (1.0, -1.0):
-                zhat = np.zeros(p)
-                zhat[0] = 1.0
-                zhat[k + 1] = sign
-                what = zhat.copy()
-                what[k + 1] = -sign
-                det.append((zhat, what))
-        if p > 1:
-            d = _scaled_directions(rng, n_random, p - 1)
-            d /= row_norms(d)[:, None]
-            t = rng.exponential(1.0, n_random)
-            s = rng.exponential(1.0, n_random)
-            Zr = np.hstack([t[:, None], t[:, None] * d])
-            Wr = np.hstack([s[:, None], -s[:, None] * d])
-        else:
-            _, Zr, Wr = _mask_split(rng, n_random, 1)
-    else:
-        raise UnsupportedConeError(f"no complementary-pair generator for {kind!r}")
+    Moreau's decomposition splits every v into v = P_K(v) - P_K*(-v) with
+    orthogonal parts, so z = P_K(v) and w = z - v = P_K*(-v) is a
+    complementary pair, and every pair (z, w) is the one of v = z - w.  The
+    ``n_random`` points v are standard normal rows, projected by
+    :func:`~mesoc_kit.projections.project_batch`; every kind it projects is
+    covered.  Rows of the two returned (n, dim) arrays correspond.
 
-    blocks_z = [Zr]
-    blocks_w = [Wr]
-    if include_deterministic and det:
-        blocks_z.insert(0, np.array([z for z, _ in det]))
-        blocks_w.insert(0, np.array([w for _, w in det]))
-    return np.vstack(blocks_z), np.vstack(blocks_w)
+    ``include_deterministic`` is accepted and ignored: it stays until the
+    next change to ``perfbench/``, whose ``cli_problems.py`` still passes it.
+    """
+    V = rng.standard_normal((n_random, cone.dim))
+    Z = project_batch(cone, V)
+    return Z, Z - V

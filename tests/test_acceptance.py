@@ -216,19 +216,18 @@ def test_08_pairing_and_inequality_chain():
 def test_09_projections_match_oracle():
     rng = sampling.rng_from_seed(77)
     worst = 0.0
-    for cone, batch in (
-        (mk.monotone(6), projections.project_monotone_batch),
-        (mk.monotone_nonneg(6), projections.project_monotone_nonneg_batch),
-    ):
+    pav_cones = (mk.monotone(6), mk.monotone_nonneg(6))
+    for cone in pav_cones:
         V = 3.0 * rng.standard_normal((1000, 6))
-        fast = batch(V)
+        fast = projections.project_batch(cone, V)
         for v, f in zip(V, fast):
             worst = max(worst, float(np.abs(f - projections.project_oracle(cone, v).point).max()))
     A = 2.0 * rng.standard_normal((10_000, 6))
     B = A + rng.standard_normal((10_000, 6))
     expansion = 0.0
-    for batch in (projections.project_monotone_batch, projections.project_monotone_nonneg_batch):
-        gap = np.linalg.norm(batch(A) - batch(B), axis=1) - np.linalg.norm(A - B, axis=1)
+    for cone in pav_cones:
+        PA, PB = projections.project_batch(cone, A), projections.project_batch(cone, B)
+        gap = np.linalg.norm(PA - PB, axis=1) - np.linalg.norm(A - B, axis=1)
         expansion = max(expansion, float(gap.max()))
     _check(
         9,

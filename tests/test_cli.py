@@ -110,8 +110,20 @@ def test_lyap_rank_report(capsys):
     _, out, _ = run_cli(capsys, "lyap-rank", str(PROBLEMS / "lyap_rank_mesoc.json"))
     doc = json.loads(out)
     assert doc["rank"] == 5 and doc["predicted"] == 5 and doc["agree"] is True
-    assert doc["matrix_dim"] == 4 and doc["singular_gap"] > 1e6
+    assert doc["matrix_dim"] == 4 and doc["singular_gap_log10"] > 6
     assert doc["settings"] == {"n_pairs": 300, "seed": 0}
+
+
+# At the least sample the CLI takes, one doubling of the Moreau pairs can
+# agree on a wrong rank; doubling until the rank repeats finds the right one.
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("shape", [(5, 5), (3, 2)], ids=str)
+def test_lyap_rank_at_the_least_sample(capsys, tmp_path, shape, seed):
+    p, q = shape
+    doc = {"version": 1, "command": "lyap-rank", "cone": {"kind": "mesoc", "p": p, "q": q},
+           "payload": {"n_pairs": (p + q) ** 2}}
+    code, out, _ = run_cli(capsys, "lyap-rank", write_problem(tmp_path, doc), "--seed", str(seed))
+    assert code == 0 and json.loads(out)["agree"] is True
 
 
 def test_lyap_rank_refuses_large_cones(capsys, tmp_path):
@@ -280,9 +292,11 @@ def test_lyap_rank_without_a_closed_form(capsys, tmp_path):
 
 def test_check_isotone_refuses_before_evaluating(capsys, tmp_path):
     doc = json.loads((PROBLEMS / "check_isotone_mesoc.json").read_text())
-    hyper = dict(doc, payload={"normal": [0.0, 0.0, 2.0, 0.0]})
-    code, out, err = run_cli(capsys, "check", "isotone", write_problem(tmp_path, hyper))
-    assert code == 2 and out == "" and "unit vector" in err
+    # the unit length is held to 1e-8: 1 + 9e-6 is refused too
+    for length in (2.0, 1.0 + 9e-6):
+        hyper = dict(doc, payload={"normal": [0.0, 0.0, length, 0.0]})
+        code, out, err = run_cli(capsys, "check", "isotone", write_problem(tmp_path, hyper))
+        assert code == 2 and out == "" and "unit vector" in err
     for n in (3, 5):  # an affine map of another size than the cone's 4
         bad = dict(doc, payload={"map": {"kind": "affine", "p": 2, "q": n - 2,
                                          "matrix": np.eye(n).tolist(), "offset": [0.0] * n}})

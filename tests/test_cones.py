@@ -396,9 +396,16 @@ def test_nan_slack_fails_every_check():
 # complementarity
 
 
+# every kind the Moreau pair sampler projects, past the mesoc shapes
+_PAIR_CONES = [
+    mk.mesoc_dual(3, 2), mk.monotone(4), mk.monotone_dual(4), mk.monotone_nonneg(4),
+    mk.monotone_nonneg_dual(4), mk.nonneg_orthant(4), mk.lorentz(4),
+    mk.cylinder(2, mk.mesoc(2, 2)), mk.cylinder_dual(2, mk.lorentz(3)),
+]
+
+
 def test_generated_pairs_are_complementary(rng):
-    for p, q in SHAPES:
-        cone = mk.mesoc(p, q)
+    for cone in [mk.mesoc(p, q) for p, q in SHAPES] + _PAIR_CONES:
         Z, W = sampling.complementarity_pairs(cone, rng, 150)
         dual = mk.dual_of(cone)
         assert mk.contains_batch(cone, Z).all()
@@ -414,11 +421,16 @@ def test_monotone_nonneg_pairs_are_those_of_mesoc_q0():
     Z, W = sampling.complementarity_pairs(mk.monotone_nonneg(p), sampling.rng_from_seed(5), 40)
     Zm, Wm = sampling.complementarity_pairs(mk.mesoc(p, 0), sampling.rng_from_seed(5), 40)
     assert Z.tobytes() == Zm.tobytes() and W.tobytes() == Wm.tobytes()
-    # and the draws of the staircase generator the cone used on its own
-    det = sampling._mesoc_deterministic(p, 0)
-    Zr, Wr = sampling._staircase_pairs(sampling.rng_from_seed(5), 40, p)
-    assert Z.tobytes() == np.vstack([[z for z, _ in det], Zr]).tobytes()
-    assert W.tobytes() == np.vstack([[w for _, w in det], Wr]).tobytes()
+
+
+def test_include_deterministic_is_inert():
+    # perfbench/cli_problems.py still passes the flag; it changes no draw
+    cone = mk.mesoc(3, 2)
+    Z, W = sampling.complementarity_pairs(cone, sampling.rng_from_seed(1), 4)
+    Zf, Wf = sampling.complementarity_pairs(
+        cone, sampling.rng_from_seed(1), 4, include_deterministic=False
+    )
+    assert Z.tobytes() == Zf.tobytes() and W.tobytes() == Wf.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])

@@ -111,3 +111,25 @@ def test_lyap_matrix_container():
 @pytest.mark.parametrize("cone", [mk.monotone_nonneg(4), mk.nonneg_orthant(4)], ids=str)
 def test_numeric_rank_matches_closed_form_without_a_tail(cone):
     assert mk.lyapunov_rank_numeric(cone, n_pairs=100).rank == mk.predicted_rank(cone) == 4
+
+
+# a dual has the rank of its primal, a cylinder R^p x C has p(p + q) + beta(C)
+@pytest.mark.parametrize(
+    "cone,expect",
+    [
+        (mk.mesoc_dual(3, 3), 9),
+        (mk.monotone_dual(4), 7),
+        (mk.monotone_nonneg_dual(4), 4),
+        (mk.cylinder(2, mk.monotone_nonneg(2)), 10),
+        (mk.cylinder(2, mk.lorentz(3)), 14),
+        (mk.cylinder_dual(2, mk.mesoc(2, 1)), 13),
+    ],
+    ids=str,
+)
+def test_rank_of_duals_and_cylinders(cone, expect):
+    assert mk.lyapunov_rank_numeric(cone, seed=7).rank == expect
+    if cone.kind == "monotone_dual":  # as for the monotone cone, no closed form
+        with pytest.raises(mk.UnsupportedConeError):
+            mk.predicted_rank(cone)
+    else:
+        assert mk.predicted_rank(cone) == expect

@@ -115,3 +115,12 @@ def test_hyperplane_inequality():
     assert float(x @ y) < float(a @ x) * float(a @ y)
     with pytest.raises(ValueError):
         mk.hyperplane_isotone_test(L, [1.0, 1.0, 0.0, 0.0], 10, seed=0)
+
+
+def test_hyperplane_normal_is_held_to_1e8():
+    # np.isclose kept its default rtol=1e-5, so a length of 1 + 9e-6 passed
+    L = mk.mesoc(2, 2)
+    for length in (1.0 + 9e-6, 1.0 + 2e-8, np.nan):
+        with pytest.raises(ValueError, match="unit vector"):
+            mk.hyperplane_isotone_test(L, [0.0, 0.0, length, 0.0], 50, seed=0)
+    assert mk.hyperplane_isotone_test(L, [0.0, 0.0, 1.0 + 5e-9, 0.0], 50, seed=0).held

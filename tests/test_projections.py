@@ -12,10 +12,11 @@ from numpy.testing import assert_allclose
 import mesoc_kit as mk
 from mesoc_kit import projections, sampling
 from mesoc_kit._kernels import isotonic_decreasing
-from mesoc_kit.projections import (
-    project_monotone_batch,
-    project_monotone_nonneg_batch,
-)
+from mesoc_kit.projections import project_batch, project_monotone_nonneg_batch
+
+
+def _monotone_batch(V):
+    return project_batch(mk.monotone(V.shape[1]), V)
 
 
 def test_monotone_frozen_cases():
@@ -102,8 +103,7 @@ def test_nonexpansive(rng):
     for cone in [mk.monotone(7), mk.monotone_nonneg(7)]:
         A = rng.normal(size=(2000, 7)) * 3
         B = A + rng.normal(size=(2000, 7))
-        PA = project_monotone_batch(A) if cone.kind == "monotone" else project_monotone_nonneg_batch(A)
-        PB = project_monotone_batch(B) if cone.kind == "monotone" else project_monotone_nonneg_batch(B)
+        PA, PB = project_batch(cone, A), project_batch(cone, B)
         lhs = np.linalg.norm(PA - PB, axis=1)
         rhs = np.linalg.norm(A - B, axis=1)
         assert (lhs <= rhs + 1e-12).all()
@@ -111,7 +111,7 @@ def test_nonexpansive(rng):
 
 def test_batch_matches_scalar(rng):
     V = rng.normal(size=(300, 9)) * 2
-    B = project_monotone_batch(V)
+    B = _monotone_batch(V)
     for i, v in enumerate(V):
         assert_allclose(B[i], mk.project(mk.monotone(9), v).point, atol=1e-13)
     B = project_monotone_nonneg_batch(V)
@@ -196,7 +196,7 @@ def _assert_rows_match_sweep(V, B):
 @settings(deadline=None)
 @given(_batches())
 def test_batch_rows_match_the_sweep(V):
-    _assert_rows_match_sweep(V, project_monotone_batch(V))
+    _assert_rows_match_sweep(V, _monotone_batch(V))
 
 
 # entries of one row spread over 1e-3 to 1e6 in magnitude, so a row's small
@@ -211,7 +211,7 @@ _MIXED_SCALES = st.builds(
 @settings(deadline=None)
 @given(_batches(st.tuples(st.integers(1, 8), st.integers(1, 24)), elements=_MIXED_SCALES))
 def test_batch_rows_match_the_sweep_across_scales(V):
-    _assert_rows_match_sweep(V, project_monotone_batch(V))
+    _assert_rows_match_sweep(V, _monotone_batch(V))
 
 
 @settings(deadline=None)
@@ -233,7 +233,7 @@ def test_cascade_row_fully_pooled(data):
     n = data.draw(st.integers(2, 60))
     at = data.draw(st.integers(0, 4))
     V = np.insert(data.draw(_batches(st.just((4, n)))), at, _cascade(n), axis=0)
-    B = project_monotone_batch(V)
+    B = _monotone_batch(V)
     _assert_rows_match_sweep(V, B)
     assert_allclose(B[at], np.full(n, _cascade(n).mean()), rtol=1e-14)
 
@@ -241,7 +241,10 @@ def test_cascade_row_fully_pooled(data):
 @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0), (3, 1)])
 def test_batch_degenerate_shapes(shape):
     V = np.arange(np.prod(shape), dtype=float).reshape(shape) - 1.0
-    for fn, expected in ((project_monotone_batch, V), (project_monotone_nonneg_batch, np.maximum(V, 0.0))):
+    cases = [(project_monotone_nonneg_batch, np.maximum(V, 0.0))]
+    if shape[1]:  # no cone has dimension 0
+        cases.append((_monotone_batch, V))
+    for fn, expected in cases:
         out = fn(V)
         assert out.shape == shape and out.dtype == np.float64
         assert not np.shares_memory(out, V)
@@ -255,7 +258,7 @@ def test_nonfinite_entry_stays_in_its_row(V, data, bad):
     j = data.draw(st.integers(0, V.shape[1] - 1))
     W = V.copy()
     W[i, j] = bad
-    clean, dirty = project_monotone_batch(V), project_monotone_batch(W)
+    clean, dirty = _monotone_batch(V), _monotone_batch(W)
     others = np.arange(V.shape[0]) != i
     assert_allclose(dirty[others], clean[others], atol=0)
     assert np.isfinite(dirty[others]).all()
@@ -437,3 +440,46 @@ def test_overflowing_fast_values_are_redone(cone, v):
 def test_nonfinite_input_is_not_rescaled():
     assert not np.isfinite(mk.project(mk.lorentz(2), [0.0, np.inf]).point).all()
     assert not np.isfinite(mk.project(mk.mesoc(1, 1), [np.nan, 1.0]).point).all()
+
+
+# entries from 1e-3 to 1e3 in magnitude, zeros included
+_MODERATE = st.one_of(
+    st.just(0.0),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
+              st.floats(-10.0, 10.0, allow_nan=False), st.integers(-3, 2)),
+)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(_KINDS + ("cylinder",)), st.integers(2, 6), st.integers(0, 5), st.data())
+def test_batch_rows_equal_project(kind, n, m, data):
+    cone = mk.cylinder(1, _cone("mesoc", n - 1)) if kind == "cylinder" else _cone(kind, n)
+    V = data.draw(arrays(float, (m, n), elements=_MODERATE))
+    for row in V:
+        form = data.draw(st.sampled_from(["drawn", "zero tail", "zero"]))
+        if form == "zero tail":
+            row[n - n // 2 :] = 0.0
+        elif form == "zero":
+            row[:] = 0.0
+    B = project_batch(cone, V)
+    assert B.shape == V.shape
+    for v, b in zip(V, B):
+        tol = 1e-12 * (1.0 + np.abs(v).max())
+        assert np.abs(b - mk.project(cone, v).point).max() <= tol, (cone, v)
+
+
+def test_batch_refusals():
+    for cone in (mk.esoc(2, 2), mk.esoc_dual(2, 2), mk.cylinder(1, mk.esoc(1, 1))):
+        with pytest.raises(mk.UnsupportedConeError):
+            project_batch(cone, np.ones((2, cone.dim)))
+    for V in (np.ones((2, 3)), np.ones(4), np.ones((1, 2, 4))):
+        with pytest.raises(mk.DimensionError):
+            project_batch(mk.mesoc(2, 2), V)
+
+
+@pytest.mark.parametrize("cone", [mk.lorentz(2), mk.nonneg_orthant(2)], ids=str)
+def test_oracle_refuses_nan(cone):
+    # the apex used to pass a NaN certificate on the Lorentz cone, and the
+    # orthant ended in a DimensionError when no face candidate was feasible
+    with pytest.raises(mk.OracleError):
+        mk.project_oracle(cone, [np.nan, 1.0])
