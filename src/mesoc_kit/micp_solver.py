@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from . import order, projections
+from . import projections
 from .cones import (
     ConeSpec,
     PartitionedVector,
@@ -46,6 +46,9 @@ from .cones import (
     row_norms,
 )
 from .errors import DimensionError
+
+if TYPE_CHECKING:
+    from . import order
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -347,6 +350,8 @@ def check_solvability_preconditions(
     solution: the update map is isotone for the order cone, and the first
     step moves up in that order.  The isotone half is a falsification
     check, not a proof."""
+    from . import order
+
     cone = instance.order_cone if cone is None else cone
     z1 = picard_step(instance, instance.start)
     ascending = order.cone_leq(cone, instance.start, z1)

@@ -204,6 +204,17 @@ def test_trace_csv(capsys, tmp_path):
     assert float(rows[2][3]) == 7.0 / 30.0
 
 
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unwritable_trace_exits_2(capsys, tmp_path, where):
+    trace = tmp_path if where == "directory" else tmp_path / "missing" / "trace.csv"
+    code, out, err = run_cli(
+        capsys, "solve", str(PROBLEMS / "solve_cylinder.json"), "--trace", str(trace)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write trace file: ")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_hyperplane_mode(capsys, tmp_path):
     doc = {
         "version": 1,
@@ -705,18 +716,54 @@ def test_check_project_caps_the_oracle(capsys, tmp_path, cone, key):
     assert key not in projections._FACE_CACHE
 
 
-def test_cli_import_loads_no_scipy():
+# mesoc_kit submodules each subcommand must leave unloaded; no case loads scipy
+_BEYOND_CONES = ("projections", "_kernels", "sampling", "order", "lyapunov", "micp_solver")
+_NOT_LOADED = {
+    "contains": _BEYOND_CONES,
+    "check.complementarity": _BEYOND_CONES,
+    "check.decompose": _BEYOND_CONES,
+    "check.project": ("lyapunov", "order", "sampling", "micp_solver"),
+    "solve": ("lyapunov", "order", "sampling"),
+    "check.verify": ("lyapunov", "order", "sampling"),
+    "lyap-rank": ("micp_solver", "order"),
+    "check.isotone": ("lyapunov",),
+}
+
+
+@pytest.mark.parametrize(
+    "path", [None, *sorted(PROBLEMS.glob("*.json"))], ids=lambda p: "import" if p is None else p.stem
+)
+def test_subcommand_loads_only_what_it_runs(path):
     src = Path(mk.__file__).resolve().parent.parent
-    code = "import sys, mesoc_kit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    if path is None:
+        code = "import sys, mesoc_kit; print(0)"
+    else:
+        command = json.loads(path.read_text())["command"]
+        argv = [*command.split("."), str(path)]
+        code = (
+            "import contextlib, io, sys\nfrom mesoc_kit import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    code = cli.main({argv!r})\n"
+            "print(code)"
+        )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code + "\nprint(*sys.modules, sep='\\n')"],
         capture_output=True,
         text=True,
         timeout=120,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    status, *loaded = proc.stdout.split()
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+    if path is None:
+        assert status == "0"
+        assert "numpy" not in loaded
+        assert not [m for m in loaded if m.startswith("mesoc_kit.")]
+        return
+    # the subcommand ran to its report, so the modules it skipped were not needed
+    assert int(status) == json.loads((GOLDEN / f"{path.stem}.json.out").read_text())["exit_status"]
+    assert "mesoc_kit.cli" in loaded and "numpy" in loaded
+    assert not [m for m in _NOT_LOADED[command] if f"mesoc_kit.{m}" in loaded]
 
 
 def test_version_flag(capsys):
