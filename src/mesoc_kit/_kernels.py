@@ -21,20 +21,33 @@ in which violators are pooled (Best & Chakravarti, Math. Programming 47,
   reference the batch form is tested against.
 * :func:`isotonic_decreasing_batch` fits every row of a matrix at once.
   Ties and ascents are pooled before the first pass, which sums each block
-  of entries once; from then on a block is one entry holding its sum, its
-  count and whether it opens a row.  Each pass pools every violating
-  adjacent pair of blocks in every row with whole-array NumPy operations:
-  the blocks are labelled with the surviving block they pool into, and two
-  ``np.bincount`` calls over the labels give the pooled sums and counts.  So
-  a pass costs the number of blocks left, not the number of entries: at
-  100000 x 16 normal rows about 850k blocks on the first pass, then 510k,
-  380k, 340k.  The means are expanded to the rows once, at the end.
-  ``np.add.reduceat`` over the surviving blocks pools the same way with a
-  per-block overhead: about 1.3x slower on random rows and 1.7x on the
-  cascade row below (2-vCPU Xeon, NumPy 2.4).  A row of n entries can be
-  pooled at most n - 1 times, and each pass pools at least once in every
-  row that still has a violator, so the loop ends after at most n - 1
-  passes.
+  of entries once; from then on a block is one entry holding its sum and
+  its count, and ``starts`` holds the index of each row's first block.
+  Each pass pools every violating adjacent pair of blocks in every row with
+  whole-array NumPy operations.  A pair whose later block opens a row is
+  cleared at ``starts[1:] - 1``; the blocks are labelled with the surviving
+  block they pool into, two ``np.bincount`` calls over the labels give the
+  pooled sums and counts, and ``starts`` follows its blocks through the
+  labels.  The labels are an ``intp`` ``cumsum``: over a bool array
+  ``np.cumsum`` casts entry by entry, about 10 ns each.  So a pass costs the
+  number of blocks left, not the number of entries, and the means are
+  expanded to the rows once, at the end.
+  :func:`~mesoc_kit.projections.project_batch` calls it once per row block
+  of about 2**16 entries (``cones.BLOCK_ENTRIES``), whose arrays stay in a
+  core's L2 cache: a block of 4096 normal rows of 16 keeps about 35k
+  blocks on the first pass, then 21k, 15k, 14k, and 100000 such rows in one
+  call keep 850k, 510k, 380k, 340k.  Most rows are done after two passes
+  and are still scanned: a bit-identical prototype that took them out of
+  later passes, eagerly or once half were done, ran 1.2-2.6x slower at
+  every shape of ``benchmarks/bench_kernels.py``.
+  ``np.bincount`` adds each label's weights left to right, so a pooled sum
+  does not depend on how the rows are split into blocks.
+  ``np.add.reduceat`` over the surviving blocks would pool the same way but
+  sums runs longer than 8 pairwise, which changes the last bits, and it was
+  slower too: 1.3x on random rows and 1.7x on the cascade row below
+  (2-vCPU Xeon, NumPy 2.4).  A row of n entries can be pooled at most
+  n - 1 times, and each pass pools at least once in every row that still
+  has a violator, so the loop ends after at most n - 1 passes.
   Random rows take 5-10; the cascade row ``[n-2, ..., 1, 0, n**2]`` takes
   all n - 1, pooling one pair per pass.
 """
@@ -95,24 +108,26 @@ def isotonic_decreasing_batch(rows):
     opens = np.empty((m, n), dtype=bool)
     opens[:, 0] = True
     opens[:, 1:] = rows[:, 1:] < rows[:, :-1]
-    labels = np.cumsum(opens) - 1
+    # an int cumsum: over a bool array np.cumsum casts entry by entry
+    labels = opens.reshape(-1).astype(np.intp).cumsum() - 1
     sums = np.bincount(labels, weights=rows.reshape(-1))
     counts = np.bincount(labels)
-    opens_row = np.zeros(sums.size, dtype=bool)
-    opens_row[labels[::n]] = True
+    # the index of each row's first block; a block never pools into the one
+    # before it when it opens a row
+    starts = labels[::n]
     while True:
         means = sums / counts
         # a later mean >= an earlier one is pooled unless it opens a row;
         # NaN compares false, so a block holding one is never pooled
         pool = means[1:] >= means[:-1]
-        pool &= ~opens_row[1:]
+        pool[starts[1:] - 1] = False
         if not pool.any():
             return np.repeat(means, counts.astype(np.intp)).reshape(m, n)
         keep = np.empty(sums.size, dtype=bool)
         keep[0] = True
         np.logical_not(pool, out=keep[1:])
         # each block's label is the surviving block it pools into
-        labels = np.cumsum(keep) - 1
+        labels = keep.astype(np.intp).cumsum() - 1
         sums = np.bincount(labels, weights=sums)
         counts = np.bincount(labels, weights=counts)
-        opens_row = opens_row[keep]
+        starts = labels[starts]

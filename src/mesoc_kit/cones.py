@@ -250,6 +250,21 @@ def row_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", A, A))
 
 
+# Entries per row block of the batch functions: 512 KiB of float64, so a
+# block's temporaries stay in a core's L2 cache (benchmarks/bench_kernels.py).
+BLOCK_ENTRIES = 2**16
+
+
+def by_row_blocks(fn, Z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out[s:s+r] = fn(Z[s:s+r])`` over blocks of ``r`` rows of the 2-D
+    ``Z``, about :data:`BLOCK_ENTRIES` entries each (one row when a row is
+    wider), and return ``out``.  ``fn`` must work row by row."""
+    r = max(1, BLOCK_ENTRIES // Z.shape[1])
+    for s in range(0, len(Z), r):
+        out[s : s + r] = fn(Z[s : s + r])
+    return out
+
+
 def _columns(*blocks) -> np.ndarray:
     """``np.hstack`` of 1-D columns and 2-D blocks into a column-major matrix.
 
@@ -313,12 +328,18 @@ def contains(cone: ConeSpec, z, tol: float = DEFAULT_TOL) -> bool:
 
 
 def contains_batch(cone: ConeSpec, Z, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorized :func:`contains` over the rows of ``Z``."""
+    """Vectorized :func:`contains` over the rows of ``Z``, one bool per row.
+
+    The slacks are built over row blocks of about :data:`BLOCK_ENTRIES`
+    entries, whose temporaries stay in cache; every row's result is the one
+    a single block gives.
+    """
     check_tol(tol)
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != cone.dim:
         raise DimensionError(f"expected shape (n, {cone.dim})")
-    return least_slack(_slacks_batch(cone, Z)) >= -tol
+    return by_row_blocks(lambda B: least_slack(_slacks_batch(cone, B)) >= -tol,
+                         Z, np.empty(len(Z), dtype=bool))
 
 
 _DUAL_MAP = {

@@ -11,6 +11,8 @@ import mesoc_kit as mk
 from mesoc_kit import cones, sampling
 from mesoc_kit.cones import ConeSpec, _slacks_batch, row_norms
 
+from _row_blocks import one_block, with_block_entries
+
 SHAPES = [(2, 2), (3, 2), (2, 3), (4, 1), (1, 2)]
 
 
@@ -269,17 +271,57 @@ def test_contains_batch_agrees_with_contains(kind, data):
 _SPECIAL_ROWS = st.sampled_from(["drawn", "zero", "nan", "inf", "-inf", "one_nan", "one_inf"])
 
 
+def _set_special_rows(data, Z):
+    """Overwrite some rows of ``Z`` with zeros, NaN or infinities."""
+    for row in Z:
+        form = data.draw(_SPECIAL_ROWS)
+        if form in ("zero", "nan", "inf", "-inf"):
+            row[:] = {"zero": 0.0, "nan": np.nan, "inf": np.inf, "-inf": -np.inf}[form]
+        elif form != "drawn" and len(row):
+            row[data.draw(st.integers(0, len(row) - 1))] = np.nan if form == "one_nan" else np.inf
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", sorted(cones.KINDS))
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_contains_batch_blocks_keep_every_row(kind, data):
+    # blocks of a few entries, down to one row per block when a row is wider
+    cone = _draw_cone(data, kind)
+    Z = _draw_rows(data, cone)
+    _set_special_rows(data, Z)
+    entries = data.draw(st.integers(1, 3 * cone.dim))
+    got = with_block_entries(entries, mk.contains_batch, cone, Z)
+    assert got.dtype == bool and got.tobytes() == one_block(mk.contains_batch, cone, Z).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cone", [mk.mesoc(3, 2), mk.esoc(2, 3), mk.lorentz(5),
+                                  mk.cylinder_dual(1, mk.mesoc_dual(2, 2))], ids=str)
+def test_contains_batch_block_edges(cone, rng):
+    n = cone.dim
+    Z = sampling.sample(cone, rng, 7)
+    Z[1::2] = rng.normal(size=(3, n))
+    # two rows per block: a NaN row ends the first block and an infinite row
+    # opens the second, and neither changes another row's result
+    dirty = Z.copy()
+    dirty[1], dirty[2, 0] = np.nan, np.inf
+    clean = one_block(mk.contains_batch, cone, Z)
+    got = with_block_entries(2 * n, mk.contains_batch, cone, dirty)
+    assert got.tobytes() == one_block(mk.contains_batch, cone, dirty).tobytes()
+    assert not got[1] and (got[3:] == clean[3:]).all() and got[0] == clean[0]
+    # no rows, one row, and rows wider than a block
+    for rows, entries in ((Z[:0], 2), (Z[:1], 2), (Z, n - 1), (Z, 1)):
+        got = with_block_entries(entries, mk.contains_batch, cone, rows)
+        assert got.shape == (len(rows),) and got.tolist() == clean[: len(rows)].tolist()
+
+
 @settings(deadline=None, max_examples=300)
 @given(data=st.data())
 def test_row_norms_match_linalg_norm(data):
     m, n = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 16))
     A = data.draw(arrays(float, (m, n), elements=st.floats(-1e150, 1e150, allow_nan=False)))
-    for row in A:
-        form = data.draw(_SPECIAL_ROWS)
-        if form in ("zero", "nan", "inf", "-inf"):
-            row[:] = {"zero": 0.0, "nan": np.nan, "inf": np.inf, "-inf": -np.inf}[form]
-        elif form != "drawn" and n:
-            row[data.draw(st.integers(0, n - 1))] = np.nan if form == "one_nan" else np.inf
+    _set_special_rows(data, A)
     got, ref = row_norms(A), np.linalg.norm(A, axis=1)
     assert got.shape == (m,) and got.dtype == np.float64
     nan = np.isnan(ref)

@@ -1,6 +1,7 @@
 """Projections: closed forms and kernels against the brute-force oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from numpy.testing import assert_allclose
 
 import mesoc_kit as mk
 from mesoc_kit import projections, sampling
-from mesoc_kit._kernels import isotonic_decreasing
+from mesoc_kit._kernels import isotonic_decreasing, isotonic_decreasing_batch
 from mesoc_kit.projections import project_batch, project_monotone_nonneg_batch
+
+from _row_blocks import one_block, with_block_entries
 
 
 def _monotone_batch(V):
@@ -238,6 +241,24 @@ def test_cascade_row_fully_pooled(data):
     assert_allclose(B[at], np.full(n, _cascade(n).mean()), rtol=1e-14)
 
 
+def test_batch_row_starts_block_pooling_across_rows():
+    # each row opens with a tie or an ascent, so its first block holds
+    # several entries, and its mean is >= the mean of the previous row's last
+    # block; the last row's first block grows over two passes, after the
+    # block indices have shifted.  All means are exact.
+    V = np.array([
+        [2.0, 1.0, 0.0, -8.0],
+        [0.0, 0.0, 6.0, -2.0],
+        [-1.0, 3.0, 5.0, 9.0],
+        [1.0, 0.0, -1.0, 30.0],
+        [7.5, 7.5, -3.0, -3.0],
+    ])
+    expected = [[2.0, 1.0, 0.0, -8.0], [2.0, 2.0, 2.0, -2.0], [4.0] * 4, [7.5] * 4,
+                [7.5, 7.5, -3.0, -3.0]]
+    np.testing.assert_array_equal(isotonic_decreasing_batch(V), expected)
+    np.testing.assert_array_equal(isotonic_decreasing_batch(V[::-1]), expected[::-1])
+
+
 @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0), (3, 1)])
 def test_batch_degenerate_shapes(shape):
     V = np.arange(np.prod(shape), dtype=float).reshape(shape) - 1.0
@@ -436,6 +457,19 @@ def test_overflowing_fast_values_are_redone(cone, v):
     assert_allclose(y, _scaled_projection(cone, np.array(v)), rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "cone,v", [(mk.mesoc(2, 2), [1e-300, -1.0, -1.0, -1e308]), (mk.lorentz(3), [-1e308, 5.0, 1e308])]
+)
+def test_overflowed_norm_under_warnings_as_errors(cone, v):
+    # under -W error the square sum's overflow warning raises; the norm is
+    # then taken as inf and the rescaled branch still gives the finite point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = mk.project(cone, v).point
+    assert np.isfinite(y).all()
+    assert y.tobytes() == _scaled_projection(cone, np.array(v)).tobytes()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_input_is_not_rescaled():
     assert not np.isfinite(mk.project(mk.lorentz(2), [0.0, np.inf]).point).all()
@@ -466,6 +500,71 @@ def test_batch_rows_equal_project(kind, n, m, data):
     for v, b in zip(V, B):
         tol = 1e-12 * (1.0 + np.abs(v).max())
         assert np.abs(b - mk.project(cone, v).point).max() <= tol, (cone, v)
+
+
+# Row blocks.  With cones.BLOCK_ENTRIES cut to a few entries a batch runs as
+# many blocks, down to one row per block; every row keeps the bytes a single
+# block gives it.
+def _bits(A):
+    """The bytes of ``A`` with every NaN made the same NaN.  IEEE 754 gives a
+    NaN's sign no meaning, and NumPy's add of two NaNs returns one operand's
+    in its vector loop and the other's in the remainder, which a block
+    boundary moves; a dual kind adds the NaN rows of V and P(-V)."""
+    return np.where(np.isnan(A), np.nan, A).tobytes()
+
+
+def _block_cones(n):
+    """Every projectable kind in R^n, a cylinder and a nested cylinder."""
+    return [_cone(kind, n) for kind in _KINDS] + [
+        mk.cylinder(1, _cone("mesoc", n - 1)),
+        mk.cylinder_dual(1, mk.cylinder(1, _cone("mesoc_dual", n - 2))),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(deadline=None)
+@given(st.integers(3, 8), st.integers(0, 9), st.data())
+def test_batch_blocks_keep_every_row(n, m, data):
+    V = data.draw(arrays(float, (m, n), elements=_MODERATE))
+    for row in V:
+        form = data.draw(st.sampled_from(["drawn", "zero tail", "nan", "inf", "-inf"]))
+        if form == "zero tail":
+            row[n - n // 2 :] = 0.0
+        elif form != "drawn":
+            row[data.draw(st.integers(0, n - 1))] = float(form)
+    entries = data.draw(st.integers(1, 3 * n))
+    for cone in _block_cones(n):
+        got = with_block_entries(entries, project_batch, cone, V)
+        assert got.shape == V.shape and _bits(got) == _bits(one_block(project_batch, cone, V)), cone
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cone", _block_cones(5), ids=str)
+def test_batch_block_edges(cone, rng):
+    V = rng.normal(size=(7, 5)) * 3.0
+    clean = one_block(project_batch, cone, V)
+    # two rows per block: a NaN row ends the first block and an infinite row
+    # opens the second; the other rows keep their bytes
+    dirty = V.copy()
+    dirty[1], dirty[2, 3] = np.nan, -np.inf
+    got = with_block_entries(10, project_batch, cone, dirty)
+    assert _bits(got) == _bits(one_block(project_batch, cone, dirty))
+    rest = [0, 3, 4, 5, 6]
+    assert got[rest].tobytes() == clean[rest].tobytes()
+    # no rows, one row, and rows wider than a block
+    for rows, entries in ((V[:0], 2), (V[:1], 2), (V, 4), (V, 1)):
+        got = with_block_entries(entries, project_batch, cone, rows)
+        assert got.shape == rows.shape and got.tobytes() == clean[: len(rows)].tobytes()
+
+
+@pytest.mark.parametrize("cone", [mk.monotone(30), mk.monotone_nonneg(30), mk.mesoc(29, 1)], ids=str)
+def test_batch_blocks_with_cascade_rows(cone, rng):
+    # the cascade row pools one pair per pass for 29 passes; in blocks of two
+    # rows, the blocks without it stop after a few
+    V = rng.normal(size=(7, 30))
+    V[[0, 3, 6]] = _cascade(30)
+    got = with_block_entries(60, project_batch, cone, V)
+    assert got.tobytes() == one_block(project_batch, cone, V).tobytes()
 
 
 def test_batch_refusals():
