@@ -17,27 +17,48 @@ one map update and one projection.
 Each of ``ROUNDS`` rounds solves every instance once; a group's figure for
 the round is its total ``picard_solve`` wall time over its total steps, so
 it includes the order certificates and the bookkeeping after the loop.  The
-script prints the median and quartiles over the rounds.  Before timing, every
-solve is replayed with a reference step built from the batch map update and
-the projected point, ``map.update_batch(z[None, :])[0]`` and
-``project(inner, .).point``; the script exits 1 when an iterate, step norm
-or status differs from the solver's in any bit.
+``finish`` column is that bookkeeping alone, per solve: :func:`finish`
+repeats what ``picard_solve`` does after its loop (the iterate array, the
+order certificates in one ``contains_batch`` and the result) on the loop's
+lists.  The script prints the median and quartiles over the rounds.  Before
+timing, every solve is replayed with a reference step built from the batch
+map update and the projected point, ``map.update_batch(z[None, :])[0]`` and
+``project(inner, .).point``, and :func:`finish` is run on the replayed
+lists; the script exits 1 when an iterate, step norm, order certificate or
+status differs from the solver's in any bit.
+
+A second table times the three products of a step at n = 4, 8 and 16, once
+with the ``@`` operator and once with ``ndarray.dot``: the affine update
+``M z``, a squared norm ``z z`` and the scalar-field combination ``v W``
+(two fields).  ``@`` goes through the matmul ufunc dispatch and ``.dot``
+does not; both end in the same BLAS routine, and the script exits 1 unless
+the two give the same bytes.  Each figure includes the call of the lambda
+that holds the product, about 0.3 µs.
 
 ``picard_solve`` does not call ``picard_step``, so the traced
 ``micp_solver.picard_step.us_per_call`` of ``perfbench`` reads 0; this
 script gives the per-step figure instead.
 
-Medians of three alternating runs on a 2-vCPU Xeon (NumPy 2.4), µs per
-step, before (``project`` building the distance and the block tuples on
-every call, and the maps updating through ``update_batch``) and after (the
-point-only ``project`` and the single-vector map updates).  Quartiles within
-a run were wide on this shared machine, up to a third of the median:
+Medians of three alternating runs of this script on a 2-vCPU Xeon (NumPy
+2.4), before (``@`` on the solver path, the affine update in three buffers,
+the map's ``update`` looked up on every step, and ``contains_batch``
+copying a one-block result into a new array) and after (``.dot``, one
+buffer, one lookup per solve, no copy).  Every run exited 0:
 
-    example (scalar_combo)    43.8 -> 26.7
-    monotone_nonneg           24.1 -> 18.2
-    monotone                  22.6 -> 16.5
-    lorentz                   20.1 -> 18.9
-    nonneg_orthant            15.8 -> 13.9
+                              us/step        finish us/solve
+    example (scalar_combo)    32.5 -> 27.6   80.1 -> 75.4
+    monotone_nonneg           22.8 -> 19.8   69.8 -> 69.5
+    monotone                  20.7 -> 17.7   72.4 -> 71.2
+    lorentz                   21.1 -> 17.3   68.0 -> 65.8
+    nonneg_orthant            17.4 -> 15.0   70.3 -> 70.1
+    mesoc                     28.7 -> 25.7   67.2 -> 69.0
+    monotone_nonneg_dual      27.9 -> 25.3   67.9 -> 68.6
+
+The finish figure does not resolve the saved copy (about 1 µs per call of
+``cones.by_row_blocks`` in isolation); its quartiles within a run were
+about a tenth of the median.  Products, medians over the six runs, µs per
+call: ``M z`` 2.0 with ``@`` and 1.1 with ``.dot`` at every n, ``z z`` 1.8
+and 1.0, ``v W`` 2.0 and 1.1.
 """
 
 import statistics
@@ -52,6 +73,8 @@ SIZES = ((2, 2), (3, 3), (4, 4), (6, 6), (8, 8), (2, 6), (6, 2), (4, 8), (8, 4),
 KINDS = ("monotone_nonneg", "monotone", "lorentz", "nonneg_orthant", "mesoc", "monotone_nonneg_dual")
 ROUNDS = 25
 SEED = 20240817
+PRODUCT_SIZES = (4, 8, 16)
+PRODUCT_CALLS = 2000
 
 
 def instances() -> dict[str, list]:
@@ -70,8 +93,21 @@ def instances() -> dict[str, list]:
     return groups
 
 
+def finish(instance, iterates: list, step_norms: list, status: str):
+    """What ``picard_solve`` does after its loop, on the loop's lists."""
+    iterates = np.array(iterates)
+    trace = mk.IterationTrace(
+        iterates=iterates,
+        step_norms=np.array(step_norms),
+        order_certificates=mk.contains_batch(instance.order_cone, np.diff(iterates, axis=0)),
+        status=status,
+    )
+    return mk.PartitionedVector.from_array(iterates[-1], instance.map.p, instance.map.q), trace
+
+
 def reference_solve(instance):
-    """Iterates, step norms and status of the plain loop over the reference step."""
+    """Iterates, step norms and status of the plain loop over the reference
+    step, as lists."""
     p = instance.map.p
     z = instance.start.copy()
     iterates, norms, status = [z], [], "max_iter"
@@ -85,26 +121,31 @@ def reference_solve(instance):
         if norms[-1] <= instance.conv_tol:
             status = "converged"
             break
-    return np.array(iterates), np.array(norms), status
+    return iterates, norms, status
 
 
-def check(groups: dict[str, list]) -> tuple[int, dict[str, int]]:
-    """Replay every solve with the reference step; return how many differ
-    and the total steps of each group."""
+def _bytes(trace) -> tuple:
+    return (trace.status, trace.iterates.tobytes(), trace.step_norms.tobytes(),
+            trace.order_certificates.tobytes())
+
+
+def check(groups: dict[str, list]) -> tuple[int, dict[str, int], dict[str, list]]:
+    """Replay every solve with the reference step; return how many differ,
+    the total steps of each group and the replayed lists of every solve."""
     bad = 0
-    steps = {}
+    steps, replays = {}, {}
     for name, group in groups.items():
-        steps[name] = 0
+        steps[name], replays[name] = 0, []
         for i, instance in enumerate(group):
-            iterates, norms, status = reference_solve(instance)
-            _, trace = mk.picard_solve(instance)
-            if (trace.status, trace.iterates.tobytes(), trace.step_norms.tobytes()) != (
-                status, iterates.tobytes(), norms.tobytes()
-            ):
+            replay = reference_solve(instance)
+            sol, trace = mk.picard_solve(instance)
+            ref_sol, ref_trace = finish(instance, *replay)
+            if _bytes(trace) != _bytes(ref_trace) or sol.concat().tobytes() != ref_sol.concat().tobytes():
                 print(f"{name} instance {i}: solver differs from the reference step")
                 bad += 1
             steps[name] += trace.n_steps
-    return bad, steps
+            replays[name].append(replay)
+    return bad, steps, replays
 
 
 def us_per_step(group: list) -> float:
@@ -117,21 +158,66 @@ def us_per_step(group: list) -> float:
     return 1e6 * seconds / steps
 
 
+def us_per_finish(group: list, replays: list) -> float:
+    t0 = time.perf_counter()
+    for instance, replay in zip(group, replays):
+        finish(instance, *replay)
+    return 1e6 * (time.perf_counter() - t0) / len(group)
+
+
+def products() -> tuple[int, dict[tuple[str, int], dict[str, list]]]:
+    """µs per call of each step product with ``@`` and with ``.dot``, over
+    ``ROUNDS`` interleaved rounds; return how many pairs differ in bytes and
+    the samples by (product, n)."""
+    rng = np.random.default_rng(SEED)
+    cases = {}
+    for n in PRODUCT_SIZES:
+        M, z, v, W = rng.standard_normal((n, n)), rng.standard_normal(n), rng.standard_normal(2), rng.standard_normal((2, n))
+        # default arguments bind this size's arrays to the lambdas
+        cases[("M z", n)] = (lambda M=M, z=z: M @ z, lambda M=M, z=z: M.dot(z))
+        cases[("z z", n)] = (lambda z=z: z @ z, lambda z=z: z.dot(z))
+        cases[("v W", n)] = (lambda v=v, W=W: v @ W, lambda v=v, W=W: v.dot(W))
+    bad = sum(np.asarray(at()).tobytes() != np.asarray(dot()).tobytes() for at, dot in cases.values())
+    samples = {key: {"@": [], ".dot": []} for key in cases}
+    for _ in range(ROUNDS):
+        for key, pair in cases.items():
+            for label, fn in zip(("@", ".dot"), pair):
+                t0 = time.perf_counter()
+                for _ in range(PRODUCT_CALLS):
+                    fn()
+                samples[key][label].append(1e6 * (time.perf_counter() - t0) / PRODUCT_CALLS)
+    return bad, samples
+
+
+def _summary(values) -> str:
+    q1, med, q3 = statistics.quantiles(values, n=4)
+    return f"{med:>9.1f} {q1:>7.1f}-{q3:<7.1f}"
+
+
 def main() -> int:
     groups = instances()
-    bad, steps = check(groups)
+    bad, steps, replays = check(groups)
     samples = {name: [] for name in groups}
+    finishes = {name: [] for name in groups}
     for _ in range(ROUNDS):
         for name, group in groups.items():
             samples[name].append(us_per_step(group))
-    print(f"{'inner cone':>24} {'solves':>7} {'steps':>7} {'us/step':>9} {'quartiles':>15}")
+            finishes[name].append(us_per_finish(group, replays[name]))
+    print(f"{'inner cone':>24} {'solves':>7} {'steps':>7} {'us/step':>9} {'quartiles':>15}"
+          f" {'finish us/solve':>17} {'quartiles':>15}")
     for name, values in samples.items():
-        q1, med, q3 = statistics.quantiles(values, n=4)
-        print(f"{name:>24} {len(groups[name]):>7} {steps[name]:>7} {med:>9.1f} {q1:>7.1f}-{q3:<7.1f}")
+        print(f"{name:>24} {len(groups[name]):>7} {steps[name]:>7} {_summary(values)} "
+              f"{_summary(finishes[name]):>17}")
+    bad_products, times = products()
+    print()
+    print(f"{'product':>8} {'n':>3} {'@ us':>9} {'quartiles':>15} {'.dot us':>9} {'quartiles':>15}")
+    for (name, n), by_op in times.items():
+        print(f"{name:>8} {n:>3} {_summary(by_op['@'])} {_summary(by_op['.dot'])}")
     if bad:
         print(f"{bad} solves differ from the reference step")
-        return 1
-    return 0
+    if bad_products:
+        print(f"{bad_products} products differ in bytes between @ and .dot")
+    return 1 if bad or bad_products else 0
 
 
 if __name__ == "__main__":

@@ -258,8 +258,13 @@ BLOCK_ENTRIES = 2**16
 def by_row_blocks(fn, Z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill ``out[s:s+r] = fn(Z[s:s+r])`` over blocks of ``r`` rows of the 2-D
     ``Z``, about :data:`BLOCK_ENTRIES` entries each (one row when a row is
-    wider), and return ``out``.  ``fn`` must work row by row."""
+    wider), and return ``out``.  ``fn`` must work row by row.  A nonempty
+    ``Z`` that fits in one block returns ``fn(Z)`` itself and leaves ``out``
+    unwritten, so a small call, such as the solver's order certificates,
+    skips the loop and the copy (about 1 us)."""
     r = max(1, BLOCK_ENTRIES // Z.shape[1])
+    if 0 < len(Z) <= r:
+        return fn(Z)
     for s in range(0, len(Z), r):
         out[s : s + r] = fn(Z[s : s + r])
     return out

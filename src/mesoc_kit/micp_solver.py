@@ -20,6 +20,13 @@ but never enforced; all of them are computed in one batch after the loop.
 ``conv_tol``), ``diverged`` (iterate norm above :data:`DIVERGENCE_LIMIT`),
 ``nonfinite`` (an iterate with a NaN or infinite entry, which is dropped so
 the trace ends at the last finite iterate) or ``max_iter``.
+
+A small solve is bound by the fixed cost of each NumPy call, not by its
+arithmetic, so the products on the solver path (the map updates and the
+loop's norms) call ``ndarray.dot``: the ``@`` operator goes through the
+matmul ufunc dispatch, about 0.8 us more per call on vectors of length 4-16
+(NumPy 2.4, ``benchmarks/bench_solver.py``), for the same BLAS routine and
+the same bytes.  The batch updates keep ``@``.
 """
 
 from __future__ import annotations
@@ -98,14 +105,17 @@ class ScalarComboMap:
         return self.field_values(np.asarray(Z, dtype=float)) @ self.directions
 
     def update(self, z: np.ndarray) -> np.ndarray:
-        """:meth:`update_batch` of one vector, with the same arithmetic: a dot
-        product per field and :func:`row_norms` for |u| (a plain dot norm
-        differs from it in the last bit from three tail entries on)."""
+        """:meth:`update_batch` of the one-row batch ``z[None, :]``, byte for
+        byte: a dot product per field and :func:`row_norms` for |u| (a plain
+        dot norm differs from it in the last bit from three tail entries on).
+        A row of a larger batch can differ in the last bits, because BLAS
+        multiplies a batch's field values as a matrix (gemm) and one row's
+        as a vector (gemv)."""
         z = np.asarray(z, dtype=float)
         x = z[: self.p]
         norm = row_norms(z[None, self.p :])[0]
-        vals = [x @ f.linear + f.norm_coeff * norm + f.offset for f in self.fields]
-        return np.array(vals) @ self.directions
+        vals = [x.dot(f.linear) + f.norm_coeff * norm + f.offset for f in self.fields]
+        return np.array(vals).dot(self.directions)
 
     def residual(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -136,8 +146,11 @@ class AffineMap:
         return self.matrix @ np.asarray(z, dtype=float) + self.offset
 
     def update(self, z: np.ndarray) -> np.ndarray:
+        """z - (M z + b), the three operations in that order in one buffer."""
         z = np.asarray(z, dtype=float)
-        return z - (self.matrix @ z + self.offset)
+        t = self.matrix.dot(z)
+        t += self.offset
+        return np.subtract(z, t, out=t)
 
     def update_batch(self, Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
@@ -194,31 +207,31 @@ class IterationTrace:
 
 def picard_step(instance: MicpInstance, z) -> np.ndarray:
     """One half-projected step (x - G(z), P_C(u - H(z)))."""
-    return _step(instance, _as_vector(z, instance.map.p + instance.map.q))
-
-
-def _step(instance: MicpInstance, z: np.ndarray) -> np.ndarray:
-    map_ = instance.map
-    t = map_.update(z)
-    t[map_.p :] = projections.project(instance.inner, t[map_.p :]).point
+    p = instance.map.p
+    t = instance.map.update(_as_vector(z, p + instance.map.q))
+    t[p:] = projections.project(instance.inner, t[p:]).point
     return t
 
 
 def picard_solve(instance: MicpInstance) -> tuple[PartitionedVector, IterationTrace]:
     p, q = instance.map.p, instance.map.q
+    update, inner = instance.map.update, instance.inner
     z = instance.start.copy()
     iterates = [z]
     step_norms = []
     status = "max_iter"
     for _ in range(instance.max_iter):
-        z_new = _step(instance, z)
-        zz = z_new @ z_new
+        # the step of picard_step; project is read from the module on every
+        # step, so a replacement of projections.project takes effect
+        z_new = update(z)
+        z_new[p:] = projections.project(inner, z_new[p:]).point
+        zz = z_new.dot(z_new)
         # an overflowed square sum alone is a divergence, not a bad entry
         if not math.isfinite(zz) and not np.isfinite(z_new).all():
             status = "nonfinite"
             break
         d = z_new - z
-        step_norms.append(math.sqrt(d @ d))
+        step_norms.append(math.sqrt(d.dot(d)))
         iterates.append(z_new)
         z = z_new
         if step_norms[-1] <= instance.conv_tol:

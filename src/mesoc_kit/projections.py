@@ -133,7 +133,7 @@ def _norm_tail(v: np.ndarray, p: int):
     if p < len(head):
         tail = v[p:]
         try:
-            norm = math.sqrt(tail @ tail)
+            norm = math.sqrt(tail.dot(tail))
         except RuntimeWarning:  # an overflowed square sum under -W error
             norm = math.inf
         head[p:] = [norm]
@@ -149,7 +149,7 @@ def _norm_tail(v: np.ndarray, p: int):
 def _lorentz(v: np.ndarray):
     head, rest = v[0], v[1:]
     try:
-        nr = math.sqrt(rest @ rest)
+        nr = math.sqrt(rest.dot(rest))
     except RuntimeWarning:  # an overflowed square sum under -W error
         nr = math.inf
     if head >= nr:

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 from scipy import optimize
 
 import mesoc_kit as mk
-from mesoc_kit import micp_solver, sampling
+from mesoc_kit import micp_solver, projections, sampling
 
 from _worked_instance import worked_solution
 
@@ -360,6 +360,44 @@ def _scalar_combo(rng, p, q):
     W = rng.standard_normal((k, p + q))
     bound = sum(np.linalg.norm(w) * (np.linalg.norm(f.linear) + abs(f.norm_coeff)) for f, w in zip(fields, W))
     return mk.ScalarComboMap(p=p, q=q, fields=fields, directions=0.8 * W / bound)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    p=st.integers(1, 8),
+    q=st.integers(1, 8),
+    map_kind=st.sampled_from(["affine", "scalar_combo"]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.01, 1.0, 100.0]),
+)
+def test_update_matches_one_row_batch(p, q, map_kind, seed, scale):
+    # the reference loop updates through update_batch(z[None, :]), so the
+    # solver's single-vector update must give the bytes of a one-row batch
+    # (a row of a larger batch may differ in the last bits)
+    rng = np.random.default_rng(seed)
+    n = p + q
+    if map_kind == "affine":
+        map_ = mk.AffineMap(p=p, q=q, matrix=rng.standard_normal((n, n)), offset=rng.standard_normal(n))
+    else:
+        map_ = _scalar_combo(rng, p, q)
+    z = scale * rng.standard_normal(n)
+    assert map_.update(z).tobytes() == map_.update_batch(z[None, :])[0].tobytes()
+
+
+def test_solver_projects_through_the_module_name(monkeypatch):
+    # perfbench/selftest.py replaces projections.project by a zero stub and
+    # requires the solves to fail, so every step must call it by that name
+    inst = mk.MicpInstance(
+        map=mk.example_instance().map, inner=mk.monotone_nonneg(2), start=[1.0, 0.5, 0.4, 0.2], max_iter=20
+    )
+    _, trace = mk.picard_solve(inst)
+    assert (trace.iterates[1:, 2:] != 0).any()
+    monkeypatch.setattr(
+        projections, "project", lambda cone, z: projections.ProjectionResult(np.zeros(cone.dim), 0.0)
+    )
+    _, trace = mk.picard_solve(inst)
+    assert trace.n_steps == 20 and (trace.iterates[0, 2:] != 0).all()
+    assert (trace.iterates[1:, 2:] == 0).all()
 
 
 @settings(deadline=None, max_examples=80)
