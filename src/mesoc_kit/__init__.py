@@ -25,8 +25,8 @@ _PUBLIC = {
         "UnsupportedConeError",
     ),
     "lyapunov": (
-        "LyapMatrix", "is_lyapunov_like", "lyap_basis_mesoc", "lyap_basis_monotone_nonneg",
-        "lyapunov_rank_numeric", "predicted_rank",
+        "LyapMatrix", "is_lyapunov_like", "lyap_basis_mesoc", "lyapunov_rank_numeric",
+        "predicted_rank",
     ),
     "micp_solver": (
         "AffineMap", "IterationTrace", "MicpInstance", "ScalarComboMap", "ScalarField",

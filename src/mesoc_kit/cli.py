@@ -84,7 +84,7 @@ def cone_from_json(obj) -> ConeSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("cone must be an object with a 'kind' key")
     kind = obj["kind"]
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise SchemaError(f"unknown cone kind {kind!r}")
     inner = None
     if kind in (CYLINDER, CYLINDER_DUAL):
@@ -295,6 +295,17 @@ def cmd_contains(args) -> int:
     )
 
 
+def _verify_report(report: micp_solver.SolutionReport) -> dict:
+    return {
+        "ok": report.ok,
+        "g_norm": report.g_norm,
+        "inner_slack": report.inner_slack,
+        "dual_slack": report.dual_slack,
+        "orthogonality": report.orthogonality,
+        "failed": list(report.failed),
+    }
+
+
 def cmd_solve(args) -> int:
     from . import micp_solver
 
@@ -326,14 +337,7 @@ def cmd_solve(args) -> int:
             "order_certificates_all_ok": bool(trace.order_certificates.all())
             if trace.n_steps
             else True,
-            "verify": {
-                "ok": verify.ok,
-                "g_norm": verify.g_norm,
-                "inner_slack": verify.inner_slack,
-                "dual_slack": verify.dual_slack,
-                "orthogonality": verify.orthogonality,
-                "failed": list(verify.failed),
-            },
+            "verify": _verify_report(verify),
         },
         args.output,
         "solve",
@@ -436,8 +440,11 @@ def cmd_check_isotone(args) -> int:
             settings,
         )
     map_ = map_from_json(payload.get("map"))
+    pairs = payload.get("pairs", [])
+    if not isinstance(pairs, list):
+        raise SchemaError("payload key 'pairs' must be a list")
     extra = []
-    for entry in payload.get("pairs", []):
+    for entry in pairs:
         if not isinstance(entry, dict) or "lo" not in entry or "hi" not in entry:
             raise SchemaError("each extra pair needs 'lo' and 'hi' lists")
         extra.append(order.OrderedPairSample(
@@ -508,12 +515,7 @@ def cmd_check_verify(args) -> int:
     region = micp_solver.region_membership(instance, point)
     return emit(
         {
-            "ok": report.ok,
-            "g_norm": report.g_norm,
-            "inner_slack": report.inner_slack,
-            "dual_slack": report.dual_slack,
-            "orthogonality": report.orthogonality,
-            "failed": list(report.failed),
+            **_verify_report(report),
             "region": {
                 "in_feasible": region.in_feasible,
                 "in_descent": region.in_descent,

@@ -5,8 +5,9 @@ complementary pair (z in K, w in K*, <z, w> = 0).  These matrices form a
 linear space whose dimension only depends on K; two independent routes to
 it live here:
 
-* closed-form bases for the nonincreasing-nonnegative cone and for the
-  ordered cone with a norm tail (``lyap_basis_*``), and
+* a basis for L(p, q), the monotone nonnegative cone included at q = 0
+  (``lyap_basis_mesoc``), conjugated back from the basis of the product
+  that the reduction map of :mod:`mesoc_kit.cones` takes L(p, q) onto, and
 * ``lyapunov_rank_numeric``, which stacks the rank-one constraints
   kron(w, z) coming from sampled complementary pairs and counts the
   dimension of their null space.  The pairs are Moreau splits of random
@@ -26,12 +27,14 @@ from .cones import (
     CYLINDER,
     LORENTZ,
     MESOC,
+    MESOC_DUAL,
     MONOTONE_NONNEG,
     NONNEG_ORTHANT,
     ConeSpec,
     _as_vector,
     check_tol,
     dual_of,
+    reduced_coordinates,
     row_norms,
 )
 from .errors import OracleError, UnsupportedConeError
@@ -47,54 +50,33 @@ class LyapMatrix:
         return self.entries.shape[0]
 
 
-def _block(p: int, q: int) -> np.ndarray:
-    return np.zeros((p + q, p + q))
-
-
-def lyap_basis_monotone_nonneg(p: int) -> list[LyapMatrix]:
-    """Basis of the Lyapunov-like space for the cone of nonincreasing
-    nonnegative vectors in R^p; its dimension is p.
-
-    The family is upper triangular: a common diagonal shift plus, for each
-    column j >= 2, a matrix with +1 at (i, j) and -1 at (i, i) for all
-    rows i < j.
-    """
-    out = [LyapMatrix(np.eye(p), {"diag": 1.0})]
-    for j in range(1, p):
-        T = np.zeros((p, p))
-        T[:j, j] = 1.0
-        T[np.arange(j), np.arange(j)] = -1.0
-        out.append(LyapMatrix(T, {"column": j}))
-    return out
-
-
 def lyap_basis_mesoc(p: int, q: int) -> list[LyapMatrix]:
-    """Basis of the Lyapunov-like space for the ordered cone with a norm
-    tail, in (x, u) block coordinates; its dimension is p + q(q+1)/2.
+    """Basis of the Lyapunov-like space of L(p, q) in (x, u) coordinates,
+    p + q(q+1)/2 matrices; L(p, 0) is the monotone nonnegative cone.
 
-    Blocks: the x-x block runs over the nonincreasing-nonnegative family,
-    the u-u block over shifts of the identity plus antisymmetric matrices,
-    and a vector c couples the blocks (row-constant x-u block, c in the
-    last column of the u-x block).
+    The Lyapunov-like space of a product is the direct sum of its factors'
+    spaces (Gowda & Tao, Math. Program. 147, 2014).  So the basis is A^-1 S A,
+    A the reduction onto R_+^(p-1) x L^(q+1), over the product's basis S: the
+    identity, a unit diagonal per ray, and the q boosts (``coupling``) and
+    q(q-1)/2 rotations (``skew``) of the Lorentz factor, whose head is p - 1.
     """
-    out = []
-    for base in lyap_basis_monotone_nonneg(p):
-        T = _block(p, q)
-        T[:p, :p] = base.entries
-        if "diag" in base.params:
-            T[p:, p:] = np.eye(q)
-        out.append(LyapMatrix(T, base.params))
-    for k in range(q):
-        T = _block(p, q)
-        T[:p, p + k] = 1.0
-        T[p + k, p - 1] = 1.0
-        out.append(LyapMatrix(T, {"coupling": k}))
-    for k in range(q):
-        for l in range(k + 1, q):
-            T = _block(p, q)
-            T[p + k, p + l] = 1.0
-            T[p + l, p + k] = -1.0
-            out.append(LyapMatrix(T, {"skew": (k, l)}))
+    n, h = p + q, p - 1
+    # the helper's rows are the columns of A (primal) and of A^-T (dual)
+    A, A_inv = np.eye(n), np.eye(n)
+    A[:p, :p] = reduced_coordinates(MESOC, np.eye(p)).T
+    A_inv[:p, :p] = reduced_coordinates(MESOC_DUAL, np.eye(p))
+    product = (
+        [({"ray": i}, [(i, i, 1.0)]) for i in range(h)]
+        + [({"coupling": k}, [(h, p + k, 1.0), (p + k, h, 1.0)]) for k in range(q)]
+        + [({"skew": (k, l)}, [(p + k, p + l, 1.0), (p + l, p + k, -1.0)])
+           for k in range(q) for l in range(k + 1, q)]
+    )
+    out = [LyapMatrix(np.eye(n), {"diag": 1.0})]
+    for params, entries in product:
+        S = np.zeros((n, n))
+        for i, j, s in entries:
+            S[i, j] = s
+        out.append(LyapMatrix(A_inv @ S @ A, params))
     return out
 
 

@@ -129,14 +129,14 @@ def _norm_tail(v: np.ndarray, p: int):
     """Project (w, z) = (v[:p], v[p:]) onto {x_1 >= ... >= x_p >= ||u||}:
     (x, s) fits (w, ||z||) in the monotone nonnegative cone and u = s z/||z||.
     Its blocks are those of that fit, index p standing for ||u||."""
-    head = v.tolist()
-    if p < len(head):
+    head = v[:p].tolist()  # only the head goes to Python floats
+    if p < v.size:
         tail = v[p:]
         try:
             norm = math.sqrt(tail.dot(tail))
         except RuntimeWarning:  # an overflowed square sum under -W error
             norm = math.inf
-        head[p:] = [norm]
+        head.append(norm)
     means, counts = pav_sweep(head)
     if means[0] == math.inf and np.isfinite(v).all():
         return _rescaled(lambda w: _norm_tail(w, p), v)

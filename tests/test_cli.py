@@ -315,6 +315,14 @@ def test_check_isotone_refuses_before_evaluating(capsys, tmp_path):
         assert code == 3 and out == "" and "does not match" in err
 
 
+@pytest.mark.parametrize("pairs", [5, None])
+def test_check_isotone_refuses_extra_pairs_that_are_not_a_list(capsys, tmp_path, pairs):
+    doc = json.loads((PROBLEMS / "check_isotone_mesoc.json").read_text())
+    doc["payload"]["pairs"] = pairs
+    code, out, err = run_cli(capsys, "check", "isotone", write_problem(tmp_path, doc))
+    assert code == 2 and out == "" and "'pairs' must be a list" in err
+
+
 def test_verify_reports_no_slack_for_a_cone_without_inequalities(capsys, tmp_path):
     # monotone(1) holds every u: its least slack is +inf, reported as null
     doc = {"version": 1, "command": "check.verify",
@@ -357,6 +365,8 @@ def test_invalid_json(capsys, tmp_path):
          "payload": {}},  # payload missing the point
         {"version": 1, "command": "contains", "cone": {"kind": "cylinder", "p": 2},
          "payload": {"point": [1, 1]}},  # cylinder without inner cone
+        {"version": 1, "command": "contains", "cone": {"kind": [1], "p": 2},
+         "payload": {"point": [1, 1]}},  # a kind that is not a string
     ],
 )
 def test_schema_errors(capsys, tmp_path, doc):
@@ -558,7 +568,10 @@ def test_solve_stops_on_nonfinite_iterate(capsys, tmp_path):
 _FUZZ_CONES = st.one_of(
     st.builds(
         lambda kind, p, q: {"kind": kind, "p": p, "q": q},
-        st.sampled_from(sorted(set(mk.cones.KINDS) - {"cylinder", "cylinder_dual"})),
+        st.one_of(
+            st.sampled_from(sorted(set(mk.cones.KINDS) - {"cylinder", "cylinder_dual"})),
+            st.sampled_from([[1], {"kind": "mesoc"}]),  # not a string, not hashable
+        ),
         st.integers(1, 3),
         st.integers(0, 3),
     ),

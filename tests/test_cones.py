@@ -526,6 +526,10 @@ def test_complementarity_monotone_nonneg_path(rng):
         assert rep.member and rep.mode == "structured"
     bad = mk.in_complementarity_set(cone, mk.CompPair([2, 1, 1, 0], [1, 0, 0, 0]))
     assert not bad.member and bad.failed == ("face_products",)
+    # only the tail R_+ of the reduction fails: x_p * (y_1 + ... + y_p) = 1
+    for c in (cone, mk.mesoc(4, 0)):
+        tail = mk.in_complementarity_set(c, mk.CompPair([1, 1, 1, 1], [0, 0, 0, 1]))
+        assert not tail.member and tail.failed == ("face_products",)
 
 
 def test_complementarity_direct_kinds(rng):

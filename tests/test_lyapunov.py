@@ -12,7 +12,7 @@ MESOC_SHAPES = [(2, 1), (2, 2), (3, 2), (2, 3), (4, 1), (3, 0)]
 
 def test_basis_counts():
     for p in range(1, 6):
-        assert len(mk.lyap_basis_monotone_nonneg(p)) == p
+        assert len(mk.lyap_basis_mesoc(p, 0)) == p
     for p, q in MESOC_SHAPES:
         expect = p + q * (q + 1) // 2
         assert len(mk.lyap_basis_mesoc(p, q)) == expect
@@ -35,14 +35,14 @@ def test_basis_matrices_are_lyapunov_like(rng):
             assert chk.ok, (p, q, b.params, chk.max_residual)
     for p in (2, 3, 4):
         cone = mk.monotone_nonneg(p)
-        for b in mk.lyap_basis_monotone_nonneg(p):
+        for b in mk.lyap_basis_mesoc(p, 0):
             assert mk.is_lyapunov_like(b, cone, n_pairs=500, seed=3).ok
 
 
 def test_random_combinations_of_head_basis_stay_lyapunov_like(rng):
     # the property is linear, so any combination of basis elements keeps it
     cone = mk.monotone_nonneg(4)
-    basis = mk.lyap_basis_monotone_nonneg(4)
+    basis = mk.lyap_basis_mesoc(4, 0)
     Z, W = sampling.complementarity_pairs(cone, sampling.rng_from_seed(3), 400)
     pairs = list(zip(Z, W))
     for _ in range(5):
@@ -83,16 +83,28 @@ def test_rank_one_dimensional_edge():
 
 
 def test_basis_spans_the_numeric_null_space(rng):
-    cone = mk.mesoc(2, 2)
-    Z, W = sampling.complementarity_pairs(cone, rng, 800)
-    rows = np.einsum("ik,il->ikl", W, Z).reshape(len(Z), -1)
-    basis = mk.lyap_basis_mesoc(2, 2)
-    # every structured matrix annihilates every sampled constraint row...
+    for p, q in MESOC_SHAPES + [(1, 3), (5, 5)]:
+        cone = mk.mesoc(p, q)
+        Z, W = sampling.complementarity_pairs(cone, rng, 800)
+        rows = np.einsum("ik,il->ikl", W, Z).reshape(len(Z), -1)
+        basis = mk.lyap_basis_mesoc(p, q)
+        # every structured matrix annihilates every sampled constraint row...
+        for b in basis:
+            assert np.abs(rows @ b.entries.ravel()).max() < 1e-10, (p, q, b.params)
+        # ...and the constraint null space has no room for anything else
+        null_dim = (p + q) ** 2 - np.linalg.matrix_rank(rows, tol=1e-8)
+        assert null_dim == len(basis), (p, q)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_basis_with_one_ordered_coordinate_is_the_lorentz_basis(q):
+    # at p = 1 the reduction A is the identity and L(1, q) is lorentz(q + 1)
+    cone = mk.lorentz(q + 1)
+    basis = mk.lyap_basis_mesoc(1, q)
+    assert len(basis) == mk.predicted_rank(cone)
+    pairs = list(zip(*sampling.complementarity_pairs(cone, sampling.rng_from_seed(q), 400)))
     for b in basis:
-        assert np.abs(rows @ b.entries.ravel()).max() < 1e-10
-    # ...and the constraint null space has no room for anything else
-    null_dim = 16 - np.linalg.matrix_rank(rows, tol=1e-8)
-    assert null_dim == len(basis)
+        assert mk.is_lyapunov_like(b, cone, pairs=pairs).ok, b.params
 
 
 def test_unsupported_predictions_raise():
