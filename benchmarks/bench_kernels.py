@@ -23,6 +23,14 @@ slacks row by row (``np.hstack``, ``np.linalg.norm(axis=1)``, row-major
 ``min(axis=1)``), and prints how many rows the two classify differently.
 Exits 1 on any disagreement.
 
+The sampler rows time ``sample(mesoc(8, 8))`` and
+``sample_ordered_pairs(mesoc(2, 2))`` at 200 000 rows against the
+whole-array formulas of ``tests/_reference_sampling.py`` (temporaries joined
+by ``np.hstack``, which the samplers used before they built members in one
+output), and report both traced peaks: the most bytes a call holds
+allocated at once (``tracemalloc``).  Exits 1 unless every array and the
+generator state after the call agree byte for byte.
+
 Both batch functions run in row blocks of about ``cones.BLOCK_ENTRIES``
 entries.  Every batch call is repeated as one block, with the constant
 raised above the input size; the script times that too ("one block") and
@@ -44,7 +52,16 @@ the ``project`` loop or the stacked slacks):
     membership 200000x16      24      13      22        40
 
 The parent's ``mesoc(8, 8)`` figure is a median of 7 calls in each of two
-runs of the same call.  Block sizes, medians over six runs of the script
+runs of the same call.  Samplers, medians of three runs of the sampler rows
+(each the median of three interleaved calls per side), times in ms and
+traced peaks in MiB:
+
+                          time  reference  peak  reference peak  output
+    sample mesoc(8, 8)     106       106   39.7            50.4    24.4
+    pairs mesoc(2, 2)       54        59   19.8            21.4    12.2
+
+The times agree within the run-to-run spread; the peaks repeat exactly.
+Block sizes, medians over six runs of the script
 (each the median of five interleaved rounds per size), in ms:
 
     block entries      2^12  2^14  2^15  2^16  2^17  2^18
@@ -62,6 +79,8 @@ leaves room in L2 for a block's temporaries.
 import statistics
 import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -69,11 +88,15 @@ from mesoc_kit import cones, sampling
 from mesoc_kit._kernels import isotonic_decreasing
 from mesoc_kit.projections import project, project_batch, project_monotone_nonneg_batch
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import _reference_sampling  # noqa: E402  (the formulas before members were built in one output)
+
 SIZES = [(1_000, 8), (10_000, 8), (10_000, 64), (100_000, 16)]
 CASCADE = (100, 1_000)
 MEMBERSHIP = (200_000, 8, 8)
 NORM_TAIL = (100_000, 8, 8)
 BLOCK_EXPONENTS = (12, 14, 15, 16, 17, 18)
+SAMPLER_ROWS = 200_000
 SEED = 20240817
 TOL = 1e-12
 
@@ -154,6 +177,43 @@ def measure_membership(m: int, p: int, q: int) -> tuple[int, bool]:
     return wrong, same
 
 
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` holds allocated at once."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def measure_samplers(rounds: int = 3) -> bool:
+    """Time and trace ``sample`` and ``sample_ordered_pairs`` against the
+    reference formulas; whether every array and generator state agrees."""
+    cases = [
+        ("sample mesoc(8, 8)", lambda m, rng: (m.sample(cones.mesoc(8, 8), rng, SAMPLER_ROWS),)),
+        ("pairs mesoc(2, 2)", lambda m, rng: m.sample_ordered_pairs(cones.mesoc(2, 2), rng, SAMPLER_ROWS)),
+    ]
+    print(f"{'sampler':>22} {'time':>12} {'reference':>12} {'peak MiB':>10} {'ref peak':>10} "
+          f"{'out MiB':>8} {'bytes':>6}")
+    same = True
+    for label, draw in cases:
+        seconds = {sampling: [], _reference_sampling: []}
+        for _ in range(rounds):
+            for m in seconds:
+                seconds[m].append(timed(draw, m, sampling.rng_from_seed(SEED))[1])
+        rng, ref_rng = sampling.rng_from_seed(SEED), sampling.rng_from_seed(SEED)
+        got, want = draw(sampling, rng), draw(_reference_sampling, ref_rng)
+        ok = (all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+              and rng.bit_generator.state == ref_rng.bit_generator.state)
+        same = same and ok
+        peak, ref_peak = (traced_peak(draw, m, sampling.rng_from_seed(SEED)) / 2**20 for m in seconds)
+        ms, ref_ms = (1e3 * statistics.median(seconds[m]) for m in seconds)
+        print(f"{label:>22} {ms:>10.2f}ms {ref_ms:>10.2f}ms {peak:>10.1f} {ref_peak:>10.1f} "
+              f"{sum(a.nbytes for a in got) / 2**20:>8.1f} {'yes' if ok else 'NO':>6}")
+    return same
+
+
 def block_sizes(rounds: int = 5) -> None:
     """Median time per block size at the two largest PAV shapes and the
     membership shape, over ``rounds`` rounds that each time every size once."""
@@ -197,6 +257,7 @@ def main() -> int:
     print(f"{'rows x dim':>22} {'batch':>12} {'one block':>12} {'reference':>12} "
           f"{'disagree':>10} {'bytes':>6}")
     wrong, membership_same = measure_membership(*MEMBERSHIP)
+    samplers_same = measure_samplers()
     block_sizes()
     worst = max(w for w, _ in results)
     same = membership_same and all(ok for _, ok in results)
@@ -209,6 +270,9 @@ def main() -> int:
         status = 1
     if not same:
         print("a result in row blocks differs in its bytes from the one-block result")
+        status = 1
+    if not samplers_same:
+        print("a sampler differs in its bytes or generator state from the reference formulas")
         status = 1
     return status
 

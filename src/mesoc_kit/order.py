@@ -78,9 +78,13 @@ def check_isotone(
     ``map_`` is either a structured map (checked through its update
     z - F(z)) or a callable on full-length vectors.  ``extra_pairs`` are
     checked first and count toward ``checked``.  A pair whose image
-    difference has a NaN slack counts as a violation.
+    difference has a NaN slack counts as a violation.  With no pair to check
+    (``n_samples`` 0 and no ``extra_pairs``) it raises ``ValueError``: an
+    empty report would pass vacuously.
     """
     check_tol(tol)
+    if n_samples == 0 and not extra_pairs:
+        raise ValueError("nothing to check: n_samples is 0 and there are no extra_pairs")
     if hasattr(map_, "update_batch") and map_.p + map_.q != cone.dim:
         raise DimensionError(
             f"map dimension {map_.p + map_.q} does not match the cone dimension {cone.dim}"
@@ -133,6 +137,8 @@ def hyperplane_isotone_test(
     <x, y> >= <a, x> <a, y> must hold for the unit normal ``a``.
     """
     check_tol(tol)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     a = _as_vector(normal, cone.dim)
     na = np.linalg.norm(a)
     # held to 1e-8 absolutely; written so that a NaN norm is refused too

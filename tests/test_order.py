@@ -102,6 +102,26 @@ def test_map_dimension_guard():
         mk.check_isotone(lambda z: z[:2], mk.mesoc(2, 2), 10, seed=0)
 
 
+def test_check_isotone_refuses_an_empty_check():
+    # no pair at all: a plain callable failed on the empty image's missing
+    # axis and a structured map passed with checked == 0
+    cone = mk.mesoc(2, 2)
+    for map_ in (lambda z: z, mk.example_instance().map):
+        with pytest.raises(ValueError, match="nothing to check"):
+            mk.check_isotone(map_, cone, 0, seed=0)
+    # extra pairs alone are a check
+    witness = order.OrderedPairSample(np.array([0.0, 0.0, 2.0, 0.0]), np.array([1.0, 2.0, 1.0, 0.0]))
+    rep = mk.check_isotone(mk.example_instance().map, mk.esoc(2, 2), 0, seed=0, extra_pairs=(witness,))
+    assert rep.checked == 1 and not rep.ok
+    assert_allclose(rep.violations[0].pair.hi, witness.hi)
+
+
+def test_hyperplane_test_refuses_no_samples():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_samples"):
+            mk.hyperplane_isotone_test(mk.mesoc(2, 2), [0.0, 0.0, 1.0, 0.0], n, seed=0)
+
+
 def test_hyperplane_inequality():
     L = mk.mesoc(2, 2)
     # reflection normal along the first tail coordinate: inequality holds
