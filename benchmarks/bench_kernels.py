@@ -16,6 +16,10 @@ through the norm tail (row norms, the kernel on (w, ||z||), the rescaled
 tail) against a row loop of ``project``.  Exits 1 when any row differs by
 more than 1e-12.
 
+The twin row times ``project_batch`` of 100 000 seeded normal rows onto
+``lorentz(6)`` and onto ``mesoc(1, 5)``, which is the same cone.  The
+tests check that the two give the same bytes.
+
 The membership row times ``contains_batch`` on 200 000 seeded ``mesoc(8, 8)``
 rows, half of them sampled members and half pushed out of the cone by
 0.01-1 in their last inequality, against a reference that stacks the same
@@ -61,6 +65,19 @@ traced peaks in MiB:
     pairs mesoc(2, 2)       54        59   19.8            21.4    12.2
 
 The times agree within the run-to-run spread; the peaks repeat exactly.
+
+The twin row and the traced sampler peaks, medians of three alternating runs
+before (``lorentz`` through its own closed form, ``mesoc(1, q)`` through the
+batch PAV kernel on (w, ||z||), and ``row_norms`` allocating its square root)
+and after (both through the norm tail's p = 1 closed form, the root taken in
+place), in ms and MiB:
+
+                              before   after
+    lorentz(6) 100000x6          6.8     6.7
+    mesoc(1, 5) 100000x6        11.2     6.5
+    sample mesoc(8, 8) peak     39.7    38.3
+    pairs mesoc(2, 2) peak      19.8    18.5
+
 Block sizes, medians over six runs of the script
 (each the median of five interleaved rounds per size), in ms:
 
@@ -95,6 +112,7 @@ SIZES = [(1_000, 8), (10_000, 8), (10_000, 64), (100_000, 16)]
 CASCADE = (100, 1_000)
 MEMBERSHIP = (200_000, 8, 8)
 NORM_TAIL = (100_000, 8, 8)
+TWINS = (100_000, 6)
 BLOCK_EXPONENTS = (12, 14, 15, 16, 17, 18)
 SAMPLER_ROWS = 200_000
 SEED = 20240817
@@ -177,6 +195,21 @@ def measure_membership(m: int, p: int, q: int) -> tuple[int, bool]:
     return wrong, same
 
 
+def measure_twins(m: int, n: int, rounds: int = 5) -> None:
+    """Time ``project_batch`` of the same ``m`` seeded normal rows onto
+    lorentz(n) and onto mesoc(1, n - 1), the same cone, over ``rounds``
+    interleaved calls."""
+    V = np.random.default_rng(SEED).standard_normal((m, n))
+    twins = (cones.lorentz(n), cones.mesoc(1, n - 1))
+    seconds = {cone: [] for cone in twins}
+    for _ in range(rounds):
+        for cone in twins:
+            seconds[cone].append(timed(project_batch, cone, V)[1])
+    ms = [1e3 * statistics.median(seconds[cone]) for cone in twins]
+    print(f"{'rows x dim':>22} {'lorentz':>12} {'mesoc(1, n-1)':>13}")
+    print(f"{f'{m}x{n}':>22} {ms[0]:>10.2f}ms {ms[1]:>11.2f}ms")
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes that ``fn(*args)`` holds allocated at once."""
     tracemalloc.start()
@@ -257,6 +290,7 @@ def main() -> int:
     print(f"{'rows x dim':>22} {'batch':>12} {'one block':>12} {'reference':>12} "
           f"{'disagree':>10} {'bytes':>6}")
     wrong, membership_same = measure_membership(*MEMBERSHIP)
+    measure_twins(*TWINS)
     samplers_same = measure_samplers()
     block_sizes()
     worst = max(w for w, _ in results)

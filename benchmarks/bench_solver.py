@@ -11,8 +11,11 @@ cylinder over ``monotone_nonneg(2)``) and, for each inner cone kind in
 the ``solve_sweep`` benchmark workload.  The first four kinds are the ones
 ``solve_sweep`` runs; ``mesoc`` (inner cone L(q - q//2, q//2)) times the
 norm-tail reduction of ``project`` and ``monotone_nonneg_dual`` its Moreau
-rule.  Small solves like these are bound by the fixed cost of each step:
-one map update and one projection.
+rule.  The ``mesoc(1, q - 1)`` group solves the maps of the ``lorentz``
+group on mesoc(1, q - 1), which is lorentz(q): the script exits 1 unless
+every such solve gives the bytes of its ``lorentz`` twin.  Small solves
+like these are bound by the fixed cost of each step: one map update and
+one projection.
 
 Each of ``ROUNDS`` rounds solves every instance once; a group's figure for
 the round is its total ``picard_solve`` wall time over its total steps, so
@@ -39,26 +42,40 @@ that holds the product, about 0.3 µs.
 ``micp_solver.picard_step.us_per_call`` of ``perfbench`` reads 0; this
 script gives the per-step figure instead.
 
-Medians of three alternating runs of this script on a 2-vCPU Xeon (NumPy
-2.4), before (``@`` on the solver path, the affine update in three buffers,
-the map's ``update`` looked up on every step, and ``contains_batch``
-copying a one-block result into a new array) and after (``.dot``, one
-buffer, one lookup per solve, no copy).  Every run exited 0:
+Medians of ten runs of this script on a shared 2-vCPU Xeon (NumPy 2.4),
+alternating which side runs first: before (``lorentz`` through its own
+closed form, ``mesoc(1, q)`` through the PAV sweep of the norm tail) and
+after (both read as L(1, q - 1) through the norm tail's p = 1 closed form,
+and ``cones.row_norms`` taking its square root in place).  Every run after
+exited 0; every run before exited 1, because the twin group's bytes
+differed from the ``lorentz`` group's:
 
                               us/step        finish us/solve
-    example (scalar_combo)    32.5 -> 27.6   80.1 -> 75.4
-    monotone_nonneg           22.8 -> 19.8   69.8 -> 69.5
-    monotone                  20.7 -> 17.7   72.4 -> 71.2
-    lorentz                   21.1 -> 17.3   68.0 -> 65.8
-    nonneg_orthant            17.4 -> 15.0   70.3 -> 70.1
-    mesoc                     28.7 -> 25.7   67.2 -> 69.0
-    monotone_nonneg_dual      27.9 -> 25.3   67.9 -> 68.6
+    example (scalar_combo)    28.4 -> 29.1   73.4 -> 72.0
+    monotone_nonneg           20.8 -> 21.0   65.3 -> 63.2
+    monotone                  18.1 -> 18.1   66.9 -> 67.0
+    lorentz                   17.8 -> 18.1   62.2 -> 63.3
+    mesoc(1, q - 1)           25.1 -> 17.9   62.2 -> 61.8
+    nonneg_orthant            14.6 -> 15.1   64.2 -> 64.5
+    mesoc                     25.9 -> 25.1   64.0 -> 63.4
+    monotone_nonneg_dual      26.1 -> 26.4   63.2 -> 62.5
 
-The finish figure does not resolve the saved copy (about 1 µs per call of
-``cones.by_row_blocks`` in isolation); its quartiles within a run were
-about a tenth of the median.  Products, medians over the six runs, µs per
-call: ``M z`` 2.0 with ``@`` and 1.1 with ``.dot`` at every n, ``z z`` 1.8
-and 1.0, ``v W`` 2.0 and 1.1.
+Besides the twin group, the step cost rose by 1-3.5% on five of the seven
+groups (the ``lorentz`` median stays inside the before runs' quartiles,
+17.2-18.55), held on ``monotone`` and fell 3% on ``mesoc``.  The rise is
+small against the spread but in one direction: every projection now reads
+``cones.ordered_form`` once per call, and a dual twice (once more through
+the Moreau rule), and ``row_norms``'s in-place root costs the example's
+one-row norm a ufunc call with ``out=`` every step.  An earlier six-run set
+(with a plain root for one row) read +1-8% on the same groups.  An earlier
+change (``@`` on the solver path replaced by ``ndarray.dot``, the affine
+update in one buffer, and ``contains_batch`` no longer copying a one-block
+result) took ``lorentz`` from 21.1 to 17.3 us/step; the finish figure did
+not resolve the saved copy (about 1 µs per call of ``cones.by_row_blocks``
+in isolation), its quartiles within a run being about a tenth of the
+median.  Products, medians over that change's six runs, µs per call:
+``M z`` 2.0 with ``@`` and 1.1 with ``.dot`` at every n, ``z z`` 1.8 and
+1.0, ``v W`` 2.0 and 1.1.
 """
 
 import statistics
@@ -71,6 +88,8 @@ import mesoc_kit as mk
 
 SIZES = ((2, 2), (3, 3), (4, 4), (6, 6), (8, 8), (2, 6), (6, 2), (4, 8), (8, 4), (3, 5), (5, 3), (7, 7))
 KINDS = ("monotone_nonneg", "monotone", "lorentz", "nonneg_orthant", "mesoc", "monotone_nonneg_dual")
+# the lorentz group's maps on mesoc(1, q - 1), which is lorentz(q)
+TWIN = "mesoc(1, q - 1)"
 ROUNDS = 25
 SEED = 20240817
 PRODUCT_SIZES = (4, 8, 16)
@@ -83,6 +102,8 @@ def instances() -> dict[str, list]:
     groups = {"example (scalar_combo)": [mk.example_instance()]}
     for kind in KINDS:
         groups[kind] = []
+        if kind == "lorentz":
+            groups[TWIN] = []
         for p, q in SIZES:
             n = p + q
             g = rng.standard_normal((n, n))
@@ -90,6 +111,8 @@ def instances() -> dict[str, list]:
             map_ = mk.AffineMap(p=p, q=q, matrix=M, offset=rng.standard_normal(n))
             inner = mk.mesoc(q - q // 2, q // 2) if kind == "mesoc" else getattr(mk, kind)(q)
             groups[kind].append(mk.MicpInstance(map=map_, inner=inner))
+            if kind == "lorentz":  # the same map on L(1, q - 1)
+                groups[TWIN].append(mk.MicpInstance(map=map_, inner=mk.mesoc(1, q - 1)))
     return groups
 
 
@@ -145,6 +168,11 @@ def check(groups: dict[str, list]) -> tuple[int, dict[str, int], dict[str, list]
                 bad += 1
             steps[name] += trace.n_steps
             replays[name].append(replay)
+    # one cone, one answer: the twin group solves as the lorentz group does
+    for i, (a, b) in enumerate(zip(groups["lorentz"], groups[TWIN])):
+        if _bytes(mk.picard_solve(a)[1]) != _bytes(mk.picard_solve(b)[1]):
+            print(f"{TWIN} instance {i}: solve differs from lorentz")
+            bad += 1
     return bad, steps, replays
 
 

@@ -251,9 +251,11 @@ def row_norms(A: np.ndarray) -> np.ndarray:
 
     One ``einsum`` pass over the rows; ``np.linalg.norm(A, axis=1)`` runs a
     short reduction loop per row, about 5x slower at 200000 x 8.  The two
-    agree bit for bit up to two columns and within a few ulp beyond.
+    agree bit for bit up to two columns and within a few ulp beyond.  The
+    square root is taken in place, which spares a second vector of norms.
     """
-    return np.sqrt(np.einsum("ij,ij->i", A, A))
+    s = np.einsum("ij,ij->i", A, A)
+    return np.sqrt(s, out=s)
 
 
 # Entries per row block of the batch functions: 512 KiB of float64, so a
@@ -307,6 +309,13 @@ TAILS = {**_PRIMAL_TAILS,
          MESOC_DUAL: LORENTZ, MONOTONE_NONNEG_DUAL: LORENTZ, MONOTONE_DUAL: ZERO}
 
 
+def ordered_form(cone: ConeSpec) -> tuple[str, int, int]:
+    """``(kind, p, q)`` of ``cone``, with lorentz(n) read as L(1, n - 1): the
+    Lorentz cone's one translation.  It builds no :class:`ConeSpec`, so the
+    solver reads it on every step."""
+    return (MESOC, 1, cone.p - 1) if cone.kind == LORENTZ else (cone.kind, cone.p, cone.q)
+
+
 def reduced_coordinates(kind: str, X: np.ndarray) -> np.ndarray:
     """A's first p coordinates of every row of the x blocks ``X`` of an
     ordered kind (a key of :data:`TAILS`), in a new column-major array: the
@@ -340,7 +349,7 @@ _TAIL_SLACKS = {
 def _slacks_batch(cone: ConeSpec, Z: np.ndarray) -> np.ndarray:
     """Membership slacks of every row of ``Z``, one column per inequality,
     in a column-major matrix."""
-    kind, p = cone.kind, cone.p
+    kind, p, _ = ordered_form(cone)
     X, U = Z[:, :p], Z[:, p:]
     if kind in TAILS:
         return _TAIL_SLACKS[TAILS[kind]](reduced_coordinates(kind, X), U)
@@ -350,8 +359,6 @@ def _slacks_batch(cone: ConeSpec, Z: np.ndarray) -> np.ndarray:
         return _columns(X, X.sum(axis=1) - row_norms(U))
     if kind == NONNEG_ORTHANT:
         return _columns(X)
-    if kind == LORENTZ:
-        return _columns(Z[:, 0] - row_norms(Z[:, 1:]))
     if kind == CYLINDER:
         return _slacks_batch(cone.inner, U)
     if kind == CYLINDER_DUAL:

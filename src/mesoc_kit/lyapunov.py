@@ -25,7 +25,6 @@ import numpy as np
 from . import sampling
 from .cones import (
     CYLINDER,
-    LORENTZ,
     MESOC,
     MESOC_DUAL,
     MONOTONE_NONNEG,
@@ -34,6 +33,7 @@ from .cones import (
     _as_vector,
     check_tol,
     dual_of,
+    ordered_form,
     reduced_coordinates,
     row_norms,
 )
@@ -86,15 +86,12 @@ def predicted_rank(cone: ConeSpec) -> int:
     A dual kind has the rank of its primal, beta(K*) = beta(K) (Gowda & Tao,
     Math. Program. 147, 2014), and a cylinder R^p x C has p(p + q) + beta(C).
     """
-    kind = cone.kind
+    kind, p, q = ordered_form(cone)
     # the monotone nonnegative cone is L(p, 0)
     if kind == MESOC or kind == MONOTONE_NONNEG:
-        return cone.p + cone.q * (cone.q + 1) // 2
+        return p + q * (q + 1) // 2
     if kind == NONNEG_ORTHANT:
         return cone.p
-    if kind == LORENTZ:
-        n = cone.p
-        return n * (n - 1) // 2 + 1
     if kind == CYLINDER:
         return cone.p * cone.dim + predicted_rank(cone.inner)
     if kind.endswith("_dual"):
@@ -102,11 +99,19 @@ def predicted_rank(cone: ConeSpec) -> int:
     raise UnsupportedConeError(f"no closed-form Lyapunov rank for {kind!r}")
 
 
+def _check_n_pairs(n_pairs):
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
+
+
 def _pairs(cone, rng, n_pairs, pairs):
     if pairs is not None:
+        if not len(pairs):
+            raise ValueError("pairs must hold at least one pair")
         Z = np.array([_as_vector(z, cone.dim) for z, _ in pairs])
         W = np.array([_as_vector(w, cone.dim) for _, w in pairs])
         return Z, W
+    _check_n_pairs(n_pairs)
     return sampling.complementarity_pairs(cone, rng, n_pairs)
 
 
@@ -129,7 +134,8 @@ def is_lyapunov_like(
     """Sampled check of <w, T z> = 0 over complementary pairs of the cone.
 
     Residuals are normalized per pair by (1 + |z|)(1 + |w|); the worst pair
-    is returned as a witness when the check fails.
+    is returned as a witness when the check fails.  With no pair to check
+    (``n_pairs`` below 1, or an empty ``pairs``) it raises ``ValueError``.
     """
     check_tol(tol)
     T = matrix.entries if isinstance(matrix, LyapMatrix) else np.asarray(matrix, dtype=float)
@@ -192,8 +198,9 @@ def lyapunov_rank_numeric(
     :data:`MAX_DOUBLINGS` times; if it never does, the sample is deemed too
     thin and an OracleError is raised.  ``n_pairs`` of the result counts
     every pair drawn, and ``singular_gap`` is the smaller gap of the two
-    agreeing rounds.
+    agreeing rounds.  ``n_pairs`` below 1 raises ``ValueError``.
     """
+    _check_n_pairs(n_pairs)
     m = cone.dim
     rng = sampling.rng_from_seed(seed)
     Z, W = sampling.complementarity_pairs(cone, rng, n_pairs)

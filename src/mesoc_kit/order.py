@@ -80,9 +80,11 @@ def check_isotone(
     checked first and count toward ``checked``.  A pair whose image
     difference has a NaN slack counts as a violation.  With no pair to check
     (``n_samples`` 0 and no ``extra_pairs``) it raises ``ValueError``: an
-    empty report would pass vacuously.
+    empty report would pass vacuously.  So does a negative ``n_samples``.
     """
     check_tol(tol)
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     if n_samples == 0 and not extra_pairs:
         raise ValueError("nothing to check: n_samples is 0 and there are no extra_pairs")
     if hasattr(map_, "update_batch") and map_.p + map_.q != cone.dim:

@@ -1,15 +1,15 @@
 """Euclidean projections onto every cone kind but the ESOC, plus a slow exact oracle.
 
-:func:`project` reaches each kind from three leaves and three reductions.
+:func:`project` reaches each kind from two leaves and three reductions.
 The leaves are the monotone cone (the pool-adjacent-violators sweep of
-:mod:`mesoc_kit._kernels`), the nonnegative orthant (a clip) and the Lorentz
-cone (the three-case closed form).  The **norm tail** projects L(p, q):
+:mod:`mesoc_kit._kernels`) and the nonnegative orthant (a clip).  The
+**norm tail** projects L(p, q), lorentz(n) = L(1, n - 1) included:
 P(w, z) = (x, s z/||z||), where (x, s) projects (w, ||z||) onto the monotone
-nonnegative cone of R^(p+1); with no tail it is that cone's own projection.
-A **cylinder** R^p x C keeps the x block and projects the u block onto C.
-**Moreau** gives each dual kind, P_K*(v) = v + P_K(-v).  The ESOC and its
-dual need a root finder (Ferreira & Németh, J. Global Optim. 70, 2018) and
-raise :class:`UnsupportedConeError`, as do cylinders over them.
+nonnegative cone of R^(p+1), in closed form at p = 1.  A **cylinder** R^p x C
+keeps the x block and projects the u block onto C.  **Moreau** gives each
+dual kind, P_K*(v) = v + P_K(-v).  The ESOC and its dual need a root finder
+(Ferreira & Németh, J. Global Optim. 70, 2018) and raise
+:class:`UnsupportedConeError`, as do cylinders over them.
 
 :func:`project` computes only the projected point.  Its
 :class:`ProjectionResult` keeps a copy of the input and, for the isotonic
@@ -49,7 +49,7 @@ class ProjectionResult:
     ``active_blocks``, the index ranges ``(start, stop)`` that the isotonic
     solvers merged into constant blocks.  The monotone cones and L(p, q)
     have them; those of L(p, q) run over (x, ||u||), so index p stands for
-    ||u||.  The other kinds, the duals included, give ``None``.
+    ||u||.  The other kinds, lorentz and the duals included, give ``None``.
 
     ``ProjectionResult(point, distance, active_blocks=None)`` reports the
     values it is given.  A result from :func:`project` holds the point, a
@@ -146,31 +146,34 @@ def _norm_tail(v: np.ndarray, p: int):
     return np.concatenate([fit[:p], tail * (fit[p] / norm if norm > 0.0 else 0.0)]), counts
 
 
-def _lorentz(v: np.ndarray):
-    head, rest = v[0], v[1:]
+def _norm_tail_1(v: np.ndarray):
+    """:func:`_norm_tail` at p = 1: v, the apex or t = (h + ||z||)/2 by one comparison."""
+    head, rest = float(v[0]), v[1:]  # Python floats compare and add faster
     try:
         nr = math.sqrt(rest.dot(rest))
     except RuntimeWarning:  # an overflowed square sum under -W error
         nr = math.inf
+    counts = [1] if not rest.size else [2] if head <= nr else [1, 1]
     if head >= nr:
-        return v.copy(), None
+        return v.copy(), counts
     if head <= -nr:
-        return np.zeros_like(v), None
+        return np.zeros_like(v), counts
     t = (head + nr) / 2.0
     # an overflowed norm or sum; head is above -nr, so neither gives -inf
     if t == math.inf and np.isfinite(v).all():
-        return _rescaled(_lorentz, v)
-    point = v * (t / nr)
+        return _rescaled(_norm_tail_1, v)
+    point = v * (t / nr if nr else t)  # nr is 0 here only when t is a NaN
     point[0] = t
-    return point, None
+    return point, counts
 
 
 def _point(cone: ConeSpec, v: np.ndarray):
     """The projection of the validated ``v`` onto ``cone`` and the block
     lengths of its isotonic fit (None for kinds without one)."""
-    kind = cone.kind
+    kind, p, _ = cones.ordered_form(cone)
     if kind == cones.MONOTONE_NONNEG or kind == cones.MESOC:
-        return _norm_tail(v, cone.p)
+        point, lengths = _norm_tail_1(v) if p == 1 else _norm_tail(v, p)
+        return point, lengths if kind == cone.kind else None  # lorentz keeps None
     if kind == cones.MONOTONE:
         means, counts = pav_sweep(v.tolist())
         if means[0] == math.inf and np.isfinite(v).all():
@@ -178,8 +181,6 @@ def _point(cone: ConeSpec, v: np.ndarray):
         return np.array(means).repeat(counts), counts
     if kind == cones.NONNEG_ORTHANT:
         return np.maximum(v, 0.0), None
-    if kind == cones.LORENTZ:
-        return _lorentz(v)
     if kind == cones.CYLINDER:
         point, lengths = _point(cone.inner, v[cone.p :])
         return np.concatenate([v[: cone.p], point]), lengths
@@ -205,9 +206,19 @@ def project(cone: ConeSpec, z) -> ProjectionResult:
 
 def _batch_point(cone: ConeSpec, V: np.ndarray) -> np.ndarray:
     """The row-wise projection of the validated 2-D ``V`` onto ``cone``."""
-    kind = cone.kind
+    kind, p, _ = cones.ordered_form(cone)
     if kind == cones.MONOTONE_NONNEG or kind == cones.MESOC:
-        p = cone.p
+        if p == 1:  # _norm_tail_1 row by row
+            head = V[:, 0]
+            nr = cones.row_norms(V[:, 1:])
+            t = (head + nr) / 2.0
+            # a zero norm puts the row inside or in the polar, never between
+            out = V * np.divide(t, nr, out=np.zeros_like(nr), where=nr > 0.0)[:, None]
+            out[:, 0] = t
+            inside = head >= nr
+            out[inside] = V[inside]
+            out[head <= -nr] = 0.0
+            return out
         # isotonic_decreasing_batch is read from this module's globals, so the
         # benchmark tracer's wrapper of it counts these rows too
         if p == cone.dim:
@@ -221,17 +232,6 @@ def _batch_point(cone: ConeSpec, V: np.ndarray) -> np.ndarray:
         return isotonic_decreasing_batch(V)
     if kind == cones.NONNEG_ORTHANT:
         return np.maximum(V, 0.0)
-    if kind == cones.LORENTZ:
-        head = V[:, 0]
-        nr = cones.row_norms(V[:, 1:])
-        t = (head + nr) / 2.0
-        # a zero rest puts the row inside or in the polar, never between
-        out = V * np.divide(t, nr, out=np.zeros_like(nr), where=nr > 0.0)[:, None]
-        out[:, 0] = t
-        inside = head >= nr
-        out[inside] = V[inside]
-        out[head <= -nr] = 0.0
-        return out
     if kind == cones.CYLINDER:
         return np.hstack([V[:, : cone.p], _batch_point(cone.inner, V[:, cone.p :])])
     return V + _batch_point(cones.dual_of(cone), -V)
@@ -240,9 +240,9 @@ def _batch_point(cone: ConeSpec, V: np.ndarray) -> np.ndarray:
 def project_batch(cone: ConeSpec, V) -> np.ndarray:
     """Row-wise ``project(cone, row).point`` for the rows of the 2-D ``V``.
 
-    A mirror of :func:`_point` over a batch: the batch PAV kernel, a clip
-    and the Lorentz three-case formula are the leaves, and the norm tail,
-    the cylinder and Moreau the reductions.  Its contract is finite rows of
+    A mirror of :func:`_point` over a batch: the batch PAV kernel and a clip
+    are the leaves, and the norm tail (in closed form at p = 1), the
+    cylinder and Moreau the reductions.  Its contract is finite rows of
     moderate scale: the rescale that keeps a near-limit projection finite
     lives in :func:`project` only.  The batch kernel sums a pooled block in
     another order than the sweep, so rows agree with :func:`project` to

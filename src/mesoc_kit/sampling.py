@@ -11,8 +11,8 @@ Moreau split (P_K(v), P_K(v) - v) of standard normal points v.
 A sampler assembles its members in one C-ordered (size, dim) output: every
 block is written into its columns with in-place arithmetic, and beside the
 output at most one size-by-block draw is alive at a time.  For 200000 rows
-of ``mesoc(8, 8)`` (24.4 MiB of output) the traced peak is 39.7 MiB and
-the resident peak above the process's baseline 39.6 MiB, against 50.4 and
+of ``mesoc(8, 8)`` (24.4 MiB of output) the traced peak is 38.3 MiB and
+the resident peak above the process's baseline 38.1 MiB, against 50.4 and
 64.0 MiB for a chain of whole-array temporaries joined by ``np.hstack``
 (``benchmarks/bench_kernels.py``).  The draws, their order and the operands
 of every sum and product are part of the seeded contract: the same seed
@@ -85,12 +85,10 @@ def sample(cone: ConeSpec, rng: np.random.Generator, size: int) -> np.ndarray:
 def _members(cone, rng, size, out):
     """Members of ``cone`` written into the (size, dim) block ``out``, or into
     a new array when ``out`` is None (a cylinder passes its u block)."""
-    kind, p, q = cone.kind, cone.p, cone.q
+    kind, p, q = cones.ordered_form(cone)
     # members that are one draw, transformed in place
     if kind == cones.NONNEG_ORTHANT or (kind == cones.ESOC_DUAL and not q):
         return _take(out, rng.exponential(1.0, (size, p)))
-    if kind == cones.LORENTZ and p == 1:
-        return _take(out, rng.exponential(1.0, (size, 1)))
     if kind == cones.MONOTONE_NONNEG:
         return _rev_cumsum(_take(out, rng.exponential(1.0, (size, p))))
     if kind == cones.MONOTONE_NONNEG_DUAL:
@@ -132,8 +130,6 @@ def _members(cone, rng, size, out):
             x[:, :-1] = rng.exponential(1.0, (size, p - 1))
         x[:, -1] = 0.0
         _diff(x)
-    elif kind == cones.LORENTZ:
-        x[:, 0] = _directions(rng, out[:, 1:]) + rng.exponential(1.0, size)
     elif kind == cones.CYLINDER:
         x[...] = rng.standard_normal((size, p))
         x *= rng.uniform(0.2, 2.5, (size, 1))

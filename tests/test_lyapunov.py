@@ -114,6 +114,19 @@ def test_unsupported_predictions_raise():
         mk.lyapunov_rank_numeric(mk.esoc(2, 2))
 
 
+def test_an_empty_sample_is_refused():
+    # argmax of an empty sequence and a failed reshape used to end these
+    cone = mk.nonneg_orthant(2)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n_pairs"):
+            mk.is_lyapunov_like(np.eye(2), cone, n_pairs=n)
+        with pytest.raises(ValueError, match="n_pairs"):
+            mk.lyapunov_rank_numeric(cone, n_pairs=n)
+    for pairs in ([], ()):
+        with pytest.raises(ValueError, match="pairs"):
+            mk.is_lyapunov_like(np.eye(2), cone, pairs=pairs)
+
+
 def test_lyap_matrix_container():
     b = mk.lyap_basis_mesoc(2, 2)[0]
     assert b.dim == 4 and b.params == {"diag": 1.0}

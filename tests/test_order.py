@@ -114,6 +114,10 @@ def test_check_isotone_refuses_an_empty_check():
     rep = mk.check_isotone(mk.example_instance().map, mk.esoc(2, 2), 0, seed=0, extra_pairs=(witness,))
     assert rep.checked == 1 and not rep.ok
     assert_allclose(rep.violations[0].pair.hi, witness.hi)
+    # a negative sample ended in numpy's "negative dimensions are not allowed"
+    for extra in ((), (witness,)):
+        with pytest.raises(ValueError, match="n_samples"):
+            mk.check_isotone(mk.example_instance().map, cone, -1, seed=0, extra_pairs=extra)
 
 
 def test_hyperplane_test_refuses_no_samples():

@@ -16,6 +16,7 @@ from mesoc_kit._kernels import isotonic_decreasing, isotonic_decreasing_batch
 from mesoc_kit.projections import project_batch, project_monotone_nonneg_batch
 
 from _row_blocks import one_block, with_block_entries
+from _strategies import MIXED_SCALES, MODERATE, NONFINITE
 
 
 def _monotone_batch(V):
@@ -202,17 +203,8 @@ def test_batch_rows_match_the_sweep(V):
     _assert_rows_match_sweep(V, _monotone_batch(V))
 
 
-# entries of one row spread over 1e-3 to 1e6 in magnitude, so a row's small
-# tail sits next to the large head of the row after it
-_MIXED_SCALES = st.builds(
-    lambda mantissa, exponent: mantissa * 10.0**exponent,
-    st.floats(-10.0, 10.0, allow_nan=False),
-    st.integers(-3, 5),
-)
-
-
 @settings(deadline=None)
-@given(_batches(st.tuples(st.integers(1, 8), st.integers(1, 24)), elements=_MIXED_SCALES))
+@given(_batches(st.tuples(st.integers(1, 8), st.integers(1, 24)), elements=MIXED_SCALES))
 def test_batch_rows_match_the_sweep_across_scales(V):
     _assert_rows_match_sweep(V, _monotone_batch(V))
 
@@ -273,7 +265,7 @@ def test_batch_degenerate_shapes(shape):
 
 
 @settings(deadline=None)
-@given(_batches(), st.data(), st.sampled_from([np.nan, np.inf, -np.inf]))
+@given(_batches(), st.data(), NONFINITE)
 def test_nonfinite_entry_stays_in_its_row(V, data, bad):
     i = data.draw(st.integers(0, V.shape[0] - 1))
     j = data.draw(st.integers(0, V.shape[1] - 1))
@@ -476,19 +468,11 @@ def test_nonfinite_input_is_not_rescaled():
     assert not np.isfinite(mk.project(mk.mesoc(1, 1), [np.nan, 1.0]).point).all()
 
 
-# entries from 1e-3 to 1e3 in magnitude, zeros included
-_MODERATE = st.one_of(
-    st.just(0.0),
-    st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
-              st.floats(-10.0, 10.0, allow_nan=False), st.integers(-3, 2)),
-)
-
-
 @settings(deadline=None)
 @given(st.sampled_from(_KINDS + ("cylinder",)), st.integers(2, 6), st.integers(0, 5), st.data())
 def test_batch_rows_equal_project(kind, n, m, data):
     cone = mk.cylinder(1, _cone("mesoc", n - 1)) if kind == "cylinder" else _cone(kind, n)
-    V = data.draw(arrays(float, (m, n), elements=_MODERATE))
+    V = data.draw(arrays(float, (m, n), elements=MODERATE))
     for row in V:
         form = data.draw(st.sampled_from(["drawn", "zero tail", "zero"]))
         if form == "zero tail":
@@ -525,7 +509,7 @@ def _block_cones(n):
 @settings(deadline=None)
 @given(st.integers(3, 8), st.integers(0, 9), st.data())
 def test_batch_blocks_keep_every_row(n, m, data):
-    V = data.draw(arrays(float, (m, n), elements=_MODERATE))
+    V = data.draw(arrays(float, (m, n), elements=MODERATE))
     for row in V:
         form = data.draw(st.sampled_from(["drawn", "zero tail", "nan", "inf", "-inf"]))
         if form == "zero tail":
