@@ -91,6 +91,27 @@ From 2^15 to 2^18 the times agree within the run-to-run spread (about
 overhead is paid on small blocks; a single block is the one-block column.
 2^16 entries (512 KiB of float64) sits in the middle of the flat range and
 leaves room in L2 for a block's temporaries.
+
+Last, the one-row table times ``pav_fit``, the single-vector fit of
+``project``, through the sweep and through the batch passes on one row
+(``_kernels.PASSES_MIN`` set above and below the row's length), in µs per
+call at n = 8 to 2000.  It runs on 20 seeded normal rows and on the first n
+entries of the 26 step inputs u - H(z) of ``perfbench``'s ``large_pav``
+solve for seed 1, whose length 1000 ends that set.  It prints the worst
+difference between the two fits, scaled by 1 + max|row|, and exits 1 above
+1e-12.  This table sets ``PASSES_MIN``.  Passes time over sweep time,
+medians of three runs (each the median of seven interleaved rounds per
+side):
+
+    n                   8    32   128   192   256   320   512  1000  2000
+    normal rows      6.83  3.84  1.69  1.35  1.08  0.88  0.71  0.43  0.28
+    large_pav steps  5.90  3.20  1.71  1.44  1.00  0.89  0.72  0.43     -
+
+The passes pay 20-40 µs of NumPy calls for the pre-pass and a few passes
+whatever the length, and the sweep one interpreted turn per entry, so the
+sweep wins on short rows and the passes on long ones.  They are about even
+at 256 and win on both sets from 320 on, the constant.  The worst
+difference was 7e-17.
 """
 
 import statistics
@@ -101,12 +122,15 @@ from pathlib import Path
 
 import numpy as np
 
-from mesoc_kit import cones, sampling
-from mesoc_kit._kernels import isotonic_decreasing
+import mesoc_kit as mk
+from mesoc_kit import _kernels, cones, sampling
+from mesoc_kit._kernels import isotonic_decreasing, pav_fit
 from mesoc_kit.projections import project, project_batch, project_monotone_nonneg_batch
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tests"))
 import _reference_sampling  # noqa: E402  (the formulas before members were built in one output)
+from bench_solver import large_instance  # noqa: E402  (perfbench's large_pav instance)
 
 SIZES = [(1_000, 8), (10_000, 8), (10_000, 64), (100_000, 16)]
 CASCADE = (100, 1_000)
@@ -114,6 +138,8 @@ MEMBERSHIP = (200_000, 8, 8)
 NORM_TAIL = (100_000, 8, 8)
 TWINS = (100_000, 6)
 BLOCK_EXPONENTS = (12, 14, 15, 16, 17, 18)
+ONE_ROW_SIZES = (8, 16, 32, 64, 128, 192, 256, 320, 384, 512, 1000, 2000)
+ONE_ROW_NORMAL = 20
 SAMPLER_ROWS = 200_000
 SEED = 20240817
 TOL = 1e-12
@@ -268,6 +294,60 @@ def block_sizes(rounds: int = 5) -> None:
         print(f"{label:>22} " + " ".join(f"{t:>6.1f}ms" for t in ms))
 
 
+def with_passes_min(entries: int, fn, *args):
+    """``fn(*args)`` with :func:`pav_fit` switching to the passes at ``entries``."""
+    saved = _kernels.PASSES_MIN
+    _kernels.PASSES_MIN = entries
+    try:
+        return fn(*args)
+    finally:
+        _kernels.PASSES_MIN = saved
+
+
+def large_pav_steps(seed: int = 1) -> list[np.ndarray]:
+    """The inner-cone inputs of every step of ``perfbench``'s ``large_pav``
+    solve for ``seed``: u - H(z) of length 1000, one per iterate."""
+    instance = large_instance(seed)
+    _, trace = mk.picard_solve(instance)
+    p = instance.map.p
+    return [instance.map.update(z)[p:] for z in trace.iterates[:-1]]
+
+
+def one_row(rounds: int = 7) -> bool:
+    """Microseconds per :func:`pav_fit` call through the sweep and through the
+    passes, on normal rows and on the first n entries of the ``large_pav``
+    step inputs, at every n of ``ONE_ROW_SIZES``; whether every pair of fits
+    agrees within ``TOL`` relative."""
+    rng = np.random.default_rng(SEED)
+    steps = large_pav_steps()
+    sets = {"normal": lambda n: list(rng.standard_normal((ONE_ROW_NORMAL, n))),
+            "large_pav": lambda n: [v[:n] for v in steps] if n <= steps[0].size else None}
+    print(f"{'one row':>22} {'n':>5} {'rows':>5} {'sweep us':>9} {'passes us':>10} {'ratio':>6} "
+          f"{'worst diff':>10}")
+    agree = True
+    for label, draw in sets.items():
+        for n in ONE_ROW_SIZES:
+            rows = draw(n)
+            if rows is None:
+                continue
+            seconds = {"sweep": [], "passes": []}
+            for _ in range(rounds):
+                for side, entries in (("sweep", n + 1), ("passes", 0)):
+                    t0 = time.perf_counter()
+                    with_passes_min(entries, lambda: [pav_fit(v) for v in rows])
+                    seconds[side].append((time.perf_counter() - t0) / len(rows))
+            worst = max(
+                float(np.abs(with_passes_min(n + 1, pav_fit, v)[0] - with_passes_min(0, pav_fit, v)[0]).max()
+                      / (1.0 + np.abs(v).max()))
+                for v in rows
+            )
+            agree = agree and worst <= TOL
+            sweep_us, passes_us = (1e6 * statistics.median(seconds[side]) for side in seconds)
+            print(f"{label:>22} {n:>5} {len(rows):>5} {sweep_us:>9.1f} {passes_us:>10.1f} "
+                  f"{passes_us / sweep_us:>6.2f} {worst:>10.2e}")
+    return agree
+
+
 def main() -> int:
     project_monotone_nonneg_batch(np.zeros((2, 2)))  # warm the call path
     print(f"{'rows x dim':>22} {'batch':>12} {'one block':>12} {'row sweep':>12} "
@@ -293,6 +373,7 @@ def main() -> int:
     measure_twins(*TWINS)
     samplers_same = measure_samplers()
     block_sizes()
+    one_row_agrees = one_row()
     worst = max(w for w, _ in results)
     same = membership_same and all(ok for _, ok in results)
     status = 0
@@ -304,6 +385,9 @@ def main() -> int:
         status = 1
     if not same:
         print("a result in row blocks differs in its bytes from the one-block result")
+        status = 1
+    if not one_row_agrees:
+        print(f"pav_fit through the passes disagrees with the sweep by more than {TOL:.0e}")
         status = 1
     if not samplers_same:
         print("a sampler differs in its bytes or generator state from the reference formulas")

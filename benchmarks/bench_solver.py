@@ -17,18 +17,28 @@ every such solve gives the bytes of its ``lorentz`` twin.  Small solves
 like these are bound by the fixed cost of each step: one map update and
 one projection.
 
+The ``monotone_nonneg(1000)`` group solves the ``large_pav`` instance of
+``perfbench``'s ``solve_sweep`` for seed 1, a 1000 + 1000 affine map whose
+1000-entry heads ``project`` fits through the batch passes of
+``_kernels.pav_fit``; every other group's heads are shorter than
+``_kernels.PASSES_MIN`` and go through the sweep.
+
 Each of ``ROUNDS`` rounds solves every instance once; a group's figure for
 the round is its total ``picard_solve`` wall time over its total steps, so
-it includes the order certificates and the bookkeeping after the loop.  The
-``finish`` column is that bookkeeping alone, per solve: :func:`finish`
-repeats what ``picard_solve`` does after its loop (the iterate array, the
-order certificates in one ``contains_batch`` and the result) on the loop's
-lists.  The script prints the median and quartiles over the rounds.  Before
-timing, every solve is replayed with a reference step built from the batch
-map update and the projected point, ``map.update_batch(z[None, :])[0]`` and
-``project(inner, .).point``, and :func:`finish` is run on the replayed
-lists; the script exits 1 when an iterate, step norm, order certificate or
-status differs from the solver's in any bit.
+it includes the bookkeeping after the loop.  The ``finish`` column is that
+bookkeeping alone, per solve: :func:`finish` repeats what ``picard_solve``
+does after its loop (the step norm array, the trace with its iterates and
+order certificates pending, and the solution from a copy of the last
+iterate) on the loop's lists.  The script prints the median and quartiles
+over the rounds.  Before timing, every solve is replayed with a reference
+step built from the batch map update and the projected point,
+``map.update_batch(z[None, :])[0]`` and ``project(inner, .).point``, and
+:func:`eager_trace` builds a trace from the replayed lists with every field
+computed, as ``picard_solve`` did before its iterates and certificates were
+built on first read.  The solver's trace is read through its lazy fields,
+``final`` first, then the status, iterates, step norms and order
+certificates; the script exits 1 when any of them, or the solution,
+differs from the eager trace in any bit.
 
 A second table times the three products of a step at n = 4, 8 and 16, once
 with the ``@`` operator and once with ``ndarray.dot``: the affine update
@@ -42,49 +52,46 @@ that holds the product, about 0.3 µs.
 ``micp_solver.picard_step.us_per_call`` of ``perfbench`` reads 0; this
 script gives the per-step figure instead.
 
-Medians of ten runs of this script on a shared 2-vCPU Xeon (NumPy 2.4),
-alternating which side runs first: before (``lorentz`` through its own
-closed form, ``mesoc(1, q)`` through the PAV sweep of the norm tail) and
-after (both read as L(1, q - 1) through the norm tail's p = 1 closed form,
-and ``cones.row_norms`` taking its square root in place).  Every run after
-exited 0; every run before exited 1, because the twin group's bytes
-differed from the ``lorentz`` group's:
+Medians of six runs of this script on a shared 2-vCPU Xeon (NumPy 2.4),
+alternating which side runs first: before (the eager trace, the sweep at
+every length; the parent's ``finish``, with this script's large group) and
+after (iterates and certificates built on first read, heads of 320 entries
+or more through the batch passes).  Every run exited 0 on both sides:
 
-                              us/step        finish us/solve
-    example (scalar_combo)    28.4 -> 29.1   73.4 -> 72.0
-    monotone_nonneg           20.8 -> 21.0   65.3 -> 63.2
-    monotone                  18.1 -> 18.1   66.9 -> 67.0
-    lorentz                   17.8 -> 18.1   62.2 -> 63.3
-    mesoc(1, q - 1)           25.1 -> 17.9   62.2 -> 61.8
-    nonneg_orthant            14.6 -> 15.1   64.2 -> 64.5
-    mesoc                     25.9 -> 25.1   64.0 -> 63.4
-    monotone_nonneg_dual      26.1 -> 26.4   63.2 -> 62.5
+                              us/step          finish us/solve
+    example (scalar_combo)      28.2 -> 27.4     84.9 -> 20.5
+    monotone_nonneg             18.6 -> 17.4     63.6 -> 13.8
+    monotone                    16.1 -> 15.1     61.6 -> 13.7
+    lorentz                     15.7 -> 14.3     53.0 -> 12.8
+    mesoc(1, q - 1)             15.7 -> 14.3     52.1 -> 12.8
+    nonneg_orthant              13.1 -> 12.1     55.0 -> 13.1
+    mesoc                       22.0 -> 21.5     56.0 -> 12.7
+    monotone_nonneg_dual        23.3 -> 22.3     54.8 -> 12.6
+    monotone_nonneg(1000)     1361.5 -> 1121.7  933.0 -> 29.2
 
-Besides the twin group, the step cost rose by 1-3.5% on five of the seven
-groups (the ``lorentz`` median stays inside the before runs' quartiles,
-17.2-18.55), held on ``monotone`` and fell 3% on ``mesoc``.  The rise is
-small against the spread but in one direction: every projection now reads
-``cones.ordered_form`` once per call, and a dual twice (once more through
-the Moreau rule), and ``row_norms``'s in-place root costs the example's
-one-row norm a ufunc call with ``out=`` every step.  An earlier six-run set
-(with a plain root for one row) read +1-8% on the same groups.  An earlier
-change (``@`` on the solver path replaced by ``ndarray.dot``, the affine
-update in one buffer, and ``contains_batch`` no longer copying a one-block
-result) took ``lorentz`` from 21.1 to 17.3 us/step; the finish figure did
-not resolve the saved copy (about 1 µs per call of ``cones.by_row_blocks``
-in isolation), its quartiles within a run being about a tenth of the
-median.  Products, medians over that change's six runs, µs per call:
-``M z`` 2.0 with ``@`` and 1.1 with ``.dot`` at every n, ``z z`` 1.8 and
-1.0, ``v W`` 2.0 and 1.1.
+The finish left on a small solve is the step norm array, the copy and the
+finiteness pass of ``PartitionedVector.from_array``; on the large solve the
+eager trace stacked 27 iterates of 2000 entries and ran ``contains_batch``
+on their 26 differences.  The small groups' step cost holds but for that
+saving spread over their 30-38 steps per solve.  The large group's steps
+fall by about 240 us: 35 us of finish per step, the rest the sweep's cost
+on a 1000-entry head less the passes' (the one-row table of
+``benchmarks/bench_kernels.py``).  Products, medians over six runs of an
+earlier change, µs per call: ``M z`` 2.0 with
+``@`` and 1.1 with ``.dot`` at every n, ``z z`` 1.8 and 1.0, ``v W`` 2.0
+and 1.1.
 """
 
 import statistics
 import sys
 import time
+import types
+from pathlib import Path
 
 import numpy as np
 
 import mesoc_kit as mk
+from mesoc_kit import micp_solver
 
 SIZES = ((2, 2), (3, 3), (4, 4), (6, 6), (8, 8), (2, 6), (6, 2), (4, 8), (8, 4), (3, 5), (5, 3), (7, 7))
 KINDS = ("monotone_nonneg", "monotone", "lorentz", "nonneg_orthant", "mesoc", "monotone_nonneg_dual")
@@ -94,6 +101,8 @@ ROUNDS = 25
 SEED = 20240817
 PRODUCT_SIZES = (4, 8, 16)
 PRODUCT_CALLS = 2000
+# the 1000 + 1000 map of perfbench's solve_sweep on monotone_nonneg(1000), seed 1
+LARGE = "monotone_nonneg(1000)"
 
 
 def instances() -> dict[str, list]:
@@ -113,19 +122,36 @@ def instances() -> dict[str, list]:
             groups[kind].append(mk.MicpInstance(map=map_, inner=inner))
             if kind == "lorentz":  # the same map on L(1, q - 1)
                 groups[TWIN].append(mk.MicpInstance(map=map_, inner=mk.mesoc(1, q - 1)))
+    groups[LARGE] = [large_instance()]
     return groups
 
 
+def large_instance(seed: int = 1):
+    """``perfbench``'s ``large_pav`` instance for ``seed``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import solve_sweep
+
+    return dict(solve_sweep.prepare(types.SimpleNamespace(mk=mk), seed))["large_pav"]
+
+
 def finish(instance, iterates: list, step_norms: list, status: str):
-    """What ``picard_solve`` does after its loop, on the loop's lists."""
+    """What ``picard_solve`` does after its loop, on the loop's lists: the
+    step norm array, the trace with its iterates and certificates pending,
+    and the solution from a copy of the last iterate."""
+    trace = micp_solver._trace(iterates, step_norms, instance.order_cone, status)
+    return mk.PartitionedVector.from_array(iterates[-1].copy(), instance.map.p, instance.map.q), trace
+
+
+def eager_trace(instance, iterates: list, step_norms: list, status: str):
+    """The trace with every field computed, as ``picard_solve`` built it
+    before its iterates and certificates were computed on first read."""
     iterates = np.array(iterates)
-    trace = mk.IterationTrace(
+    return mk.IterationTrace(
         iterates=iterates,
         step_norms=np.array(step_norms),
         order_certificates=mk.contains_batch(instance.order_cone, np.diff(iterates, axis=0)),
         status=status,
     )
-    return mk.PartitionedVector.from_array(iterates[-1], instance.map.p, instance.map.q), trace
 
 
 def reference_solve(instance):
@@ -148,7 +174,9 @@ def reference_solve(instance):
 
 
 def _bytes(trace) -> tuple:
-    return (trace.status, trace.iterates.tobytes(), trace.step_norms.tobytes(),
+    """The trace's fields as bytes; ``final`` first, so that a lazy trace
+    gives it before its iterates are stacked."""
+    return (trace.final.tobytes(), trace.status, trace.iterates.tobytes(), trace.step_norms.tobytes(),
             trace.order_certificates.tobytes())
 
 
@@ -162,8 +190,8 @@ def check(groups: dict[str, list]) -> tuple[int, dict[str, int], dict[str, list]
         for i, instance in enumerate(group):
             replay = reference_solve(instance)
             sol, trace = mk.picard_solve(instance)
-            ref_sol, ref_trace = finish(instance, *replay)
-            if _bytes(trace) != _bytes(ref_trace) or sol.concat().tobytes() != ref_sol.concat().tobytes():
+            ref_trace = eager_trace(instance, *replay)
+            if _bytes(trace) != _bytes(ref_trace) or sol.concat().tobytes() != ref_trace.final.tobytes():
                 print(f"{name} instance {i}: solver differs from the reference step")
                 bad += 1
             steps[name] += trace.n_steps

@@ -4,16 +4,15 @@ PAV starts from singleton blocks and repeatedly pools two adjacent blocks
 whose means violate the order (a later mean >= an earlier one), replacing
 both by their exact mean.  The fit it ends with does not depend on the order
 in which violators are pooled (Best & Chakravarti, Math. Programming 47,
-1990), so two forms are used:
+1990), so two forms are used, and a single vector may take either:
 
 * :func:`pav_sweep` fits one vector with the classic left-to-right stack
   sweep and returns the block means and lengths as lists;
   :func:`isotonic_decreasing` turns them into the fit and int64 block starts
-  and lengths.  The projections call the sweep directly, once per solver
-  step, and expand only the fit: at n = 8 the int64 arrays and the
-  ``cumsum`` of the starts took about 2 us, as long as the sweep itself.
-  On short vectors the loop is faster than the batch form's per-pass NumPy
-  overhead.  The sweep reads the input once into Python floats and keeps
+  and lengths.  The projections reach the sweep through :func:`pav_fit`,
+  once per solver step, and expand only the fit: at n = 8 the int64 arrays
+  and the ``cumsum`` of the starts took about 2 us, as long as the sweep
+  itself.  The sweep reads the input once into Python floats and keeps
   its block means and counts in lists: indexing NumPy arrays one
   scalar at a time boxes a NumPy scalar on every access, which made the
   same loop about 6x slower at n = 1000 (2.9 ms against 0.5 ms) and 2.6x
@@ -50,12 +49,35 @@ in which violators are pooled (Best & Chakravarti, Math. Programming 47,
   has a violator, so the loop ends after at most n - 1 passes.
   Random rows take 5-10; the cascade row ``[n-2, ..., 1, 0, n**2]`` takes
   all n - 1, pooling one pair per pass.
+
+:func:`pav_fit`, the single-vector fit of the projections, picks the form by
+length.  The sweep pays one interpreted loop turn per entry; the passes
+(:func:`_pool`, the loop behind the batch form, run on the vector as one
+row) pay a fixed NumPy cost of 20-40 us for the pre-pass and a few passes,
+then little per block.  Below :data:`PASSES_MIN` = 320 entries it runs the
+sweep, so shorter vectors keep their bytes and their cost; from 320 entries
+on, the passes.  The one-row table of ``benchmarks/bench_kernels.py`` sets
+the constant.  Passes time over sweep time, medians of three runs on a
+2-vCPU Xeon (NumPy 2.4), at n = 128, 192, 256, 320 and 1000: 1.69, 1.35,
+1.08, 0.88 and 0.43 on normal rows; 1.71, 1.44, 1.00, 0.89 and 0.43 on the
+first n entries of the step inputs of ``perfbench``'s ``large_pav`` solve,
+whose 1000 entries the passes fit in about 0.19 ms against 0.44 ms.  So the
+passes break even at 256 and win on both kinds of row from 320 on.  The
+two forms sum a pooled block in another order, so from the constant on a
+fit agrees with the sweep's to about 1e-12 relative rather than in its
+bytes.
 """
+
+import math
 
 import numpy as np
 
 # perfbench records this in its environment report; numba is not used.
 HAS_NUMBA = False
+
+# pav_fit's length rule: the sweep below this many entries, the passes from
+# here on (the one-row table of benchmarks/bench_kernels.py)
+PASSES_MIN = 320
 
 
 def pav_sweep(values):
@@ -91,6 +113,34 @@ def isotonic_decreasing(y):
     return np.array(means).repeat(lengths), lengths.cumsum() - lengths, lengths
 
 
+def pav_fit(v):
+    """The isotonic fit of the 1-D float array ``v`` and its block lengths.
+
+    Returns ``(fit, counts)``: the fit as a float array and the lengths of
+    its constant blocks, a list of ints from the sweep or an ``intp`` array
+    from the passes.  Below :data:`PASSES_MIN` entries the fit is the sweep's
+    (:func:`pav_sweep`); from there on it is the passes' of
+    :func:`isotonic_decreasing_batch` on ``v`` as one row, which agrees with
+    the sweep to about 1e-12 relative.  Raises ``OverflowError`` when the
+    values are finite and a mean is not: the sweep shows that as a first
+    mean of +inf, the passes, whose pooled sums can overflow either way and
+    then meet as inf - inf, as any non-finite mean.
+    """
+    if v.size < PASSES_MIN:
+        means, counts = pav_sweep(v.tolist())
+        # the sweep pools a block into the one before it only when its mean
+        # is not lower, so from finite values a pooled difference overflows
+        # to +inf alone, and +inf then pools into the first block
+        if means[0] == math.inf and np.isfinite(v).all():
+            raise OverflowError("a pooled mean of finite values overflowed")
+        return np.array(means).repeat(counts), counts
+    means, counts = _pool(v.reshape(1, -1))
+    if not np.isfinite(means).all() and np.isfinite(v).all():
+        raise OverflowError("a pooled sum of finite values overflowed")
+    counts = counts.astype(np.intp)
+    return means.repeat(counts), counts
+
+
 def isotonic_decreasing_batch(rows):
     """Row-wise :func:`isotonic_decreasing` without block bookkeeping.
 
@@ -103,6 +153,15 @@ def isotonic_decreasing_batch(rows):
     m, n = rows.shape
     if rows.size == 0:
         return np.empty_like(rows)
+    means, counts = _pool(rows)
+    return np.repeat(means, counts.astype(np.intp)).reshape(m, n)
+
+
+def _pool(rows):
+    """The block means and block lengths of every row of the nonempty 2-D
+    ``rows``, row after row: the passes of the batch form.  The lengths
+    are integers held as floats once a pass has pooled."""
+    m, n = rows.shape
     # An entry below the one before it opens a block, and so does every row
     # start; ties and ascents pool into the block before them.
     opens = np.empty((m, n), dtype=bool)
@@ -122,7 +181,7 @@ def isotonic_decreasing_batch(rows):
         pool = means[1:] >= means[:-1]
         pool[starts[1:] - 1] = False
         if not pool.any():
-            return np.repeat(means, counts.astype(np.intp)).reshape(m, n)
+            return means, counts
         keep = np.empty(sums.size, dtype=bool)
         keep[0] = True
         np.logical_not(pool, out=keep[1:])

@@ -14,7 +14,10 @@ z -> z - F(z) is isotone for the order of the cone of nonincreasing
 coordinates with a norm tail, and the first step moves up in that order,
 the iteration is monotone and its limit solves the problem.  Each step's
 order certificate (is z_{k+1} - z_k in that cone?) is recorded in the trace
-but never enforced; all of them are computed in one batch after the loop.
+but never enforced.  The loop keeps its iterates in a list; the trace stacks
+them, and computes every order certificate in one ``contains_batch`` call,
+when it is first asked for them (:class:`IterationTrace`), so a caller that
+reads only the solution, ``final`` or the step norms pays for neither.
 
 :func:`picard_solve` stops with status ``converged`` (step norm within
 ``conv_tol``), ``diverged`` (iterate norm above :data:`DIVERGENCE_LIMIT`),
@@ -175,6 +178,11 @@ class MicpInstance:
     conv_tol: float = 1e-12
 
     def __post_init__(self):
+        # the refusals of the CLI's --tol and --max-iter: a NaN tolerance
+        # passes no step norm, so the solve would run every step
+        check_tol(self.conv_tol)
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be at least 0, got {self.max_iter!r}")
         if self.inner.dim != self.map.q:
             raise DimensionError(
                 f"inner cone dimension {self.inner.dim} != map tail dimension {self.map.q}"
@@ -189,20 +197,79 @@ class MicpInstance:
         return mesoc(self.map.p, self.map.q)
 
 
-@dataclass(frozen=True)
 class IterationTrace:
-    iterates: np.ndarray
-    step_norms: np.ndarray
-    order_certificates: np.ndarray
-    status: str
+    """A solve's ``iterates`` z_0, ..., z_k (one row each), its ``step_norms``
+    ||z_(i+1) - z_i||, its ``order_certificates`` (is z_(i+1) - z_i in the
+    order cone?) and its ``status``.
+
+    ``IterationTrace(iterates, step_norms, order_certificates, status)``
+    reports the values it is given.  A trace from :func:`picard_solve`
+    holds the loop's list of iterates and the order cone instead: the first
+    read of ``iterates`` stacks the list into one array, and the first read
+    of ``order_certificates`` runs ``contains_batch`` on the rows of
+    ``np.diff(iterates, axis=0)``.  ``final`` and ``n_steps`` stack
+    nothing.  The public attributes are read-only.
+    """
+
+    __slots__ = ("_iterates", "_pending", "_step_norms", "_certificates", "_cone", "_status")
+
+    def __init__(self, iterates: np.ndarray, step_norms: np.ndarray,
+                 order_certificates: np.ndarray, status: str):
+        self._iterates = iterates
+        self._pending = None
+        self._step_norms = step_norms
+        self._certificates = order_certificates
+        self._cone = None
+        self._status = status
+
+    @property
+    def iterates(self) -> np.ndarray:
+        # a local, so a concurrent first read cannot see the list cleared
+        pending = self._pending
+        if pending is not None:
+            self._iterates = np.array(pending)
+            self._pending = None
+        return self._iterates
+
+    @property
+    def step_norms(self) -> np.ndarray:
+        return self._step_norms
+
+    @property
+    def order_certificates(self) -> np.ndarray:
+        cone = self._cone
+        if cone is not None:
+            self._certificates = contains_batch(cone, np.diff(self.iterates, axis=0))
+            self._cone = None
+        return self._certificates
+
+    @property
+    def status(self) -> str:
+        return self._status
 
     @property
     def n_steps(self) -> int:
-        return len(self.step_norms)
+        return len(self._step_norms)
 
     @property
     def final(self) -> np.ndarray:
-        return self.iterates[-1]
+        pending = self._pending
+        return pending[-1] if pending is not None else self._iterates[-1]
+
+    def __repr__(self) -> str:
+        return (f"IterationTrace(iterates={self.iterates!r}, step_norms={self.step_norms!r}, "
+                f"order_certificates={self.order_certificates!r}, status={self.status!r})")
+
+
+def _trace(iterates: list, step_norms: list, cone: ConeSpec, status: str) -> IterationTrace:
+    """The trace of a solve, iterates and certificates pending."""
+    t = IterationTrace.__new__(IterationTrace)
+    t._iterates = t._certificates = None
+    t._pending = iterates
+    t._step_norms = np.array(step_norms)
+    t._cone = cone
+    t._status = status
+    return t
 
 
 def picard_step(instance: MicpInstance, z) -> np.ndarray:
@@ -240,14 +307,9 @@ def picard_solve(instance: MicpInstance) -> tuple[PartitionedVector, IterationTr
         if math.sqrt(zz) > DIVERGENCE_LIMIT:
             status = "diverged"
             break
-    iterates = np.array(iterates)
-    trace = IterationTrace(
-        iterates=iterates,
-        step_norms=np.array(step_norms),
-        order_certificates=contains_batch(instance.order_cone, np.diff(iterates, axis=0)),
-        status=status,
-    )
-    return PartitionedVector.from_array(z, p, q), trace
+    trace = _trace(iterates, step_norms, instance.order_cone, status)
+    # the trace keeps z in its list, so the solution is a copy
+    return PartitionedVector.from_array(z.copy(), p, q), trace
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Euclidean projections onto every cone kind but the ESOC, plus a slow exact oracle.
 
 :func:`project` reaches each kind from two leaves and three reductions.
-The leaves are the monotone cone (the pool-adjacent-violators sweep of
-:mod:`mesoc_kit._kernels`) and the nonnegative orthant (a clip).  The
+The leaves are the monotone cone (the pool-adjacent-violators fit
+:func:`~mesoc_kit._kernels.pav_fit`: a sweep below 320 entries, the batch
+passes on one row from there on) and the nonnegative orthant (a clip).  The
 **norm tail** projects L(p, q), lorentz(n) = L(1, n - 1) included:
 P(w, z) = (x, s z/||z||), where (x, s) projects (w, ||z||) onto the monotone
 nonnegative cone of R^(p+1), in closed form at p = 1.  A **cylinder** R^p x C
@@ -13,12 +14,12 @@ dual kind, P_K*(v) = v + P_K(-v).  The ESOC and its dual need a root finder
 
 :func:`project` computes only the projected point.  Its
 :class:`ProjectionResult` keeps a copy of the input and, for the isotonic
-kinds, the block lengths of the sweep; the distance and the blocks are
+kinds, the block lengths of the fit; the distance and the blocks are
 worked out from them the first time they are read.  The solver reads only
 the point, once per step.
 
 :func:`project_batch` projects every row of a matrix through the same
-leaves and reductions, with the batch PAV kernel in place of the sweep.
+leaves and reductions, with the batch PAV kernel in place of ``pav_fit``.
 The complementary-pair sampler behind the Lyapunov rank draws through it.
 
 :func:`project_oracle` re-solves the polyhedral and Lorentz problems by
@@ -36,7 +37,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import cones
-from ._kernels import isotonic_decreasing_batch, pav_sweep
+from ._kernels import isotonic_decreasing_batch, pav_fit
 # Not called here: the benchmark tracer (perfbench/tracing.py) wraps the
 # kernels at this module's names, and this one must stay for it to install.
 from ._kernels import isotonic_decreasing  # noqa: F401
@@ -87,7 +88,7 @@ class ProjectionResult:
     def active_blocks(self) -> tuple[tuple[int, int], ...] | None:
         lengths = self._lengths
         if lengths is not None:
-            stops = list(accumulate(lengths))
+            stops = list(accumulate(map(int, lengths)))
             self._blocks = tuple(zip([0] + stops[:-1], stops))
             self._lengths = None
         return self._blocks
@@ -111,11 +112,8 @@ def _result(v: np.ndarray, point: np.ndarray, lengths=None) -> ProjectionResult:
 # scaling by a power of two is exact.  When a fast value overflows on a
 # finite input, the leaf is redone on v scaled so that its largest entry lies
 # in [1/2, 1).  Only an overflowed value takes that branch, so every finite
-# result keeps its bits.  The sweep pools a block into the one before it only
-# when its mean is not lower, so from finite values a pooled difference
-# overflows to +inf alone, and +inf then pools into the first block: an
-# overflowed norm or mean shows as means[0] == inf, one compare per call, and
-# the pooling loop itself stays unguarded.
+# result keeps its bits: an overflowed norm shows as inf, an overflowed fit
+# as the OverflowError of pav_fit, and the pooling loops stay unguarded.
 
 
 def _rescaled(leaf, v: np.ndarray):
@@ -129,18 +127,22 @@ def _norm_tail(v: np.ndarray, p: int):
     """Project (w, z) = (v[:p], v[p:]) onto {x_1 >= ... >= x_p >= ||u||}:
     (x, s) fits (w, ||z||) in the monotone nonnegative cone and u = s z/||z||.
     Its blocks are those of that fit, index p standing for ||u||."""
-    head = v[:p].tolist()  # only the head goes to Python floats
+    head = v
     if p < v.size:
         tail = v[p:]
         try:
             norm = math.sqrt(tail.dot(tail))
         except RuntimeWarning:  # an overflowed square sum under -W error
             norm = math.inf
-        head.append(norm)
-    means, counts = pav_sweep(head)
-    if means[0] == math.inf and np.isfinite(v).all():
+        if norm == math.inf and np.isfinite(v).all():
+            return _rescaled(lambda w: _norm_tail(w, p), v)
+        head = v[: p + 1].copy()
+        head[p] = norm
+    try:
+        fit, counts = pav_fit(head)
+    except OverflowError:
         return _rescaled(lambda w: _norm_tail(w, p), v)
-    fit = np.maximum(np.array(means).repeat(counts), 0.0)
+    fit = np.maximum(fit, 0.0)
     if p == v.size:
         return fit, counts
     return np.concatenate([fit[:p], tail * (fit[p] / norm if norm > 0.0 else 0.0)]), counts
@@ -175,10 +177,10 @@ def _point(cone: ConeSpec, v: np.ndarray):
         point, lengths = _norm_tail_1(v) if p == 1 else _norm_tail(v, p)
         return point, lengths if kind == cone.kind else None  # lorentz keeps None
     if kind == cones.MONOTONE:
-        means, counts = pav_sweep(v.tolist())
-        if means[0] == math.inf and np.isfinite(v).all():
+        try:
+            return pav_fit(v)
+        except OverflowError:
             return _rescaled(lambda w: _point(cone, w), v)
-        return np.array(means).repeat(counts), counts
     if kind == cones.NONNEG_ORTHANT:
         return np.maximum(v, 0.0), None
     if kind == cones.CYLINDER:
@@ -245,8 +247,8 @@ def project_batch(cone: ConeSpec, V) -> np.ndarray:
     cylinder and Moreau the reductions.  Its contract is finite rows of
     moderate scale: the rescale that keeps a near-limit projection finite
     lives in :func:`project` only.  The batch kernel sums a pooled block in
-    another order than the sweep, so rows agree with :func:`project` to
-    about 1e-12 relative.  The ESOC kinds are refused as by :func:`project`.
+    another order than the sweep that fits :func:`project`'s heads below
+    320 entries, so rows agree with :func:`project` to about 1e-12 relative.  The ESOC kinds are refused as by :func:`project`.
 
     The rows are projected in blocks of about :data:`cones.BLOCK_ENTRIES`
     entries, whose temporaries stay in cache.  Every row gets the bytes a

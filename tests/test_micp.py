@@ -7,6 +7,8 @@ norm, and a general-purpose nonlinear root finder on the raw residual.  Both
 agree with it to machine precision.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,6 +284,17 @@ def test_instance_validation():
     assert inst.order_cone == mk.mesoc(2, 2)
 
 
+@pytest.mark.parametrize("conv_tol", [math.nan, -1e-12, math.inf])
+def test_instance_refuses_what_the_cli_refuses(conv_tol):
+    # a NaN tolerance passes no step norm, so the solve would run every step
+    m = mk.example_instance().map
+    with pytest.raises(ValueError, match="tolerance"):
+        mk.MicpInstance(map=m, inner=mk.monotone_nonneg(2), conv_tol=conv_tol)
+    with pytest.raises(ValueError, match="max_iter"):
+        mk.MicpInstance(map=m, inner=mk.monotone_nonneg(2), max_iter=-1)
+    assert mk.MicpInstance(map=m, inner=mk.monotone_nonneg(2), max_iter=0, conv_tol=0.0).max_iter == 0
+
+
 def test_solver_works_from_other_starts():
     # the fixed point is unique for this instance, so any sane start lands
     # on the same limit
@@ -433,3 +446,104 @@ def test_solve_matches_reference_loop(p, q, kind, map_kind, seed, max_iter):
 @pytest.mark.parametrize("max_iter", [0, 1, 2000])
 def test_worked_instance_matches_reference_loop(max_iter):
     _assert_matches_reference(mk.example_instance(max_iter=max_iter))
+
+
+# ---------------------------------------------------------------------------
+# the trace: iterates and order certificates built on first read
+
+
+def _loop_lists(instance):
+    """The iterates, step norms and status of picard_solve's loop, as lists,
+    from picard_step."""
+    z = instance.start.copy()
+    iterates, step_norms, status = [z], [], "max_iter"
+    for _ in range(instance.max_iter):
+        z_new = mk.picard_step(instance, z)
+        if not np.isfinite(z_new).all():
+            status = "nonfinite"
+            break
+        d = z_new - z
+        step_norms.append(math.sqrt(d.dot(d)))
+        iterates.append(z_new)
+        z = z_new
+        if step_norms[-1] <= instance.conv_tol:
+            status = "converged"
+            break
+        if math.sqrt(z.dot(z)) > micp_solver.DIVERGENCE_LIMIT:
+            status = "diverged"
+            break
+    return iterates, step_norms, status
+
+
+def _eager(instance, iterates, step_norms, status):
+    """The trace as picard_solve built it before its fields were lazy."""
+    iterates = np.array(iterates)
+    return mk.IterationTrace(
+        iterates=iterates,
+        step_norms=np.array(step_norms),
+        order_certificates=mk.contains_batch(instance.order_cone, np.diff(iterates, axis=0)),
+        status=status,
+    )
+
+
+def _nonfinite_instance():
+    matrix = np.zeros((3, 3))
+    matrix[0, :2] = 1e308
+    return mk.MicpInstance(
+        map=mk.AffineMap(p=1, q=2, matrix=matrix, offset=[-1.0, -1.0, 0.0]), inner=mk.nonneg_orthant(2)
+    )
+
+
+_STATUS_CASES = {
+    "converged": lambda: mk.example_instance(),
+    "max_iter": lambda: mk.example_instance(max_iter=5),
+    "max_iter=0": lambda: mk.example_instance(max_iter=0),
+    "diverged": lambda: mk.MicpInstance(
+        map=mk.AffineMap(p=2, q=2, matrix=-2.0 * np.eye(4), offset=-np.ones(4)), inner=mk.monotone_nonneg(2)
+    ),
+    "nonfinite": _nonfinite_instance,
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", list(_STATUS_CASES))
+def test_lazy_trace_equals_the_eager_one(case):
+    instance = _STATUS_CASES[case]()
+    lists = _loop_lists(instance)
+    eager = _eager(instance, *lists)
+    sol, trace = mk.picard_solve(instance)
+    assert trace.status == eager.status == case.split("=")[0]
+    # final and n_steps first, before anything is stacked
+    assert trace.n_steps == eager.n_steps == len(lists[1])
+    assert trace.final.tobytes() == eager.final.tobytes()
+    for name in ("order_certificates", "iterates", "step_norms"):
+        got, want = getattr(trace, name), getattr(eager, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert trace.final.tobytes() == eager.final.tobytes()
+    assert sol.concat().tobytes() == eager.final.tobytes()
+    for name in ("iterates", "step_norms", "order_certificates", "status"):
+        with pytest.raises(AttributeError):
+            setattr(trace, name, None)
+
+
+def test_solution_shares_no_memory_with_the_trace():
+    sol, trace = mk.picard_solve(mk.example_instance())
+    final = trace.final.copy()
+    sol.x[:] = 99.0
+    sol.u[:] = 99.0
+    assert trace.final.tobytes() == final.tobytes()
+    assert trace.iterates[-1].tobytes() == final.tobytes()
+    assert not np.shares_memory(trace.iterates, sol.x) and not np.shares_memory(trace.iterates, sol.u)
+
+
+def test_trace_built_from_given_arrays():
+    iterates = np.array([[0.0, 0.0], [1.0, 0.5]])
+    norms, certs = np.array([1.25]), np.array([True])
+    trace = mk.IterationTrace(iterates=iterates, step_norms=norms, order_certificates=certs, status="max_iter")
+    assert trace.iterates is iterates and trace.step_norms is norms
+    assert trace.order_certificates is certs and trace.status == "max_iter"
+    assert trace.n_steps == 1 and (trace.final == [1.0, 0.5]).all()
+    positional = mk.IterationTrace(iterates, norms, certs, "converged")
+    assert positional.iterates is iterates and positional.status == "converged"
+    assert "status='converged'" in repr(positional)

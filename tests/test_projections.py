@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import mesoc_kit as mk
-from mesoc_kit import projections, sampling
+from mesoc_kit import _kernels, projections, sampling
 from mesoc_kit._kernels import isotonic_decreasing, isotonic_decreasing_batch
 from mesoc_kit.projections import project_batch, project_monotone_nonneg_batch
 
@@ -432,11 +432,24 @@ def test_near_limit_inputs_project_to_finite_points(kind, rng):
             assert np.abs(y - _scaled_projection(cone, v)).max() <= 1e-12 * np.abs(v).max()
 
 
+def _long_overflow(n):
+    """A finite vector of length n whose pooled sums overflow both ways and
+    then meet as inf - inf: the passes give its last block a NaN mean."""
+    tail = [-1e308] * 3 + [-1.5e308] + [1e308] * 4
+    return np.concatenate([np.linspace(1e300, 1e299, n - len(tail)), tail]).tolist()
+
+
+_LONG = _kernels.PASSES_MIN + 1
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "cone,v",
     [
         (mk.mesoc(2, 2), [1e-300, -1.0, -1.0, -1e308]),  # was [inf, inf, nan, nan]
+        (mk.monotone(_LONG), _long_overflow(_LONG)),  # the passes: last block was nan
+        (mk.monotone_nonneg(_LONG), _long_overflow(_LONG)),
+        (mk.mesoc(_LONG - 1, 2), _long_overflow(_LONG - 1) + [1.0, 2.0]),
         (mk.lorentz(3), [-1e308, 5.0, 1e308]),  # was [inf, nan, nan]
         (mk.monotone(2), [-1e308, 1.7e308]),  # was [inf, inf]
         (mk.monotone_nonneg_dual(3), [5.0, 1e308, -1e308]),  # was [inf, inf, inf]
@@ -466,6 +479,50 @@ def test_overflowed_norm_under_warnings_as_errors(cone, v):
 def test_nonfinite_input_is_not_rescaled():
     assert not np.isfinite(mk.project(mk.lorentz(2), [0.0, np.inf]).point).all()
     assert not np.isfinite(mk.project(mk.mesoc(1, 1), [np.nan, 1.0]).point).all()
+    # the passes: a NaN entry is never pooled and stays in the fit
+    v = np.array(_long_overflow(_LONG))
+    v[5] = np.nan
+    assert np.isnan(mk.project(mk.monotone(_LONG), v).point[5])
+    # a non-finite head next to a finite tail whose norm overflows, on both
+    # sides of the passes switch: the point stays non-finite, with no rescale
+    for p in (2, _LONG):
+        for bad in (np.nan, np.inf, -np.inf):
+            v = np.zeros(p + 2)
+            v[0], v[p:] = bad, 1e308
+            assert not np.isfinite(mk.project(mk.mesoc(p, 2), v).point).all()
+
+
+# isotonic heads just below, at and just above the length where pav_fit
+# switches from the sweep to the batch passes
+_HEADS = (_kernels.PASSES_MIN - 1, _kernels.PASSES_MIN, _kernels.PASSES_MIN + 1)
+
+
+def _head_cones(h):
+    """The PAV kinds whose isotonic head has h entries, and their heads."""
+    return [
+        (mk.monotone(h), lambda v: v),
+        (mk.monotone_nonneg(h), lambda v: v),
+        (mk.mesoc(h - 1, 3), lambda v: np.append(v[: h - 1], np.linalg.norm(v[h - 1 :]))),
+    ]
+
+
+@pytest.mark.parametrize("h", _HEADS)
+def test_heads_around_the_passes_switch(h, rng, monkeypatch):
+    pools = []
+    pool = _kernels._pool
+    monkeypatch.setattr(_kernels, "_pool", lambda rows: pools.append(rows.shape) or pool(rows))
+    for cone, head in _head_cones(h):
+        for v in rng.standard_normal((5, cone.dim)) * 3.0:
+            r = mk.project(cone, v)
+            assert projections._moreau_residual(cone, v, r.point) <= 1e-12
+            # the blocks partition [0, h) and are the sweep's on normal rows
+            _, starts, lengths = isotonic_decreasing(head(v))
+            assert r.active_blocks == tuple(zip(starts.tolist(), (starts + lengths).tolist()))
+            assert r.active_blocks[0][0] == 0 and r.active_blocks[-1][1] == h
+            assert all(a[1] == b[0] for a, b in zip(r.active_blocks, r.active_blocks[1:]))
+            assert all(type(i) is int for block in r.active_blocks for i in block)
+    # only heads of PASSES_MIN entries or more go through the passes
+    assert pools == ([(1, h)] * 15 if h >= _kernels.PASSES_MIN else [])
 
 
 @settings(deadline=None)
