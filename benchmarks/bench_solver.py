@@ -26,9 +26,9 @@ The ``monotone_nonneg(1000)`` group solves the ``large_pav`` instance of
 Each of ``ROUNDS`` rounds solves every instance once; a group's figure for
 the round is its total ``picard_solve`` wall time over its total steps, so
 it includes the bookkeeping after the loop.  The ``finish`` column is that
-bookkeeping alone, per solve: :func:`finish` repeats what ``picard_solve``
-does after its loop (the step norm array, the trace with its iterates and
-order certificates pending, and the solution from a copy of the last
+bookkeeping alone, per solve: :func:`finish` runs what ``picard_solve``
+does after its loop (the trace with its iterates, step norms and order
+certificates pending, and the solution from views of a copy of the last
 iterate) on the loop's lists.  The script prints the median and quartiles
 over the rounds.  Before timing, every solve is replayed with a reference
 step built from the batch map update and the projected point,
@@ -40,7 +40,14 @@ built on first read.  The solver's trace is read through its lazy fields,
 certificates; the script exits 1 when any of them, or the solution,
 differs from the eager trace in any bit.
 
-A second table times the three products of a step at n = 4, 8 and 16, once
+A second table times ``project`` against ``projections._point``, the
+dispatch it wraps, per group on the inputs its replayed solves projected
+(the u block of each update): µs per call of each, and the median over the
+rounds of the per-round gap between them, which is what ``project`` adds
+to a step (the argument check, the result object and the copy of the
+input it keeps for the distance).
+
+A third table times the three products of a step at n = 4, 8 and 16, once
 with the ``@`` operator and once with ``ndarray.dot``: the affine update
 ``M z``, a squared norm ``z z`` and the scalar-field combination ``v W``
 (two fields).  ``@`` goes through the matmul ufunc dispatch and ``.dot``
@@ -53,33 +60,34 @@ that holds the product, about 0.3 µs.
 script gives the per-step figure instead.
 
 Medians of six runs of this script on a shared 2-vCPU Xeon (NumPy 2.4),
-alternating which side runs first: before (the eager trace, the sweep at
-every length; the parent's ``finish``, with this script's large group) and
-after (iterates and certificates built on first read, heads of 320 entries
-or more through the batch passes).  Every run exited 0 on both sides:
+alternating which side runs first: before (a step that takes both square
+sums, ``project`` walking to the cylinder base on every call, the norm
+tail clipping its expanded fit, and the parent's ``finish``: the step norm
+array, a new order cone and ``PartitionedVector.from_array``) and after
+(this script as it is).  Every run exited 0 on both sides:
 
-                              us/step          finish us/solve
-    example (scalar_combo)      28.2 -> 27.4     84.9 -> 20.5
-    monotone_nonneg             18.6 -> 17.4     63.6 -> 13.8
-    monotone                    16.1 -> 15.1     61.6 -> 13.7
-    lorentz                     15.7 -> 14.3     53.0 -> 12.8
-    mesoc(1, q - 1)             15.7 -> 14.3     52.1 -> 12.8
-    nonneg_orthant              13.1 -> 12.1     55.0 -> 13.1
-    mesoc                       22.0 -> 21.5     56.0 -> 12.7
-    monotone_nonneg_dual        23.3 -> 22.3     54.8 -> 12.6
-    monotone_nonneg(1000)     1361.5 -> 1121.7  933.0 -> 29.2
+                            us/step          finish us/solve  project - _point us
+    example (scalar_combo)    24.4 -> 21.6     18.4 -> 7.9      1.97 -> 1.33
+    monotone_nonneg           15.1 -> 12.9     12.5 -> 4.8      1.78 -> 1.17
+    monotone                  13.0 -> 11.5     10.9 -> 4.8      1.75 -> 1.12
+    lorentz                   11.2 -> 11.1     11.4 -> 4.3      1.71 -> 1.16
+    mesoc(1, q - 1)           12.6 -> 11.3     12.1 -> 4.2      1.77 -> 1.21
+    nonneg_orthant             9.7 -> 9.2      10.5 -> 4.0      1.62 -> 1.12
+    mesoc                     17.8 -> 16.9     11.3 -> 4.1      1.91 -> 1.21
+    monotone_nonneg_dual      18.1 -> 17.2     10.1 -> 3.9      1.96 -> 1.38
+    monotone_nonneg(1000)   1029.2 -> 1086.6   27.6 -> 17.8     3.79 -> 1.14
 
-The finish left on a small solve is the step norm array, the copy and the
-finiteness pass of ``PartitionedVector.from_array``; on the large solve the
-eager trace stacked 27 iterates of 2000 entries and ran ``contains_batch``
-on their 26 differences.  The small groups' step cost holds but for that
-saving spread over their 30-38 steps per solve.  The large group's steps
-fall by about 240 us: 35 us of finish per step, the rest the sweep's cost
-on a 1000-entry head less the passes' (the one-row table of
-``benchmarks/bench_kernels.py``).  Products, medians over six runs of an
-earlier change, µs per call: ``M z`` 2.0 with
-``@`` and 1.1 with ``.dot`` at every n, ``z z`` 1.8 and 1.0, ``v W`` 2.0
-and 1.1.
+The runs shared the machine with other work: one run of the after side
+just before them read 8.4 us per ``monotone_nonneg`` step and 0.98 us of
+gap.  ``_point`` itself got faster on the isotonic
+kinds: on ``monotone_nonneg`` (5.2 -> 4.0 us) the clip of the block means
+spares the ``np.maximum`` pass, and on ``monotone`` (3.7 -> 3.3 us) a fit
+in which no block pooled is not expanded.  The large group's step is the
+2000 x 2000 product, and its per-run medians spread from 901 to 1076 us
+before and from 907 to 1601 us after, with nothing on its path slower.
+Products, medians over six runs of an earlier change, µs per call:
+``M z`` 2.0 with ``@`` and 1.1 with ``.dot`` at every n, ``z z`` 1.8 and
+1.0, ``v W`` 2.0 and 1.1.
 """
 
 import statistics
@@ -91,7 +99,7 @@ from pathlib import Path
 import numpy as np
 
 import mesoc_kit as mk
-from mesoc_kit import micp_solver
+from mesoc_kit import micp_solver, projections
 
 SIZES = ((2, 2), (3, 3), (4, 4), (6, 6), (8, 8), (2, 6), (6, 2), (4, 8), (8, 4), (3, 5), (5, 3), (7, 7))
 KINDS = ("monotone_nonneg", "monotone", "lorentz", "nonneg_orthant", "mesoc", "monotone_nonneg_dual")
@@ -136,10 +144,9 @@ def large_instance(seed: int = 1):
 
 def finish(instance, iterates: list, step_norms: list, status: str):
     """What ``picard_solve`` does after its loop, on the loop's lists: the
-    step norm array, the trace with its iterates and certificates pending,
-    and the solution from a copy of the last iterate."""
-    trace = micp_solver._trace(iterates, step_norms, instance.order_cone, status)
-    return mk.PartitionedVector.from_array(iterates[-1].copy(), instance.map.p, instance.map.q), trace
+    trace with its iterates, step norms and certificates pending, and the
+    solution from views of a copy of the last iterate."""
+    return micp_solver._finish(instance, iterates, step_norms, status)
 
 
 def eager_trace(instance, iterates: list, step_norms: list, status: str):
@@ -221,6 +228,36 @@ def us_per_finish(group: list, replays: list) -> float:
     return 1e6 * (time.perf_counter() - t0) / len(group)
 
 
+def step_inputs(groups: dict[str, list], replays: dict[str, list]) -> dict[str, list]:
+    """Group name -> (inner cone, input) for every projection of the group's
+    replayed solves: the u block of the update of each iterate but the last."""
+    inputs = {}
+    for name, group in groups.items():
+        inputs[name] = [
+            (instance.inner, instance.map.update_batch(z[None, :])[0][instance.map.p :])
+            for instance, (iterates, _, _) in zip(group, replays[name])
+            for z in iterates[:-1]
+        ]
+    return inputs
+
+
+def project_calls(inputs: dict[str, list]) -> dict[str, dict[str, list]]:
+    """µs per call of ``project`` and of its ``_point`` on each group's
+    recorded inputs, over ``ROUNDS`` interleaved rounds."""
+    fns = {"project": projections.project, "_point": projections._point}
+    samples = {name: {label: [] for label in fns} for name in inputs}
+    for r in range(ROUNDS):
+        for name, calls in inputs.items():
+            # alternate which of the two runs first
+            for label in (list(fns) if r % 2 else list(fns)[::-1]):
+                fn = fns[label]
+                t0 = time.perf_counter()
+                for inner, u in calls:
+                    fn(inner, u)
+                samples[name][label].append(1e6 * (time.perf_counter() - t0) / len(calls))
+    return samples
+
+
 def products() -> tuple[int, dict[tuple[str, int], dict[str, list]]]:
     """µs per call of each step product with ``@`` and with ``.dot``, over
     ``ROUNDS`` interleaved rounds; return how many pairs differ in bytes and
@@ -264,6 +301,15 @@ def main() -> int:
     for name, values in samples.items():
         print(f"{name:>24} {len(groups[name]):>7} {steps[name]:>7} {_summary(values)} "
               f"{_summary(finishes[name]):>17}")
+    inputs = step_inputs(groups, replays)
+    calls = project_calls(inputs)
+    print()
+    print(f"{'inner cone':>24} {'calls':>7} {'project us':>10} {'quartiles':>15} {'_point us':>9}"
+          f" {'quartiles':>15} {'gap us':>7}")
+    for name, by_fn in calls.items():
+        gap = statistics.median(a - b for a, b in zip(by_fn["project"], by_fn["_point"]))
+        print(f"{name:>24} {len(inputs[name]):>7} {_summary(by_fn['project'])} "
+              f"{_summary(by_fn['_point'])} {gap:>7.2f}")
     bad_products, times = products()
     print()
     print(f"{'product':>8} {'n':>3} {'@ us':>9} {'quartiles':>15} {'.dot us':>9} {'quartiles':>15}")

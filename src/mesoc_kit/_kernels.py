@@ -113,7 +113,7 @@ def isotonic_decreasing(y):
     return np.array(means).repeat(lengths), lengths.cumsum() - lengths, lengths
 
 
-def pav_fit(v):
+def pav_fit(v, nonneg=False):
     """The isotonic fit of the 1-D float array ``v`` and its block lengths.
 
     Returns ``(fit, counts)``: the fit as a float array and the lengths of
@@ -125,6 +125,12 @@ def pav_fit(v):
     values are finite and a mean is not: the sweep shows that as a first
     mean of +inf, the passes, whose pooled sums can overflow either way and
     then meet as inf - inf, as any non-finite mean.
+
+    With ``nonneg`` the fit is clipped at 0, bit for bit
+    ``np.maximum(fit, 0.0)`` (-0.0 becomes +0.0, a NaN is kept): the block
+    means are clipped before they are expanded, the sweep's in Python, and
+    a fit in which no block pooled is not expanded at all.  The norm tail
+    of the projections fits this way.
     """
     if v.size < PASSES_MIN:
         means, counts = pav_sweep(v.tolist())
@@ -133,10 +139,17 @@ def pav_fit(v):
         # to +inf alone, and +inf then pools into the first block
         if means[0] == math.inf and np.isfinite(v).all():
             raise OverflowError("a pooled mean of finite values overflowed")
+        if nonneg:
+            # m != m keeps a NaN, as np.maximum does
+            means = [m if m > 0.0 or m != m else 0.0 for m in means]
+        if len(means) == v.size:
+            return np.array(means), counts
         return np.array(means).repeat(counts), counts
     means, counts = _pool(v.reshape(1, -1))
     if not np.isfinite(means).all() and np.isfinite(v).all():
         raise OverflowError("a pooled sum of finite values overflowed")
+    if nonneg:
+        np.maximum(means, 0.0, out=means)
     counts = counts.astype(np.intp)
     return means.repeat(counts), counts
 

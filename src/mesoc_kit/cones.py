@@ -204,6 +204,11 @@ class PartitionedVector:
             raise DimensionError(f"expected length {p + q}, got {z.size}")
         if not np.isfinite(z).all():
             raise ValueError("blocks must contain finite values")
+        return cls._split(z, p)
+
+    @classmethod
+    def _split(cls, z: np.ndarray, p: int) -> PartitionedVector:
+        """Views of the 1-D float array ``z``, known finite, split at ``p``."""
         out = object.__new__(cls)
         object.__setattr__(out, "x", z[:p])
         object.__setattr__(out, "u", z[p:])

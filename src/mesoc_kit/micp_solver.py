@@ -14,15 +14,36 @@ z -> z - F(z) is isotone for the order of the cone of nonincreasing
 coordinates with a norm tail, and the first step moves up in that order,
 the iteration is monotone and its limit solves the problem.  Each step's
 order certificate (is z_{k+1} - z_k in that cone?) is recorded in the trace
-but never enforced.  The loop keeps its iterates in a list; the trace stacks
-them, and computes every order certificate in one ``contains_batch`` call,
-when it is first asked for them (:class:`IterationTrace`), so a caller that
-reads only the solution, ``final`` or the step norms pays for neither.
+but never enforced.  The loop keeps its iterates and step norms in lists;
+the trace stacks the iterates, turns the step norms into an array and
+computes every order certificate in one ``contains_batch`` call when it is
+first asked for them (:class:`IterationTrace`), so a caller that reads only
+the solution or ``final`` pays for none of them.
 
 :func:`picard_solve` stops with status ``converged`` (step norm within
 ``conv_tol``), ``diverged`` (iterate norm above :data:`DIVERGENCE_LIMIT`),
 ``nonfinite`` (an iterate with a NaN or infinite entry, which is dropped so
-the trace ends at the last finite iterate) or ``max_iter``.
+the trace ends at the last finite iterate) or ``max_iter``.  It refuses an
+inner cone that :func:`projections.project` cannot reach (the ESOC kinds,
+also as a cylinder's base) before its first step, so a budget of no steps
+is refused too.
+
+Each step takes one square sum, d.d for its step d = z_new - z.  When that
+is finite, so is every entry of d, and so of z and z_new.  The loop keeps
+an upper bound on ||z||, the last exact norm plus every step norm since
+(inf before the first step), and while it is at most DIVERGENCE_LIMIT / 2,
+z_new is inside the limit and the step takes no z_new.z_new.  Halving the
+limit leaves a margin far wider than the rounding of the bound, a few
+(n + k) eps relative after k steps of n entries.  A step whose square sum
+is not finite makes the bound inf or NaN, and the test is written so that
+a NaN fails it.  Then, and whenever the bound is past half the limit, the
+step runs the full check: the square sum of z_new, its finiteness, and an
+exact norm that resets the bound.  So the statuses, the step norms and the
+order of the tests are those of a loop that takes both square sums on
+every step.  The solution is a copy of the last iterate split into views,
+with no second finiteness pass: the loop has shown every kept iterate but
+the start finite, and a solve that keeps no step checks the start and
+raises ``ValueError`` when it is not finite.
 
 A small solve is bound by the fixed cost of each NumPy call, not by its
 arithmetic, so the products on the solver path (the map updates and the
@@ -36,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -192,8 +214,9 @@ class MicpInstance:
             z0 = _as_vector(self.start, self.map.p + self.map.q)
         object.__setattr__(self, "start", z0)
 
-    @property
+    @cached_property
     def order_cone(self) -> ConeSpec:
+        """mesoc(p, q), built on first read and then kept."""
         return mesoc(self.map.p, self.map.q)
 
 
@@ -204,20 +227,23 @@ class IterationTrace:
 
     ``IterationTrace(iterates, step_norms, order_certificates, status)``
     reports the values it is given.  A trace from :func:`picard_solve`
-    holds the loop's list of iterates and the order cone instead: the first
-    read of ``iterates`` stacks the list into one array, and the first read
-    of ``order_certificates`` runs ``contains_batch`` on the rows of
-    ``np.diff(iterates, axis=0)``.  ``final`` and ``n_steps`` stack
+    holds the loop's lists and the order cone instead: the first read of
+    ``iterates`` stacks the list of iterates into one array, the first read
+    of ``step_norms`` turns the list of step norms into one, and the first
+    read of ``order_certificates`` runs ``contains_batch`` on the rows of
+    ``np.diff(iterates, axis=0)``.  ``final`` and ``n_steps`` build
     nothing.  The public attributes are read-only.
     """
 
-    __slots__ = ("_iterates", "_pending", "_step_norms", "_certificates", "_cone", "_status")
+    __slots__ = ("_iterates", "_pending", "_step_norms", "_pending_norms", "_certificates", "_cone",
+                 "_status")
 
     def __init__(self, iterates: np.ndarray, step_norms: np.ndarray,
                  order_certificates: np.ndarray, status: str):
         self._iterates = iterates
         self._pending = None
         self._step_norms = step_norms
+        self._pending_norms = None
         self._certificates = order_certificates
         self._cone = None
         self._status = status
@@ -233,6 +259,10 @@ class IterationTrace:
 
     @property
     def step_norms(self) -> np.ndarray:
+        pending = self._pending_norms
+        if pending is not None:
+            self._step_norms = np.array(pending)
+            self._pending_norms = None
         return self._step_norms
 
     @property
@@ -249,7 +279,8 @@ class IterationTrace:
 
     @property
     def n_steps(self) -> int:
-        return len(self._step_norms)
+        pending = self._pending_norms
+        return len(pending) if pending is not None else len(self._step_norms)
 
     @property
     def final(self) -> np.ndarray:
@@ -261,17 +292,6 @@ class IterationTrace:
                 f"order_certificates={self.order_certificates!r}, status={self.status!r})")
 
 
-def _trace(iterates: list, step_norms: list, cone: ConeSpec, status: str) -> IterationTrace:
-    """The trace of a solve, iterates and certificates pending."""
-    t = IterationTrace.__new__(IterationTrace)
-    t._iterates = t._certificates = None
-    t._pending = iterates
-    t._step_norms = np.array(step_norms)
-    t._cone = cone
-    t._status = status
-    return t
-
-
 def picard_step(instance: MicpInstance, z) -> np.ndarray:
     """One half-projected step (x - G(z), P_C(u - H(z)))."""
     p = instance.map.p
@@ -281,35 +301,71 @@ def picard_step(instance: MicpInstance, z) -> np.ndarray:
 
 
 def picard_solve(instance: MicpInstance) -> tuple[PartitionedVector, IterationTrace]:
-    p, q = instance.map.p, instance.map.q
-    update, inner = instance.map.update, instance.inner
+    """Iterate :func:`picard_step` from ``instance.start``; return the last
+    iterate as the solution and the trace.  See the module docstring for
+    the stopping rules.  Raises :class:`UnsupportedConeError` for an inner
+    cone that :func:`projections.project` refuses, before the first step,
+    and ``ValueError`` when no step was kept and the start is not finite."""
+    p = instance.map.p
+    update, inner, conv_tol = instance.map.update, instance.inner, instance.conv_tol
+    projections._refuse_unsupported(inner)
     z = instance.start.copy()
     iterates = [z]
     step_norms = []
     status = "max_iter"
+    # the last exact norm of an iterate plus every step norm since: an upper
+    # bound on ||z||, inf until the first exact norm
+    bound = math.inf
+    limit = DIVERGENCE_LIMIT
+    half_limit = limit / 2
     for _ in range(instance.max_iter):
         # the step of picard_step; project is read from the module on every
         # step, so a replacement of projections.project takes effect
         z_new = update(z)
-        z_new[p:] = projections.project(inner, z_new[p:]).point
-        zz = z_new.dot(z_new)
-        # an overflowed square sum alone is a divergence, not a bad entry
-        if not math.isfinite(zz) and not np.isfinite(z_new).all():
-            status = "nonfinite"
-            break
+        u = z_new[p:]
+        u[...] = projections.project(inner, u).point
         d = z_new - z
-        step_norms.append(math.sqrt(d.dot(d)))
+        step = math.sqrt(d.dot(d))
+        bound += step
+        # the one-square-sum rule of the module docstring: z_new's own
+        # square sum only for a step that is not finite, which makes the
+        # bound inf or NaN (a NaN fails the test too), or a bound past half
+        # the limit
+        if not bound <= half_limit:
+            zz = z_new.dot(z_new)
+            # an overflowed square sum alone is a divergence, not a bad entry
+            if not math.isfinite(zz) and not np.isfinite(z_new).all():
+                status = "nonfinite"
+                break
+            bound = math.sqrt(zz)
+        step_norms.append(step)
         iterates.append(z_new)
         z = z_new
-        if step_norms[-1] <= instance.conv_tol:
+        if step <= conv_tol:
             status = "converged"
             break
-        if math.sqrt(zz) > DIVERGENCE_LIMIT:
+        if bound > limit:
             status = "diverged"
             break
-    trace = _trace(iterates, step_norms, instance.order_cone, status)
-    # the trace keeps z in its list, so the solution is a copy
-    return PartitionedVector.from_array(z.copy(), p, q), trace
+    return _finish(instance, iterates, step_norms, status)
+
+
+def _finish(instance: MicpInstance, iterates: list, step_norms: list,
+            status: str) -> tuple[PartitionedVector, IterationTrace]:
+    """What :func:`picard_solve` does after its loop: the trace with its
+    iterates, step norms and certificates pending, and the solution."""
+    trace = IterationTrace.__new__(IterationTrace)
+    trace._iterates = trace._step_norms = trace._certificates = None
+    trace._pending = iterates
+    trace._pending_norms = step_norms
+    trace._cone = instance.order_cone
+    trace._status = status
+    # the trace keeps the last iterate in its list, so the solution is a
+    # copy; the loop has shown every iterate but the start finite
+    z = iterates[-1].copy()
+    if not step_norms:
+        return PartitionedVector.from_array(z, instance.map.p, instance.map.q), trace
+    return PartitionedVector._split(z, instance.map.p), trace
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,12 @@ nonnegative cone of R^(p+1), in closed form at p = 1.  A **cylinder** R^p x C
 keeps the x block and projects the u block onto C.  **Moreau** gives each
 dual kind, P_K*(v) = v + P_K(-v).  The ESOC and its dual need a root finder
 (Ferreira & Németh, J. Global Optim. 70, 2018) and raise
-:class:`UnsupportedConeError`, as do cylinders over them.
+:class:`UnsupportedConeError`, as do cylinders over them.  The refusal sits
+in the dispatch of :func:`_point`, where it reaches an ESOC kind, so a
+supported cone pays for no walk to its base on each call; when a call
+fails, :func:`project` walks to the base then, so the error names the base
+under the cylinders and comes before a wrong length or any other error.
+:func:`project_batch` walks to the base first, and the solver once per solve.
 
 :func:`project` computes only the projected point.  Its
 :class:`ProjectionResult` keeps a copy of the input and, for the isotonic
@@ -98,16 +103,6 @@ class ProjectionResult:
                 f"active_blocks={self.active_blocks!r})")
 
 
-def _result(v: np.ndarray, point: np.ndarray, lengths=None) -> ProjectionResult:
-    """The result of projecting ``v`` to ``point``, distance and blocks pending."""
-    r = ProjectionResult.__new__(ProjectionResult)
-    r._point = point
-    r._distance = r._blocks = None
-    r._source = v.copy()
-    r._lengths = lengths
-    return r
-
-
 # Every cone is closed under positive scaling, so P(v) = 2^k P(2^-k v), and
 # scaling by a power of two is exact.  When a fast value overflows on a
 # finite input, the leaf is redone on v scaled so that its largest entry lies
@@ -125,8 +120,9 @@ def _rescaled(leaf, v: np.ndarray):
 
 def _norm_tail(v: np.ndarray, p: int):
     """Project (w, z) = (v[:p], v[p:]) onto {x_1 >= ... >= x_p >= ||u||}:
-    (x, s) fits (w, ||z||) in the monotone nonnegative cone and u = s z/||z||.
-    Its blocks are those of that fit, index p standing for ||u||."""
+    (x, s) fits (w, ||z||) in the monotone nonnegative cone, the isotonic
+    fit clipped at 0 inside ``pav_fit``, and u = s z/||z||.  Its blocks are
+    those of that fit, index p standing for ||u||."""
     head = v
     if p < v.size:
         tail = v[p:]
@@ -139,10 +135,9 @@ def _norm_tail(v: np.ndarray, p: int):
         head = v[: p + 1].copy()
         head[p] = norm
     try:
-        fit, counts = pav_fit(head)
+        fit, counts = pav_fit(head, nonneg=True)
     except OverflowError:
         return _rescaled(lambda w: _norm_tail(w, p), v)
-    fit = np.maximum(fit, 0.0)
     if p == v.size:
         return fit, counts
     return np.concatenate([fit[:p], tail * (fit[p] / norm if norm > 0.0 else 0.0)]), counts
@@ -186,8 +181,10 @@ def _point(cone: ConeSpec, v: np.ndarray):
     if kind == cones.CYLINDER:
         point, lengths = _point(cone.inner, v[cone.p :])
         return np.concatenate([v[: cone.p], point]), lengths
-    # project has refused the ESOC kinds, so every kind left is the dual of
-    # one above; the blocks of the primal fit do not describe this point
+    if kind in _UNSUPPORTED:
+        raise UnsupportedConeError(f"no projection for {kind!r}")
+    # every kind left is the dual of one above; the blocks of the primal fit
+    # do not describe this point
     return v + _point(cones.dual_of(cone), -v)[0], None
 
 
@@ -195,15 +192,39 @@ def _point(cone: ConeSpec, v: np.ndarray):
 _UNSUPPORTED = (cones.ESOC, cones.ESOC_DUAL)
 
 
-def project(cone: ConeSpec, z) -> ProjectionResult:
-    """Project ``z`` onto ``cone``; see the module docstring for the kinds."""
+def _refuse_unsupported(cone: ConeSpec) -> None:
+    """Raise :class:`UnsupportedConeError` when ``cone`` or the base under
+    its cylinders is an ESOC kind, naming that base."""
     base = cone
     while base.inner is not None:
         base = base.inner
     if base.kind in _UNSUPPORTED:
         raise UnsupportedConeError(f"no projection for {base.kind!r}")
-    v = cones._as_vector(z, cone.dim)
-    return _result(v, *_point(cone, v))
+
+
+def project(cone: ConeSpec, z) -> ProjectionResult:
+    """Project ``z`` onto ``cone``; see the module docstring for the kinds.
+
+    Raises :class:`UnsupportedConeError` for an ESOC kind, also as the base
+    of a cylinder, before any other error: :func:`_point` refuses the kind
+    where its dispatch reaches it, and a failed call walks to the base."""
+    try:
+        v = np.asarray(z, dtype=float).ravel()
+        if v.size != cone.dim:
+            raise DimensionError(f"expected a vector of length {cone.dim}, got {v.size}")
+        point, lengths = _point(cone, v)
+    except Exception:
+        # whatever failed, an ESOC base is the error to report, named as
+        # the base (the dispatch of a cylinder_dual reaches its dual)
+        _refuse_unsupported(cone)
+        raise
+    # the result with its distance and blocks pending
+    r = ProjectionResult.__new__(ProjectionResult)
+    r._point = point
+    r._distance = r._blocks = None
+    r._source = v.copy()
+    r._lengths = lengths
+    return r
 
 
 def _batch_point(cone: ConeSpec, V: np.ndarray) -> np.ndarray:
@@ -255,8 +276,8 @@ def project_batch(cone: ConeSpec, V) -> np.ndarray:
     single block gives it, but for the sign of a NaN: a Moreau sum of two
     NaNs takes either one's, and IEEE 754 gives that sign no meaning.
     """
-    # the check of project, not shared through a function: one more call
-    # made a small projection about 3% slower
+    # _refuse_unsupported inline: one more call made a small projection
+    # about 3% slower
     base = cone
     while base.inner is not None:
         base = base.inner

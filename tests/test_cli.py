@@ -405,6 +405,21 @@ def test_non_convergence_exit(capsys, tmp_path):
     assert json.loads(out)["status"] == "diverged"
 
 
+@pytest.mark.parametrize("inner", [{"kind": "esoc", "p": 1, "q": 1}, {"kind": "esoc_dual", "p": 1, "q": 1}])
+@pytest.mark.parametrize("max_iter", ["0", "1", "2000"])
+def test_solve_refuses_an_inner_cone_without_a_projection(capsys, tmp_path, inner, max_iter):
+    # every budget exits 3, a budget of no steps included
+    doc = {
+        "version": 1,
+        "command": "solve",
+        "cone": {"kind": "cylinder", "p": 2, "inner": inner},
+        "payload": {"map": {"kind": "affine", "p": 2, "q": 2, "matrix": np.eye(4).tolist(), "offset": [0.0] * 4}},
+    }
+    code, out, err = run_cli(capsys, "solve", write_problem(tmp_path, doc), "--max-iter", max_iter)
+    assert code == 3 and out == ""
+    assert err == f"error: no projection for {inner['kind']!r}\n"
+
+
 def test_check_failed_exit_for_non_member_pair(capsys, tmp_path):
     doc = {
         "version": 1,

@@ -330,11 +330,15 @@ def _reference_step(instance, z):
 
 def _reference_solve(instance):
     """picard_solve as a plain loop of _reference_step, np.linalg.norm and a
-    per-step order certificate."""
+    per-step order certificate, with every iterate checked for finiteness
+    and its norm for divergence."""
     z = instance.start.copy()
     iterates, step_norms, certs, status = [z], [], [], "max_iter"
     for _ in range(instance.max_iter):
         z_new = _reference_step(instance, z)
+        if not np.isfinite(z_new).all():
+            status = "nonfinite"
+            break
         d = z_new - z
         step_norms.append(float(np.linalg.norm(d)))
         certs.append(mk.contains(instance.order_cone, d))
@@ -351,6 +355,12 @@ def _reference_solve(instance):
 
 def _assert_matches_reference(instance):
     iterates, step_norms, certs, status = _reference_solve(instance)
+    if not np.isfinite(iterates[-1]).all():
+        # only the start can be kept without a check, and it is no solution
+        assert len(iterates) == 1
+        with pytest.raises(ValueError, match="finite"):
+            mk.picard_solve(instance)
+        return
     sol, trace = mk.picard_solve(instance)
     assert trace.status == status
     assert trace.iterates.shape == iterates.shape
@@ -446,6 +456,87 @@ def test_solve_matches_reference_loop(p, q, kind, map_kind, seed, max_iter):
 @pytest.mark.parametrize("max_iter", [0, 1, 2000])
 def test_worked_instance_matches_reference_loop(max_iter):
     _assert_matches_reference(mk.example_instance(max_iter=max_iter))
+
+
+def _edge_start(rng, n, start):
+    """A start of one of the kinds the solver's shortcuts depend on."""
+    z = rng.standard_normal(n)
+    if start == "near_limit":  # norms about 1e11 to 1e13, around DIVERGENCE_LIMIT
+        return z * (10.0 ** rng.uniform(11.0, 13.0) / np.linalg.norm(z))
+    if start == "nonfinite":
+        z[rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+        return z
+    # entries near 1e200: the square sums of the iterates and of the steps
+    # overflow while every entry stays finite
+    return z * 1e200
+
+
+# the loop computes an iterate's square sum only for a step that is not
+# finite or a norm bound past half of DIVERGENCE_LIMIT; these starts and
+# expanding updates (||I - M|| up to 3) take every branch of that rule
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("start", ["near_limit", "nonfinite", "overflow"])
+@pytest.mark.parametrize("rho", [0.8, 1.5, 3.0])
+@pytest.mark.parametrize("map_kind", ["affine", "scalar_combo"])
+def test_solve_matches_reference_loop_at_the_edges(start, rho, map_kind):
+    rng = np.random.default_rng([int(rho * 10), len(start), len(map_kind)])
+    kinds = ("monotone_nonneg", "monotone", "lorentz", "nonneg_orthant", "monotone_nonneg_dual")
+    for i in range(10):
+        p, q = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        n = p + q
+        if map_kind == "affine":
+            g = rng.standard_normal((n, n))
+            map_ = mk.AffineMap(p=p, q=q, matrix=np.eye(n) - rho * g / np.linalg.norm(g, 2),
+                                offset=rng.standard_normal(n))
+        else:
+            fields = _scalar_combo(rng, p, q)
+            map_ = mk.ScalarComboMap(p=p, q=q, fields=fields.fields, directions=rho / 0.8 * fields.directions)
+        inst = mk.MicpInstance(map=map_, inner=getattr(mk, kinds[i % len(kinds)])(q),
+                               start=_edge_start(rng, n, start), max_iter=(0, 1, 5, 2000)[i % 4])
+        _assert_matches_reference(inst)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_edge_starts_reach_every_status():
+    # the cases above are no vacuous pass: between them they diverge, from a
+    # step whose square sum overflows among others, converge, run out of
+    # steps, stop at a non-finite iterate and raise at a non-finite start
+    grow = mk.AffineMap(p=2, q=2, matrix=-2.0 * np.eye(4), offset=-np.ones(4))
+    shrink = mk.example_instance().map
+    cases = {
+        "diverged": (grow, [3e11, 2e11, 1e11, 0.0]),
+        "converged": (shrink, [8e11, 5e11, 2e11, 0.0]),
+        "max_iter": (shrink, [6e11, 5e11, 1e11, 0.0]),
+    }
+    for status, (map_, start) in cases.items():
+        inst = mk.MicpInstance(map=map_, inner=mk.monotone_nonneg(2), start=start,
+                               max_iter=5 if status == "max_iter" else 2000)
+        assert mk.picard_solve(inst)[1].status == status
+        _assert_matches_reference(inst)
+    # the first step's square sum overflows, every entry finite
+    inst = mk.MicpInstance(map=grow, inner=mk.monotone_nonneg(2), start=[1e200, -1e200, 1e200, 0.0])
+    _, trace = mk.picard_solve(inst)
+    assert trace.status == "diverged" and trace.n_steps == 1 and trace.step_norms[0] == math.inf
+    assert np.isfinite(trace.final).all()
+    _assert_matches_reference(inst)
+    for bad in (math.nan, math.inf, -math.inf):
+        for max_iter in (0, 1):
+            inst = mk.MicpInstance(map=shrink, inner=mk.monotone_nonneg(2), start=[bad, 0.0, 0.0, 0.0],
+                                   max_iter=max_iter)
+            with pytest.raises(ValueError, match="finite"):
+                mk.picard_solve(inst)
+
+
+@pytest.mark.parametrize("inner", [mk.esoc(1, 1), mk.esoc_dual(1, 1), mk.cylinder(1, mk.esoc(1, 1))])
+@pytest.mark.parametrize("max_iter", [0, 1])
+def test_solve_refuses_an_inner_cone_without_a_projection(inner, max_iter):
+    # before the first step, so a budget of no steps is refused too
+    q = inner.dim
+    map_ = mk.AffineMap(p=2, q=q, matrix=np.eye(2 + q), offset=np.zeros(2 + q))
+    inst = mk.MicpInstance(map=map_, inner=inner, max_iter=max_iter)
+    base = "esoc_dual" if inner.kind == "esoc_dual" else "esoc"
+    with pytest.raises(mk.UnsupportedConeError, match=f"no projection for '{base}'"):
+        mk.picard_solve(inst)
 
 
 # ---------------------------------------------------------------------------

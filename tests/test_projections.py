@@ -411,6 +411,29 @@ def test_unsupported_kinds(cone):
         mk.project(mk.cylinder(1, cone), z)
 
 
+@pytest.mark.parametrize("cone", [mk.esoc(2, 2), mk.esoc_dual(2, 2), mk.cylinder(1, mk.esoc(1, 1)),
+                                  mk.cylinder_dual(1, mk.esoc(1, 1)),
+                                  mk.cylinder(1, mk.cylinder_dual(1, mk.esoc_dual(1, 1)))], ids=str)
+def test_refusal_names_the_base_before_any_other_error(cone):
+    # the refusal lives in the dispatch, but names the base under the
+    # cylinders (not the dual a cylinder_dual reaches) and comes first
+    base = cone
+    while base.inner is not None:
+        base = base.inner
+    message = f"no projection for {base.kind!r}"
+    for z in (np.ones(cone.dim), np.ones(cone.dim + 1), [], "not a vector", [[1.0, None]]):
+        with pytest.raises(mk.UnsupportedConeError) as info:
+            mk.project(cone, z)
+        assert str(info.value) == message
+
+
+def test_supported_kinds_keep_their_errors():
+    with pytest.raises(mk.DimensionError, match="expected a vector of length 3, got 2"):
+        mk.project(mk.cylinder_dual(1, mk.lorentz(2)), [1.0, 2.0])
+    with pytest.raises(ValueError, match="could not convert"):
+        mk.project(mk.lorentz(2), ["x", 1.0])
+
+
 def _scaled_projection(cone, v):
     """2^k P(2^-k v), with the largest entry of 2^-k v in [1/2, 1)."""
     k = math.frexp(np.abs(v).max())[1]
@@ -523,6 +546,41 @@ def test_heads_around_the_passes_switch(h, rng, monkeypatch):
             assert all(type(i) is int for block in r.active_blocks for i in block)
     # only heads of PASSES_MIN entries or more go through the passes
     assert pools == ([(1, h)] * 15 if h >= _kernels.PASSES_MIN else [])
+
+
+def _clip_heads(n, rng):
+    """Heads of n entries for the norm tail's clipped fit: -0.0 among
+    negatives, a NaN, only negative values, and strictly decreasing ones,
+    some below zero, where no block pools."""
+    signed_zero = -np.abs(rng.standard_normal(n))
+    signed_zero[rng.choice(n, size=max(1, n // 3), replace=False)] = -0.0
+    nan = rng.standard_normal(n)
+    nan[rng.integers(n)] = np.nan
+    negative = -np.abs(rng.standard_normal(n)) - 1.0
+    descending = np.sort(rng.standard_normal(n))[::-1].copy()
+    return {"-0.0": signed_zero, "all -0.0": np.full(n, -0.0), "NaN": nan, "negative": negative,
+            "no pooling": descending, "mixed": rng.standard_normal(n) * 3.0}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2, 7, _kernels.PASSES_MIN - 1, _kernels.PASSES_MIN])
+def test_clipped_fit_is_np_maximum_bit_for_bit(n, rng):
+    for name, head in _clip_heads(n, rng).items():
+        fit, counts = _kernels.pav_fit(head)
+        clipped, clipped_counts = _kernels.pav_fit(head, nonneg=True)
+        assert clipped.dtype == fit.dtype and clipped.shape == (n,)
+        assert clipped.tobytes() == np.maximum(fit, 0.0).tobytes(), name
+        assert list(clipped_counts) == list(counts), name
+        # the unclipped fit is the monotone cone's projection, the clipped
+        # one the monotone nonnegative cone's: the norm tail at p = n, which
+        # at p = 1 is a closed form instead
+        assert mk.project(mk.monotone(n), head).point.tobytes() == fit.tobytes(), name
+        if n > 1:
+            assert mk.project(mk.monotone_nonneg(n), head).point.tobytes() == clipped.tobytes(), name
+    # no block pools: the fit is the head, clipped or not
+    descending = _clip_heads(n, rng)["no pooling"]
+    assert _kernels.pav_fit(descending)[0].tobytes() == descending.tobytes()
+    assert len(_kernels.pav_fit(descending, nonneg=True)[1]) == n
 
 
 @settings(deadline=None)
