@@ -4,8 +4,8 @@ Run from the repository root::
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
-For each shape it times one call of ``project_monotone_nonneg_batch`` on
-seeded normal rows, then recomputes every row with the single-vector sweep
+For each shape it times one call of ``project_batch`` onto the monotone
+nonnegative cone on seeded normal rows, then recomputes every row with the single-vector sweep
 ``isotonic_decreasing`` (timed too, as the row loop the batch kernel
 replaces) and prints the worst difference, scaled by 1 + max|row|.  The
 cascade row repeats ``[n-2, ..., 1, 0, n**2]`` of width n, which pools one
@@ -33,7 +33,10 @@ whole-array formulas of ``tests/_reference_sampling.py`` (temporaries joined
 by ``np.hstack``, which the samplers used before they built members in one
 output), and report both traced peaks: the most bytes a call holds
 allocated at once (``tracemalloc``).  Exits 1 unless every array and the
-generator state after the call agree byte for byte.
+generator state after the call agree byte for byte.  The isotone row does
+the same for ``check_isotone`` of the worked example map on 200 000 pairs of
+``mesoc(2, 2)``, in row blocks, against the whole-array check of
+``tests/_reference_order.py``, and exits 1 unless the two reports agree.
 
 Both batch functions run in row blocks of about ``cones.BLOCK_ENTRIES``
 entries.  Every batch call is repeated as one block, with the constant
@@ -77,6 +80,66 @@ place), in ms and MiB:
     mesoc(1, 5) 100000x6        11.2     6.5
     sample mesoc(8, 8) peak     39.7    38.3
     pairs mesoc(2, 2) peak      19.8    18.5
+
+Narrow blocks worked down their columns, and ``check_isotone`` in row
+blocks: medians of three alternating runs of the batch, sampler and isotone
+rows on the parent commit and on this one (each the median of three
+interleaved calls per side), in ms and traced MiB:
+
+                              parent   this
+    100000x16 batch               69     63
+    10000x64 batch                32     33
+    sample mesoc(8, 8)            98     98
+    pairs mesoc(2, 2)             55     40
+    isotone mesoc(2, 2)           73     56
+    pairs mesoc(2, 2) peak      18.5   18.8
+    isotone mesoc(2, 2) peak    35.3   18.8
+
+The isotone row's peak is now the sampler's own: the check holds the pairs
+and one block's images and slacks, where the whole-array check held both
+images, their difference and the slack matrix of every pair at once.  The
+pairs' peak grew by 0.3 MiB, the slice of the unit directions' second
+column that ``row_norms`` squares beside their sum.  The PAV rows move
+within the run-to-run spread here; ``perfbench``'s ``batch_analysis``
+shows the end-to-end change.
+
+The narrow-block table times every site that works a narrow block down its
+columns, on 200 000 rows and blocks 1 to 8 columns wide, in its 2-D form
+(``cones.NARROW_MAX`` set to 0, or the form it replaced) and in its column
+form (the constant set to the width).  Gated sites: ``x += nu`` on the x
+block of a wider output, the copy of a draw into the u block, the unit
+rows, the radii scaled into the u block and ``row_norms`` of the u block.
+Not gated: the PAV pre-pass's descent test (2-D neighbours against one
+comparison over the flat rows), and ``ScalarComboMap.field_values`` with
+as many fields as the width (``np.stack`` of the columns against one
+output).  It prints the widest width up to which the column form wins or
+ties (within 5%) every gated site; that sets ``cones.NARROW_MAX``.  Medians
+of three runs (each the median of seven interleaved rounds), ms for the 2-D
+form then the column form:
+
+    width                 1           2           3           4           8
+    x += nu         0.32 0.29   4.03 1.03   4.38 2.21   5.22 3.46   8.9 13.8
+    block copy      0.28 0.24   1.34 0.96   1.54 2.09   1.96 3.74   3.0 15.5
+    unit rows       1.50 0.63   2.84 1.61   2.99 2.44   3.77 3.83   4.8 12.6
+    radii into u    0.34 0.31   2.42 1.12   2.62 2.31   3.54 4.08   6.9 20.7
+    row_norms       0.59 0.48   1.46 1.15   1.54 2.10   1.85 3.33   3.2 11.2
+    pre-pass        0.04 0.01   0.46 0.26   3.97 0.35   4.71 0.44   5.3  1.2
+    field values    3.42 4.58   4.33 3.09   6.96 4.50   8.26 5.89  18.0 14.7
+
+At width 1 the gated sites make the same calls in both forms but for the
+unit rows, whose 2-D form takes the norms of a one-column block through
+``einsum``.  At width 2 every gated site is 1.3-4x faster down its
+columns; from width 3 the copy and ``row_norms`` are slower, and at width 8
+every gated site is 1.5-5x slower, so the constant is 2.  (``row_norms``
+down the columns also keeps ``einsum``'s bits only up to two columns.)  The
+flat descent test wins at every width, and runs unconditionally.  The field
+values are summed in contiguous vectors and written once into one output:
+faster from two fields on, and at 16384 x 2 (a ``check_isotone`` block)
+0.176 ms against 0.197 in a separate timing of 40 alternating calls.  With
+one field this table reads it slower (3.4 ms against 4.6), which that
+separate timing did not show (2.1 against 2.0); no map of the benchmark
+has one field.  At 200000 rows these timings include the page faults of
+fresh arrays, which is why they move between runs.
 
 Block sizes, medians over six runs of the script
 (each the median of five interleaved rounds per size), in ms:
@@ -125,10 +188,11 @@ import numpy as np
 import mesoc_kit as mk
 from mesoc_kit import _kernels, cones, sampling
 from mesoc_kit._kernels import isotonic_decreasing, pav_fit
-from mesoc_kit.projections import project, project_batch, project_monotone_nonneg_batch
+from mesoc_kit.projections import project, project_batch
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
+import _reference_order  # noqa: E402  (the isotonicity check before it ran in row blocks)
 import _reference_sampling  # noqa: E402  (the formulas before members were built in one output)
 from bench_solver import large_instance  # noqa: E402  (perfbench's large_pav instance)
 
@@ -141,8 +205,17 @@ BLOCK_EXPONENTS = (12, 14, 15, 16, 17, 18)
 ONE_ROW_SIZES = (8, 16, 32, 64, 128, 192, 256, 320, 384, 512, 1000, 2000)
 ONE_ROW_NORMAL = 20
 SAMPLER_ROWS = 200_000
+NARROW_ROWS = 200_000
+NARROW_WIDTHS = (1, 2, 3, 4, 8)
+NARROW_TIE = 1.05  # a column form this much slower ties: the run-to-run spread
+ISOTONE_PAIRS = 200_000
 SEED = 20240817
 TOL = 1e-12
+
+
+def nonneg_batch(V: np.ndarray) -> np.ndarray:
+    """``project_batch`` onto the monotone nonnegative cone of ``V``'s width."""
+    return project_batch(cones.monotone_nonneg(V.shape[1]), V)
 
 
 def cascade(m: int, n: int) -> np.ndarray:
@@ -273,11 +346,128 @@ def measure_samplers(rounds: int = 3) -> bool:
     return same
 
 
+def measure_isotone(rounds: int = 3) -> bool:
+    """Time and trace ``check_isotone`` of the worked example map on
+    ``ISOTONE_PAIRS`` pairs of ``mesoc(2, 2)`` (``perfbench``'s isotone op)
+    against the whole-array check of ``tests/_reference_order.py``; whether
+    the two reports have the same bytes."""
+    map_, cone = mk.example_instance().map, cones.mesoc(2, 2)
+    sides = {"blocks": lambda: mk.check_isotone(map_, cone, ISOTONE_PAIRS, 1),
+             "whole": lambda: _reference_order.check_isotone(map_, cone, ISOTONE_PAIRS, 1)}
+    seconds = {side: [] for side in sides}
+    for _ in range(rounds):
+        for side, run in sides.items():
+            seconds[side].append(timed(run)[1])
+    report, (checked, violations) = sides["blocks"](), sides["whole"]()
+    same = report.checked == checked and len(report.violations) == len(violations) and all(
+        a.pair.lo.tobytes() == b.pair.lo.tobytes() and a.image_diff.tobytes() == b.image_diff.tobytes()
+        and a.margin == b.margin for a, b in zip(report.violations, violations))
+    peak, ref_peak = (traced_peak(run) / 2**20 for run in sides.values())
+    ms, ref_ms = (1e3 * statistics.median(seconds[side]) for side in sides)
+    print(f"{'isotone mesoc(2, 2)':>22} {ms:>10.2f}ms {ref_ms:>10.2f}ms {peak:>10.1f} {ref_peak:>10.1f} "
+          f"{2 * ISOTONE_PAIRS * 4 * 8 / 2**20:>8.1f} {'yes' if same else 'NO':>6}")
+    return same
+
+
+def with_narrow_max(width: int, fn, *args):
+    """``fn(*args)`` with blocks of at most ``width`` columns worked down
+    their columns (``cones.NARROW_MAX``); 0 works every block as a whole."""
+    saved = cones.NARROW_MAX
+    cones.NARROW_MAX = width
+    try:
+        return fn(*args)
+    finally:
+        cones.NARROW_MAX = saved
+
+
+def descent_2d(rows: np.ndarray) -> np.ndarray:
+    """The PAV pre-pass's descent test as a 2-D comparison of each row's
+    neighbours, the form before the flat one of ``_kernels._pool``."""
+    opens = np.empty(rows.shape, dtype=bool)
+    opens[:, 0] = True
+    opens[:, 1:] = rows[:, 1:] < rows[:, :-1]
+    return opens.reshape(-1)
+
+
+def descent_flat(rows: np.ndarray) -> np.ndarray:
+    """``_kernels._pool``'s descent test: one comparison over the flat rows,
+    then the row starts."""
+    flat = rows.reshape(-1)
+    opens = np.empty(flat.size, dtype=bool)
+    if rows.shape[1] > 1:
+        np.less(flat[1:], flat[:-1], out=opens[1:])
+    opens[:: rows.shape[1]] = True
+    return opens
+
+
+def stacked_field_values(map_, Z: np.ndarray) -> np.ndarray:
+    """``ScalarComboMap.field_values`` as it was: one column per field,
+    joined by ``np.stack``."""
+    X, U = Z[:, : map_.p], Z[:, map_.p :]
+    norms = cones.row_norms(U)
+    return np.stack([X @ f.linear + f.norm_coeff * norms + f.offset for f in map_.fields], axis=1)
+
+
+def narrow_sites(w: int) -> list:
+    """``(label, gated, run)`` for every site that works a narrow block down
+    its columns, on ``NARROW_ROWS`` rows and blocks ``w`` wide: ``run(column)``
+    runs the site once in its column form or its 2-D form, and ``gated``
+    says whether ``cones.NARROW_MAX`` picks the form."""
+    rng = np.random.default_rng(SEED)
+    out = np.empty((NARROW_ROWS, 2 * w))  # the x and u blocks of one output
+    x, u = out[:, :w], out[:, w:]
+    draw = rng.standard_normal((NARROW_ROWS, w))
+    v = rng.uniform(0.2, 2.5, NARROW_ROWS)
+    fields = tuple(mk.ScalarField([1.0, -0.5], 0.1, 0.5 * k) for k in range(w))
+    combo = mk.ScalarComboMap(p=2, q=2, fields=fields, directions=np.ones((w, 4)))
+    Z = rng.standard_normal((NARROW_ROWS, 4))
+    gated = [
+        ("x += nu", lambda: sampling._by_rows(np.add, x, v, x)),
+        ("block copy", lambda: sampling._put(u, draw)),
+        ("unit rows", lambda: sampling._unit_rows(draw)),
+        ("radii into u", lambda: sampling._by_rows(np.multiply, draw, v, u)),
+        ("row_norms", lambda: cones.row_norms(u)),
+    ]
+    sites = [(label, True, lambda column, f=f: with_narrow_max(w if column else 0, f))
+             for label, f in gated]
+    sites.append(("pre-pass", False, lambda column: (descent_flat if column else descent_2d)(draw)))
+    sites.append(("field values", False, lambda column: combo.field_values(Z) if column
+                  else stacked_field_values(combo, Z)))
+    return sites
+
+
+def narrow_blocks(rounds: int = 7) -> int:
+    """Median ms per call of every narrow-block site in its 2-D form and its
+    column form at each width of ``NARROW_WIDTHS``, over ``rounds``
+    interleaved rounds; returns the widest width up to which the column form
+    is at most ``NARROW_TIE`` times slower at every gated site, the value
+    for ``cones.NARROW_MAX``.  (At width 1 the two forms make the same
+    calls, so there they tie within the run-to-run spread.)"""
+    print(f"{'narrow blocks':>22} {'width':>5} {'2-D ms':>9} {'column ms':>10} {'ratio':>6}")
+    widest, beaten = 0, False
+    for w in NARROW_WIDTHS:
+        sites = narrow_sites(w)
+        seconds = {(label, column): [] for label, _, _ in sites for column in (False, True)}
+        for _ in range(rounds):
+            for label, _, run in sites:
+                for column in (False, True):
+                    seconds[label, column].append(timed(run, column)[1])
+        for label, gated, _ in sites:
+            flat_ms, col_ms = (1e3 * statistics.median(seconds[label, c]) for c in (False, True))
+            print(f"{label:>22} {w:>5} {flat_ms:>9.3f} {col_ms:>10.3f} {col_ms / flat_ms:>6.2f}")
+            beaten = beaten or (gated and col_ms > NARROW_TIE * flat_ms)
+        if not beaten:
+            widest = w
+    print(f"the column form wins or ties every gated site up to width {widest}; "
+          f"cones.NARROW_MAX = {cones.NARROW_MAX}")
+    return widest
+
+
 def block_sizes(rounds: int = 5) -> None:
     """Median time per block size at the two largest PAV shapes and the
     membership shape, over ``rounds`` rounds that each time every size once."""
     rng = np.random.default_rng(SEED)
-    cases = [(f"pav {n}x{d}", project_monotone_nonneg_batch, rng.standard_normal((n, d)))
+    cases = [(f"pav {n}x{d}", nonneg_batch, rng.standard_normal((n, d)))
              for n, d in SIZES[2:]]
     m, p, q = MEMBERSHIP
     cone = cones.mesoc(p, q)
@@ -349,7 +539,7 @@ def one_row(rounds: int = 7) -> bool:
 
 
 def main() -> int:
-    project_monotone_nonneg_batch(np.zeros((2, 2)))  # warm the call path
+    nonneg_batch(np.zeros((2, 2)))  # warm the call path
     print(f"{'rows x dim':>22} {'batch':>12} {'one block':>12} {'row sweep':>12} "
           f"{'worst diff':>10} {'bytes':>6}")
 
@@ -359,9 +549,9 @@ def main() -> int:
     results = []
     for n, dim in SIZES:
         V = np.random.default_rng(SEED).standard_normal((n, dim))
-        results.append(measure(f"{n}x{dim}", project_monotone_nonneg_batch, V, sweep))
+        results.append(measure(f"{n}x{dim}", nonneg_batch, V, sweep))
     m, n = CASCADE
-    results.append(measure(f"cascade {m}x{n}", project_monotone_nonneg_batch, cascade(m, n), sweep))
+    results.append(measure(f"cascade {m}x{n}", nonneg_batch, cascade(m, n), sweep))
     m, p, q = NORM_TAIL
     tail_cone = cones.mesoc(p, q)
     V = np.random.default_rng(SEED).standard_normal((m, p + q))
@@ -371,7 +561,8 @@ def main() -> int:
           f"{'disagree':>10} {'bytes':>6}")
     wrong, membership_same = measure_membership(*MEMBERSHIP)
     measure_twins(*TWINS)
-    samplers_same = measure_samplers()
+    samplers_same = measure_samplers() and measure_isotone()
+    narrow_blocks()
     block_sizes()
     one_row_agrees = one_row()
     worst = max(w for w, _ in results)

@@ -251,35 +251,76 @@ def membership_slacks(cone: ConeSpec, z) -> np.ndarray:
     return _slacks_batch(cone, z[None, :])[0]
 
 
-def row_norms(A: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row of the 2-D array ``A``.
-
-    One ``einsum`` pass over the rows; ``np.linalg.norm(A, axis=1)`` runs a
-    short reduction loop per row, about 5x slower at 200000 x 8.  The two
-    agree bit for bit up to two columns and within a few ulp beyond.  The
-    square root is taken in place, which spares a second vector of norms.
-    """
-    s = np.einsum("ij,ij->i", A, A)
-    return np.sqrt(s, out=s)
-
-
 # Entries per row block of the batch functions: 512 KiB of float64, so a
 # block's temporaries stay in a core's L2 cache (benchmarks/bench_kernels.py).
 BLOCK_ENTRIES = 2**16
 
 
+# Blocks of at most this many columns are worked down their columns, one 1-D
+# ufunc call per column: NumPy runs a 2-D ufunc with its inner loop on the
+# last axis, so on a narrow block it pays per row, not per entry.  Wider
+# blocks keep the 2-D form (the narrow-block table of
+# benchmarks/bench_kernels.py).
+NARROW_MAX = 2
+
+
+def row_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of the 2-D array ``A``.
+
+    One ``einsum`` pass over the rows; ``np.linalg.norm(A, axis=1)`` runs a
+    short reduction loop per row, about 5x slower at 200000 x 8.  The two
+    agree bit for bit up to two columns and within a few ulp beyond.  A
+    block of at most :data:`NARROW_MAX` columns and more than one row sums
+    its squared columns instead, with the bits of ``einsum``, which adds a
+    row's first two squares as one sum: at 200000 x 2 it takes about 0.8 ms
+    against 1.3, and at 16384 x 2 0.04 ms against 0.12.  At one row, as in
+    every solver step of a scalar-combination map, the single ``einsum``
+    call is cheaper.  The square root is taken in place, which spares a
+    second vector of norms.
+    """
+    m, n = A.shape
+    if 0 < n <= NARROW_MAX and m > 1:
+        s = _column_squares(A)
+    else:
+        s = np.einsum("ij,ij->i", A, A)
+    return np.sqrt(s, out=s)
+
+
+# einsum raises no overflow warning, so neither do the squares
+@np.errstate(over="ignore")
+def _column_squares(A):
+    """The sum of the squared columns of the 2-D ``A``, a column at a time.
+    A later column is squared in slices of :data:`BLOCK_ENTRIES` rows, so
+    beside the sum no second vector as long as a column is alive."""
+    s = np.square(A[:, 0])
+    for j in range(1, A.shape[1]):
+        for k in range(0, len(A), BLOCK_ENTRIES):
+            s[k : k + BLOCK_ENTRIES] += np.square(A[k : k + BLOCK_ENTRIES, j])
+    return s
+
+
+def row_blocks(m: int, width: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of consecutive blocks of ``m`` rows of ``width``
+    entries, about :data:`BLOCK_ENTRIES` entries each and at least two rows:
+    a lone last row joins the block before it.  NumPy multiplies a one-row
+    matrix as a vector (gemv), which can give other last bits than the same
+    row in a matrix product (gemm), so a map evaluated in these blocks gives
+    the bytes of one whole-array call."""
+    r = max(2, BLOCK_ENTRIES // max(width, 1))
+    stops = [*range(r, m - 1, r), m] if m else []
+    return list(zip([0, *stops], stops))
+
+
 def by_row_blocks(fn, Z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill ``out[s:s+r] = fn(Z[s:s+r])`` over blocks of ``r`` rows of the 2-D
-    ``Z``, about :data:`BLOCK_ENTRIES` entries each (one row when a row is
-    wider), and return ``out``.  ``fn`` must work row by row.  A nonempty
-    ``Z`` that fits in one block returns ``fn(Z)`` itself and leaves ``out``
-    unwritten, so a small call, such as the solver's order certificates,
-    skips the loop and the copy (about 1 us)."""
-    r = max(1, BLOCK_ENTRIES // Z.shape[1])
-    if 0 < len(Z) <= r:
+    """Fill ``out[s:e] = fn(Z[s:e])`` over the :func:`row_blocks` of the 2-D
+    ``Z`` and return ``out``.  ``fn`` must work row by row.  A ``Z`` that is
+    one block returns ``fn(Z)`` itself and leaves ``out`` unwritten, so a
+    small call, such as the solver's order certificates, skips the copy."""
+    blocks = row_blocks(len(Z), Z.shape[1])
+    if len(blocks) == 1:
         return fn(Z)
-    for s in range(0, len(Z), r):
-        out[s : s + r] = fn(Z[s : s + r])
+    for s, e in blocks:
+        out[s:e] = fn(Z[s:e])
     return out
 
 

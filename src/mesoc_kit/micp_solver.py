@@ -121,10 +121,17 @@ class ScalarComboMap:
         object.__setattr__(self, "directions", W)
 
     def field_values(self, Z: np.ndarray) -> np.ndarray:
+        """The field values f_i(z) of every row of ``Z``, one column per
+        field: each is summed in a contiguous vector and its last sum is
+        written into its column of one output array."""
         X, U = Z[:, : self.p], Z[:, self.p :]
         norms = row_norms(U)
-        cols = [X @ f.linear + f.norm_coeff * norms + f.offset for f in self.fields]
-        return np.stack(cols, axis=1)
+        out = np.empty((len(Z), len(self.fields)))
+        for f, col in zip(self.fields, out.T):
+            t = X @ f.linear
+            t += f.norm_coeff * norms
+            np.add(t, f.offset, out=col)
+        return out
 
     def update_batch(self, Z: np.ndarray) -> np.ndarray:
         return self.field_values(np.asarray(Z, dtype=float)) @ self.directions

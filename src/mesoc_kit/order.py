@@ -4,15 +4,27 @@ A map F is isotone for the order of a cone K when a <=_K b implies
 F(a) <=_K F(b); the checks here falsify that statement on seeded random
 ordered pairs (plus any caller-supplied pairs) and report every violating
 pair together with the first inequality that failed.
+
+:func:`check_isotone` samples all pairs at once and then works through the
+row blocks of :func:`~mesoc_kit.cones.row_blocks`, about
+``cones.BLOCK_ENTRIES`` entries each.  A block's two images, their
+difference and its slack matrix stay in a core's L2 cache, and only the
+violating rows are kept.  On 200000 pairs of ``mesoc(2, 2)`` with the
+worked example map the images and slacks took 20-25 ms as whole arrays and
+take 7-9 ms in blocks (2-vCPU Xeon, NumPy 2.4), and the traced peak of the
+call falls from 35.3 MiB to the sampler's own, 18.8 MiB
+(``benchmarks/bench_kernels.py``; ``tests/_reference_order.py`` keeps the
+whole-array check, whose reports have the same bytes).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import sampling
+from . import cones, sampling
 from .cones import (
     DEFAULT_TOL, ConeSpec, _as_vector, _slacks_batch, check_tol, contains, dual_of, least_slack,
 )
@@ -80,13 +92,23 @@ def check_isotone(
     checked first and count toward ``checked``.  A pair whose image
     difference has a NaN slack counts as a violation.  With no pair to check
     (``n_samples`` 0 and no ``extra_pairs``) it raises ``ValueError``: an
-    empty report would pass vacuously.  So does a negative ``n_samples``.
+    empty report would pass vacuously.  So does a negative ``n_samples``,
+    and a ``scale`` of the sampled points that is not finite and positive:
+    with NaN or inf every image difference is NaN and every pair a false
+    violation.
+
+    The images, their differences and the slacks are built per row block,
+    as :func:`~mesoc_kit.cones.contains_batch` builds its slacks (see the
+    module docstring); every report has the bytes of the one that whole
+    arrays give.
     """
     check_tol(tol)
     if n_samples < 0:
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     if n_samples == 0 and not extra_pairs:
         raise ValueError("nothing to check: n_samples is 0 and there are no extra_pairs")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     if hasattr(map_, "update_batch") and map_.p + map_.q != cone.dim:
         raise DimensionError(
             f"map dimension {map_.p + map_.q} does not match the cone dimension {cone.dim}"
@@ -96,23 +118,23 @@ def check_isotone(
     if extra_pairs:
         lo = np.vstack([[_as_vector(p.lo, cone.dim) for p in extra_pairs], lo])
         hi = np.vstack([[_as_vector(p.hi, cone.dim) for p in extra_pairs], hi])
-    img_lo = _evaluate(map_, lo)
-    img_hi = _evaluate(map_, hi)
-    if img_lo.shape[1] != cone.dim:
-        raise DimensionError("map image dimension does not match the cone")
-    diffs = img_hi - img_lo
-    slacks = _slacks_batch(cone, diffs)
     violations = []
-    for i in np.flatnonzero(~(least_slack(slacks) >= -tol)):
-        j = int(np.argmin(slacks[i]))
-        violations.append(
-            IsotonicityViolation(
-                pair=OrderedPairSample(lo[i], hi[i]),
-                image_diff=diffs[i],
-                failed_inequality=j,
-                margin=float(slacks[i, j]),
+    for start, stop in cones.row_blocks(len(lo), cone.dim):
+        img_lo = _evaluate(map_, lo[start:stop])
+        if img_lo.shape[1] != cone.dim:
+            raise DimensionError("map image dimension does not match the cone")
+        diffs = _evaluate(map_, hi[start:stop]) - img_lo
+        slacks = _slacks_batch(cone, diffs)
+        for i in np.flatnonzero(~(least_slack(slacks) >= -tol)):
+            j = int(np.argmin(slacks[i]))
+            violations.append(
+                IsotonicityViolation(
+                    pair=OrderedPairSample(lo[start + i], hi[start + i]),
+                    image_diff=diffs[i].copy(),
+                    failed_inequality=j,
+                    margin=float(slacks[i, j]),
+                )
             )
-        )
     return IsotonicityReport(cone=cone, checked=len(lo), violations=tuple(violations))
 
 

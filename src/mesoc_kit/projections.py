@@ -245,10 +245,10 @@ def _batch_point(cone: ConeSpec, V: np.ndarray) -> np.ndarray:
         # isotonic_decreasing_batch is read from this module's globals, so the
         # benchmark tracer's wrapper of it counts these rows too
         if p == cone.dim:
-            return np.maximum(isotonic_decreasing_batch(V), 0.0)
+            return isotonic_decreasing_batch(V, nonneg=True)
         tail = V[:, p:]
         norms = cones.row_norms(tail)
-        fit = np.maximum(isotonic_decreasing_batch(np.column_stack([V[:, :p], norms])), 0.0)
+        fit = isotonic_decreasing_batch(np.column_stack([V[:, :p], norms]), nonneg=True)
         scale = np.divide(fit[:, p], norms, out=np.zeros_like(norms), where=norms > 0.0)
         return np.hstack([fit[:, :p], tail * scale[:, None]])
     if kind == cones.MONOTONE:

@@ -14,10 +14,20 @@ output at most one size-by-block draw is alive at a time.  For 200000 rows
 of ``mesoc(8, 8)`` (24.4 MiB of output) the traced peak is 38.3 MiB and
 the resident peak above the process's baseline 38.1 MiB, against 50.4 and
 64.0 MiB for a chain of whole-array temporaries joined by ``np.hstack``
-(``benchmarks/bench_kernels.py``).  The draws, their order and the operands
-of every sum and product are part of the seeded contract: the same seed
-gives the same bytes and leaves the generator in the same state
-(``tests/_reference_sampling.py`` keeps the whole-array formulas).
+(``benchmarks/bench_kernels.py``).  A block of at most ``cones.NARROW_MAX``
+columns is worked down its columns, one 1-D call per column (:func:`_by_rows`,
+:func:`_put`), because NumPy pays a 2-D call on so narrow a block per row:
+``sample_ordered_pairs`` of 200000 ``mesoc(2, 2)`` pairs (12.2 MiB) takes
+about 40 ms against 55 with every block worked as a whole.  Its traced
+peak is 18.8 MiB (21.4 for the whole-array formulas): the unit directions'
+norms square their second column in slices
+(:func:`~mesoc_kit.cones.row_norms`), which holds 0.3 MiB more than one
+``einsum`` did, and the radii are scaled straight into the output, so
+neither they nor the unit rows outlive that product.  The draws,
+their order and the operands of every sum and product are part of the
+seeded contract: the same seed gives the same bytes and leaves the
+generator in the same state (``tests/_reference_sampling.py`` keeps the
+whole-array formulas).
 """
 
 from __future__ import annotations
@@ -34,11 +44,33 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _by_rows(ufunc, a, v, out):
+    """``ufunc(a, v[:, None], out=out)``: every row of the 2-D ``a`` with its
+    entry of ``v``.  A block of at most ``cones.NARROW_MAX`` columns is worked
+    down its columns, one 1-D call each, with the same bytes."""
+    if a.shape[1] > cones.NARROW_MAX:
+        return ufunc(a, v[:, None], out=out)
+    for j in range(a.shape[1]):
+        ufunc(a[:, j], v, out=out[:, j])
+    return out
+
+
+def _put(out, a):
+    """``out[...] = a`` for two 2-D blocks of one shape, down the columns of
+    a narrow block as :func:`_by_rows` works."""
+    if a.shape[1] > cones.NARROW_MAX:
+        out[...] = a
+    else:
+        for j in range(a.shape[1]):
+            out[:, j] = a[:, j]
+    return out
+
+
 def _unit_rows(g):
     """Scale the rows of ``g`` to unit length in place; a zero row stays zero."""
     norms = row_norms(g)
     norms[norms == 0] = 1.0
-    return np.divide(g, norms[:, None], out=g)
+    return _by_rows(np.divide, g, norms, g)
 
 
 def _directions(rng, out):
@@ -48,9 +80,11 @@ def _directions(rng, out):
     if not q:
         return np.zeros(size)
     g = _unit_rows(rng.standard_normal((size, q)))
-    np.multiply(g, rng.uniform(0.2, 2.5, size)[:, None], out=g)
-    out[...] = g
-    return row_norms(g)
+    # the radii are scaled straight into the output, and neither they nor
+    # the unit rows outlive the product
+    _by_rows(np.multiply, g, rng.uniform(0.2, 2.5, size), out)
+    del g
+    return row_norms(out)
 
 
 def _rev_cumsum(a):
@@ -73,8 +107,7 @@ def _take(out, draw):
     """``draw`` as the members: itself when there is no ``out``, else copied in."""
     if out is None:
         return draw
-    out[...] = draw
-    return out
+    return _put(out, draw)
 
 
 def sample(cone: ConeSpec, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -98,41 +131,38 @@ def _members(cone, rng, size, out):
     x = out[:, :p]
     if kind == cones.MESOC:
         nu = _directions(rng, out[:, p:])
-        x[...] = rng.exponential(1.0, (size, p))
-        _rev_cumsum(x)
-        x += nu[:, None]
+        _rev_cumsum(_put(x, rng.exponential(1.0, (size, p))))
+        _by_rows(np.add, x, nu, x)
     elif kind == cones.MESOC_DUAL:
         nv = _directions(rng, out[:, p:])
         if p > 1:
-            x[:, :-1] = rng.exponential(1.0, (size, p - 1))
+            _put(x[:, :-1], rng.exponential(1.0, (size, p - 1)))
         x[:, -1] = nv + rng.exponential(1.0, size)
         _diff(x)
     elif kind == cones.ESOC:
         nu = _directions(rng, out[:, p:])
-        np.add(nu[:, None], rng.exponential(1.0, (size, p)), out=x)
+        _by_rows(np.add, rng.exponential(1.0, (size, p)), nu, x)
     elif kind == cones.ESOC_DUAL:
         e = rng.exponential(1.0, (size, p))
-        x[...] = e
+        _put(x, e)
         total = e.sum(axis=1)
         del e  # released before the direction draw
         u = _unit_rows(rng.standard_normal((size, q)))
-        np.multiply(u, (total * rng.uniform(0.0, 1.0, size))[:, None], out=out[:, p:])
+        _by_rows(np.multiply, u, total * rng.uniform(0.0, 1.0, size), out[:, p:])
     elif kind == cones.MONOTONE:
         base = rng.standard_normal(size)
         x[:, -1] = base
         if p > 1:
-            head = x[:, :-1]
-            head[...] = rng.exponential(1.0, (size, p - 1))
-            _rev_cumsum(head)
-            head += base[:, None]
+            head = _rev_cumsum(_put(x[:, :-1], rng.exponential(1.0, (size, p - 1))))
+            _by_rows(np.add, head, base, head)
     elif kind == cones.MONOTONE_DUAL:
         if p > 1:
-            x[:, :-1] = rng.exponential(1.0, (size, p - 1))
+            _put(x[:, :-1], rng.exponential(1.0, (size, p - 1)))
         x[:, -1] = 0.0
         _diff(x)
     elif kind == cones.CYLINDER:
-        x[...] = rng.standard_normal((size, p))
-        x *= rng.uniform(0.2, 2.5, (size, 1))
+        _put(x, rng.standard_normal((size, p)))
+        _by_rows(np.multiply, x, rng.uniform(0.2, 2.5, size), x)
         _members(cone.inner, rng, size, out[:, p:])
     elif kind == cones.CYLINDER_DUAL:
         x[...] = 0.0
@@ -147,10 +177,11 @@ def sample_ordered_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (lo, hi) with hi - lo in ``cone``: hi = lo + t * (cone sample)."""
     lo = rng.standard_normal((size, cone.dim))
-    lo *= scale
+    if scale != 1.0:  # times 1.0 keeps every value's bytes
+        lo *= scale
     t = rng.uniform(0.0, 2.0, size)
     hi = sample(cone, rng, size)
-    hi *= t[:, None]
+    _by_rows(np.multiply, hi, t, hi)
     hi += lo
     return lo, hi
 

@@ -3,13 +3,21 @@
 These are the formulas ``mesoc_kit.sampling`` used before it wrote members
 into one output array.  The draws, their order and every sum and product
 are the contract that the in-place samplers keep, so both must give the
-same bytes and leave the generator in the same state.
+same bytes and leave the generator in the same state.  The samplers work
+narrow blocks down their columns; these formulas work every block as a
+whole.
 """
 
 import numpy as np
 
 from mesoc_kit import cones
-from mesoc_kit.cones import row_norms
+
+
+def row_norms(A):
+    """The row norms from one ``einsum`` pass, as ``cones.row_norms`` took
+    them before it summed narrow blocks down their columns."""
+    s = np.einsum("ij,ij->i", A, A)
+    return np.sqrt(s, out=s)
 
 
 def _scaled_directions(rng, size, q):

@@ -244,7 +244,7 @@ def test_10_projection_isotone_and_map_contrast():
         @staticmethod
         def update_batch(Z):
             return np.hstack(
-                [Z[:, :2], projections.project_monotone_nonneg_batch(Z[:, 2:])]
+                [Z[:, :2], projections.project_batch(mk.monotone_nonneg(2), Z[:, 2:])]
             )
 
     proj_rep = order.check_isotone(CylinderProjection, mk.mesoc(2, 2), 10_000, seed=3, scale=2.0)

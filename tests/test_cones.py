@@ -1,5 +1,7 @@
 """Membership, duality, complementarity and decomposition over the cone zoo."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -314,6 +316,30 @@ def test_contains_batch_block_edges(cone, rng):
     for rows, entries in ((Z[:0], 2), (Z[:1], 2), (Z, n - 1), (Z, 1)):
         got = with_block_entries(entries, mk.contains_batch, cone, rows)
         assert got.shape == (len(rows),) and got.tolist() == clean[: len(rows)].tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_row_norms_keep_the_einsum_bits(n, layout):
+    # a block of at most NARROW_MAX columns sums its squared columns, in
+    # slices of BLOCK_ENTRIES rows; einsum's one pass gave these bits
+    rng = np.random.default_rng(n)
+    wide = rng.standard_normal((97, 2 * n + 1)) * 10.0 ** rng.integers(-3, 4, (97, 2 * n + 1))
+    A = np.ascontiguousarray(wide[:, :n]) if layout == "contiguous" else wide[:, 1 : n + 1]
+    if n:
+        # squares that overflow and underflow, non-finite entries, signed zeros
+        A[0] = 1e200
+        A[1, -1], A[2, 0], A[3, 0] = np.nan, np.inf, -np.inf
+        A[4], A[5] = -0.0, 1e-200
+        A[6, 0], A[6, -1] = 1e200, -1e200
+    want = np.sqrt(np.einsum("ij,ij->i", A, A))
+    for entries in (1, 2, 5, 2**16):
+        for rows in (A, A[:1], A[:2], A[:0]):
+            # einsum warns of no overflow, and neither may the column form
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = with_block_entries(entries, row_norms, rows)
+            assert got.dtype == np.float64 and got.tobytes() == want[: len(rows)].tobytes()
 
 
 @settings(deadline=None, max_examples=300)

@@ -385,6 +385,23 @@ def _scalar_combo(rng, p, q):
     return mk.ScalarComboMap(p=p, q=q, fields=fields, directions=0.8 * W / bound)
 
 
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 1000])
+@pytest.mark.parametrize("q", [0, 1, 2, 3, 8])
+def test_field_values_keep_the_stacked_bytes(rows, q):
+    # every field's sum is written into its column of one output; np.stack of
+    # the per-field columns, with the norms from one einsum, gave these bytes
+    rng = np.random.default_rng(1000 * q + rows)
+    p = 2
+    map_ = _scalar_combo(rng, p, q)
+    Z = 3.0 * rng.standard_normal((rows, p + q))
+    X, U = Z[:, :p], Z[:, p:]
+    norms = np.sqrt(np.einsum("ij,ij->i", U, U))
+    want = np.stack([X @ f.linear + f.norm_coeff * norms + f.offset for f in map_.fields], axis=1)
+    got = map_.field_values(Z)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert map_.update_batch(Z).tobytes() == (want @ map_.directions).tobytes()
+
+
 @settings(deadline=None, max_examples=100)
 @given(
     p=st.integers(1, 8),

@@ -1,6 +1,7 @@
 """Cone orders, sampled isotonicity falsification, hyperplane inequality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from numpy.testing import assert_allclose
 
 import mesoc_kit as mk
 from mesoc_kit import order, sampling
+
+import _reference_order as reference
+from _row_blocks import with_block_entries
 
 
 def test_cone_leq_frozen():
@@ -148,3 +152,83 @@ def test_hyperplane_normal_is_held_to_1e8():
         with pytest.raises(ValueError, match="unit vector"):
             mk.hyperplane_isotone_test(L, [0.0, 0.0, length, 0.0], 50, seed=0)
     assert mk.hyperplane_isotone_test(L, [0.0, 0.0, 1.0 + 5e-9, 0.0], 50, seed=0).held
+
+
+def test_check_isotone_refuses_a_scale_that_is_not_finite_and_positive():
+    # with NaN or inf every sampled point, image and difference was NaN, and
+    # the identity map was reported as violating every pair
+    cone = mk.mesoc(2, 2)
+    for scale in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="scale"):
+            mk.check_isotone(lambda z: z, cone, 50, seed=0, scale=scale)
+    for scale in (1e-3, 1.0, 1e3):
+        assert mk.check_isotone(lambda z: z, cone, 50, seed=0, scale=scale).ok
+
+
+_SWAP = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+_MAPS = {
+    "scalar_combo": mk.example_instance().map,
+    "affine": mk.AffineMap(p=2, q=2, matrix=np.eye(4) - _SWAP, offset=np.array([3.0, -1.0, 2.0, 0.5])),
+    "affine_contraction": mk.AffineMap(
+        p=2, q=2, matrix=0.3 * np.random.default_rng(4).standard_normal((4, 4)), offset=np.zeros(4)),
+    "callable": lambda z: _SWAP @ z,
+}
+_ORDER_CONES = [mk.mesoc(2, 2), mk.esoc(2, 2), mk.cylinder(2, mk.monotone_nonneg(2)),
+                mk.cylinder(1, mk.lorentz(3))]
+_WITNESS = order.OrderedPairSample(np.array([0.0, 0.0, 2.0, 0.0]), np.array([1.0, 2.0, 1.0, 0.0]))
+
+
+def _assert_same_report(got, want):
+    checked, violations = want
+    assert got.checked == checked and len(got.violations) == len(violations)
+    for a, b in zip(got.violations, violations):
+        for x, y in ((a.pair.lo, b.pair.lo), (a.pair.hi, b.pair.hi), (a.image_diff, b.image_diff)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert a.failed_inequality == b.failed_inequality
+        assert np.float64(a.margin).tobytes() == np.float64(b.margin).tobytes()
+
+
+@pytest.mark.parametrize("map_name", sorted(_MAPS))
+@pytest.mark.parametrize("cone", _ORDER_CONES, ids=str)
+def test_blocked_check_matches_the_whole_array_check(map_name, cone):
+    # rows of 4 entries in blocks of 40 entries: 10 rows a block.  57 pairs
+    # and the witness end in a partial block of 8 rows; 50 pairs and 51 end
+    # in a lone row, which joins the block before it, because NumPy
+    # multiplies a one-row matrix as a vector, with other last bits
+    map_ = _MAPS[map_name]
+    for n, extra in ((57, (_WITNESS,)), (50, (_WITNESS,)), (51, ()), (1, ()), (2, ()), (300, ())):
+        for entries, scale in ((40, 1.0), (8, 2.5), (2**16, 1.0)):
+            args = (map_, cone, n, n + 7)
+            got = with_block_entries(entries, mk.check_isotone, *args, 1e-10, extra, scale)
+            _assert_same_report(got, reference.check_isotone(*args, extra_pairs=extra, scale=scale))
+
+
+def test_blocked_check_reports_the_violations_of_every_block():
+    # the update swaps x_1 and x_2, so every sampled pair of mesoc(2, 2),
+    # whose x_1 grows more than its x_2, is a violation, in each of 40 blocks
+    rep = with_block_entries(40, mk.check_isotone, _MAPS["affine"], mk.mesoc(2, 2), 400, 3)
+    assert rep.checked == 400 and len(rep.violations) == 400
+    for v in rep.violations:
+        assert mk.contains(mk.mesoc(2, 2), v.pair.hi - v.pair.lo)
+        assert not mk.contains(mk.mesoc(2, 2), v.image_diff)
+        assert not np.shares_memory(v.image_diff, v.pair.hi)
+
+
+def test_blocked_check_peaks_at_the_sampled_pairs():
+    # the whole-array check held both images, their difference and the slack
+    # matrix at once; in blocks only the pairs and one block are alive
+    map_, cone, n = mk.example_instance().map, mk.mesoc(2, 2), 100_000
+    mk.check_isotone(map_, cone, 2, seed=0)  # one-time imports and caches
+    peaks = []
+    for fn in (lambda: mk.check_isotone(map_, cone, n, seed=1),
+               lambda: reference.check_isotone(map_, cone, n, seed=1),
+               lambda: sampling.sample_ordered_pairs(cone, sampling.rng_from_seed(1), n)):
+        tracemalloc.start()
+        try:
+            fn()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    blocked, whole, pairs = peaks
+    assert blocked <= pairs + 2**20 < whole, [p / 2**20 for p in peaks]

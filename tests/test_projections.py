@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 import mesoc_kit as mk
 from mesoc_kit import _kernels, projections, sampling
 from mesoc_kit._kernels import isotonic_decreasing, isotonic_decreasing_batch
-from mesoc_kit.projections import project_batch, project_monotone_nonneg_batch
+from mesoc_kit.projections import project_batch
 
 from _row_blocks import one_block, with_block_entries
 from _strategies import MIXED_SCALES, MODERATE, NONFINITE
@@ -118,7 +118,7 @@ def test_batch_matches_scalar(rng):
     B = _monotone_batch(V)
     for i, v in enumerate(V):
         assert_allclose(B[i], mk.project(mk.monotone(9), v).point, atol=1e-13)
-    B = project_monotone_nonneg_batch(V)
+    B = project_batch(mk.monotone_nonneg(9), V)
     for i, v in enumerate(V):
         assert_allclose(B[i], mk.project(mk.monotone_nonneg(9), v).point, atol=1e-13)
 
@@ -214,7 +214,7 @@ def test_batch_rows_match_the_sweep_across_scales(V):
 def test_nonneg_batch_passes_moreau_certificate(V):
     # y in K (nonincreasing, >= 0), y - v in K* (partial sums >= 0) and
     # <v - y, y> = 0: together they characterize the projection of v onto K
-    Y = project_monotone_nonneg_batch(V)
+    Y = project_batch(mk.monotone_nonneg(V.shape[1]), V)
     scale = 1.0 + np.abs(V).sum(axis=1)
     assert (Y[:, :-1] >= Y[:, 1:]).all() and (Y >= 0.0).all()
     assert (np.cumsum(Y - V, axis=1).min(axis=1) >= -1e-12 * scale).all()
@@ -251,10 +251,31 @@ def test_batch_row_starts_block_pooling_across_rows():
     np.testing.assert_array_equal(isotonic_decreasing_batch(V[::-1]), expected[::-1])
 
 
+_ROW_ENDS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("last", _ROW_ENDS)
+@pytest.mark.parametrize("first", _ROW_ENDS)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_prepass_does_not_compare_across_row_ends(n, first, last):
+    # the pre-pass compares the flat rows entry by entry, so a row's last
+    # entry meets the next row's first there; the row start overwrites that
+    # comparison, and every row gets the fit it gets alone
+    V = np.random.default_rng(n).standard_normal((8, n))
+    V[::2, -1] = last
+    V[1::2, 0] = first
+    V[3, :] = -0.0
+    got = isotonic_decreasing_batch(V)
+    alone = np.vstack([isotonic_decreasing_batch(v[None, :]) for v in V])
+    assert got.tobytes() == alone.tobytes()
+    finite = np.isfinite(V).all(axis=1)
+    _assert_rows_match_sweep(V[finite], got[finite])
+
+
 @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0), (3, 1)])
 def test_batch_degenerate_shapes(shape):
     V = np.arange(np.prod(shape), dtype=float).reshape(shape) - 1.0
-    cases = [(project_monotone_nonneg_batch, np.maximum(V, 0.0))]
+    cases = [(projections.project_monotone_nonneg_batch, np.maximum(V, 0.0))]
     if shape[1]:  # no cone has dimension 0
         cases.append((_monotone_batch, V))
     for fn, expected in cases:

@@ -13,6 +13,7 @@ from mesoc_kit import sampling
 from mesoc_kit.cones import KINDS, PARTITIONED_KINDS, ConeSpec
 
 import _reference_sampling as reference
+from _row_blocks import with_block_entries
 
 _CYLINDERS = ("cylinder", "cylinder_dual")
 _SIZES = st.one_of(st.sampled_from([0, 1]), st.integers(0, 40).map(lambda k: 2 * k + 1))
@@ -75,3 +76,31 @@ def test_sample_peak_memory_is_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 1.75 * Z.nbytes, peak / Z.nbytes
+
+
+def _width_cones(w):
+    """Cones whose x and u blocks are ``w`` wide, of every sampled shape."""
+    out = [mk.mesoc(w, w), mk.mesoc_dual(w, w), mk.esoc(w, w), mk.esoc_dual(w, w),
+           mk.mesoc(w, 0), mk.monotone(w), mk.monotone_dual(w), mk.monotone_nonneg(w),
+           mk.monotone_nonneg_dual(w), mk.nonneg_orthant(w), mk.lorentz(w + 1),
+           mk.cylinder(w, mk.mesoc(1, w - 1) if w > 1 else mk.lorentz(1)),
+           mk.cylinder_dual(w, mk.esoc_dual(w, w))]
+    return out + [mk.dual_of(c) for c in out]
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 8])
+@pytest.mark.parametrize("entries", [4, 2**16])
+def test_narrow_and_wide_blocks_match_the_reference_formulas(w, entries):
+    # widths up to cones.NARROW_MAX are worked down their columns, wider ones
+    # as a whole; the row norms of a narrow block square it in slices of
+    # cones.BLOCK_ENTRIES rows, which a small constant cuts to a few rows
+    for k, cone in enumerate(_width_cones(w)):
+        for size in (1, 2, 301):
+            seed = 1000 * w + 10 * k + size
+            rng, ref_rng = sampling.rng_from_seed(seed), sampling.rng_from_seed(seed)
+            got = with_block_entries(entries, sampling.sample, cone, rng, size)
+            assert _same(got, reference.sample(cone, ref_rng, size)), (cone, size)
+            lo, hi = with_block_entries(entries, sampling.sample_ordered_pairs, cone, rng, size, 1.5)
+            ref_lo, ref_hi = reference.sample_ordered_pairs(cone, ref_rng, size, 1.5)
+            assert _same(lo, ref_lo) and _same(hi, ref_hi), (cone, size)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
