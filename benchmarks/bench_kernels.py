@@ -422,10 +422,10 @@ def narrow_sites(w: int) -> list:
     combo = mk.ScalarComboMap(p=2, q=2, fields=fields, directions=np.ones((w, 4)))
     Z = rng.standard_normal((NARROW_ROWS, 4))
     gated = [
-        ("x += nu", lambda: sampling._by_rows(np.add, x, v, x)),
+        ("x += nu", lambda: cones._by_rows(np.add, x, v, x)),
         ("block copy", lambda: sampling._put(u, draw)),
         ("unit rows", lambda: sampling._unit_rows(draw)),
-        ("radii into u", lambda: sampling._by_rows(np.multiply, draw, v, u)),
+        ("radii into u", lambda: cones._by_rows(np.multiply, draw, v, u)),
         ("row_norms", lambda: cones.row_norms(u)),
     ]
     sites = [(label, True, lambda column, f=f: with_narrow_max(w if column else 0, f))

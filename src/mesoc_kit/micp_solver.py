@@ -23,10 +23,7 @@ the solution or ``final`` pays for none of them.
 :func:`picard_solve` stops with status ``converged`` (step norm within
 ``conv_tol``), ``diverged`` (iterate norm above :data:`DIVERGENCE_LIMIT`),
 ``nonfinite`` (an iterate with a NaN or infinite entry, which is dropped so
-the trace ends at the last finite iterate) or ``max_iter``.  It refuses an
-inner cone that :func:`projections.project` cannot reach (the ESOC kinds,
-also as a cylinder's base) before its first step, so a budget of no steps
-is refused too.
+the trace ends at the last finite iterate) or ``max_iter``.
 
 Each step takes one square sum, d.d for its step d = z_new - z.  When that
 is finite, so is every entry of d, and so of z and z_new.  The loop keeps
@@ -310,12 +307,10 @@ def picard_step(instance: MicpInstance, z) -> np.ndarray:
 def picard_solve(instance: MicpInstance) -> tuple[PartitionedVector, IterationTrace]:
     """Iterate :func:`picard_step` from ``instance.start``; return the last
     iterate as the solution and the trace.  See the module docstring for
-    the stopping rules.  Raises :class:`UnsupportedConeError` for an inner
-    cone that :func:`projections.project` refuses, before the first step,
-    and ``ValueError`` when no step was kept and the start is not finite."""
+    the stopping rules.  Raises ``ValueError`` when no step was kept and
+    the start is not finite."""
     p = instance.map.p
     update, inner, conv_tol = instance.map.update, instance.inner, instance.conv_tol
-    projections._refuse_unsupported(inner)
     z = instance.start.copy()
     iterates = [z]
     step_norms = []

@@ -1,21 +1,15 @@
-"""Euclidean projections onto every cone kind but the ESOC, plus a slow exact oracle.
+"""Euclidean projections onto every cone kind, plus a slow exact oracle.
 
 :func:`project` reaches each kind from two leaves and three reductions.
 The leaves are the monotone cone (the pool-adjacent-violators fit
 :func:`~mesoc_kit._kernels.pav_fit`: a sweep below 320 entries, the batch
 passes on one row from there on) and the nonnegative orthant (a clip).  The
-**norm tail** projects L(p, q), lorentz(n) = L(1, n - 1) included:
+**norm tail** projects L(p, q), lorentz(n) = L(1, n - 1) and the ESOC(p, q):
 P(w, z) = (x, s z/||z||), where (x, s) projects (w, ||z||) onto the monotone
-nonnegative cone of R^(p+1), in closed form at p = 1.  A **cylinder** R^p x C
+nonnegative cone of R^(p+1), or onto {x_i >= t >= 0} for the ESOC
+(:func:`_esoc_fit`), in closed form at p = 1.  A **cylinder** R^p x C
 keeps the x block and projects the u block onto C.  **Moreau** gives each
-dual kind, P_K*(v) = v + P_K(-v).  The ESOC and its dual need a root finder
-(Ferreira & Németh, J. Global Optim. 70, 2018) and raise
-:class:`UnsupportedConeError`, as do cylinders over them.  The refusal sits
-in the dispatch of :func:`_point`, where it reaches an ESOC kind, so a
-supported cone pays for no walk to its base on each call; when a call
-fails, :func:`project` walks to the base then, so the error names the base
-under the cylinders and comes before a wrong length or any other error.
-:func:`project_batch` walks to the base first, and the solver once per solve.
+dual kind, P_K*(v) = v + P_K(-v).
 
 :func:`project` computes only the projected point.  Its
 :class:`ProjectionResult` keeps a copy of the input and, for the isotonic
@@ -118,11 +112,11 @@ def _rescaled(leaf, v: np.ndarray):
     return np.ldexp(point, k), lengths
 
 
-def _norm_tail(v: np.ndarray, p: int):
+def _norm_tail(v: np.ndarray, p: int, esoc: bool = False):
     """Project (w, z) = (v[:p], v[p:]) onto {x_1 >= ... >= x_p >= ||u||}:
     (x, s) fits (w, ||z||) in the monotone nonnegative cone, the isotonic
     fit clipped at 0 inside ``pav_fit``, and u = s z/||z||.  Its blocks are
-    those of that fit, index p standing for ||u||."""
+    those of that fit, index p standing for ||u||; with ``esoc``, the ESOC's."""
     head = v
     if p < v.size:
         tail = v[p:]
@@ -131,16 +125,38 @@ def _norm_tail(v: np.ndarray, p: int):
         except RuntimeWarning:  # an overflowed square sum under -W error
             norm = math.inf
         if norm == math.inf and np.isfinite(v).all():
-            return _rescaled(lambda w: _norm_tail(w, p), v)
+            return _rescaled(lambda w: _norm_tail(w, p, esoc), v)
         head = v[: p + 1].copy()
         head[p] = norm
     try:
-        fit, counts = pav_fit(head, nonneg=True)
+        fit, counts = _esoc_fit(head, p) if esoc else pav_fit(head, nonneg=True)
     except OverflowError:
-        return _rescaled(lambda w: _norm_tail(w, p), v)
+        return _rescaled(lambda w: _norm_tail(w, p, esoc), v)
     if p == v.size:
         return fit, counts
     return np.concatenate([fit[:p], tail * (fit[p] / norm if norm > 0.0 else 0.0)]), counts
+
+
+def _esoc_fit(head: np.ndarray, p: int):
+    """The projection (max(w, s), s) of (w, r) = (head[:p], head[p]) onto
+    {x_i >= t >= 0}, and no blocks: s is the root of s - r + sum_i
+    (s - w_i)_+ = 0, clipped at 0 (Ferreira & Németh, J. Global Optim. 70,
+    2018).  From s = r each sorted w_i below s is pulled in: with k pulled,
+    s = (r + their sum)/(k + 1).  A ``head`` of p entries has r = 0.
+    Raises ``OverflowError`` when the values are finite and s is not."""
+    s = total = float(head[p]) if head.size > p else 0.0
+    for k, w in enumerate(np.sort(head[:p]).tolist(), 2):
+        if not w < s:  # a NaN is never pulled in
+            break
+        total += w
+        s = total / k
+    # s <= r, and the pulled sum overflows to +inf alone from finite values
+    if s == math.inf and np.isfinite(head).all():
+        raise OverflowError("a pulled sum of finite values overflowed")
+    s = max(s, 0.0)  # keeps a NaN, as np.maximum does; s is never -0.0
+    fit = np.maximum(head, s)
+    fit[p:] = s
+    return fit, None
 
 
 def _norm_tail_1(v: np.ndarray):
@@ -171,6 +187,8 @@ def _point(cone: ConeSpec, v: np.ndarray):
     if kind == cones.MONOTONE_NONNEG or kind == cones.MESOC:
         point, lengths = _norm_tail_1(v) if p == 1 else _norm_tail(v, p)
         return point, lengths if kind == cone.kind else None  # lorentz keeps None
+    if kind == cones.ESOC:  # at p = 1 the Lorentz cone
+        return (_norm_tail_1(v) if p == 1 else _norm_tail(v, p, esoc=True))[0], None
     if kind == cones.MONOTONE:
         try:
             return pav_fit(v)
@@ -181,43 +199,17 @@ def _point(cone: ConeSpec, v: np.ndarray):
     if kind == cones.CYLINDER:
         point, lengths = _point(cone.inner, v[cone.p :])
         return np.concatenate([v[: cone.p], point]), lengths
-    if kind in _UNSUPPORTED:
-        raise UnsupportedConeError(f"no projection for {kind!r}")
     # every kind left is the dual of one above; the blocks of the primal fit
     # do not describe this point
     return v + _point(cones.dual_of(cone), -v)[0], None
 
 
-# the kinds (also as a cylinder's base) that project refuses
-_UNSUPPORTED = (cones.ESOC, cones.ESOC_DUAL)
-
-
-def _refuse_unsupported(cone: ConeSpec) -> None:
-    """Raise :class:`UnsupportedConeError` when ``cone`` or the base under
-    its cylinders is an ESOC kind, naming that base."""
-    base = cone
-    while base.inner is not None:
-        base = base.inner
-    if base.kind in _UNSUPPORTED:
-        raise UnsupportedConeError(f"no projection for {base.kind!r}")
-
-
 def project(cone: ConeSpec, z) -> ProjectionResult:
-    """Project ``z`` onto ``cone``; see the module docstring for the kinds.
-
-    Raises :class:`UnsupportedConeError` for an ESOC kind, also as the base
-    of a cylinder, before any other error: :func:`_point` refuses the kind
-    where its dispatch reaches it, and a failed call walks to the base."""
-    try:
-        v = np.asarray(z, dtype=float).ravel()
-        if v.size != cone.dim:
-            raise DimensionError(f"expected a vector of length {cone.dim}, got {v.size}")
-        point, lengths = _point(cone, v)
-    except Exception:
-        # whatever failed, an ESOC base is the error to report, named as
-        # the base (the dispatch of a cylinder_dual reaches its dual)
-        _refuse_unsupported(cone)
-        raise
+    """Project ``z`` onto ``cone``; see the module docstring for the kinds."""
+    v = np.asarray(z, dtype=float).ravel()
+    if v.size != cone.dim:
+        raise DimensionError(f"expected a vector of length {cone.dim}, got {v.size}")
+    point, lengths = _point(cone, v)
     # the result with its distance and blocks pending
     r = ProjectionResult.__new__(ProjectionResult)
     r._point = point
@@ -230,7 +222,7 @@ def project(cone: ConeSpec, z) -> ProjectionResult:
 def _batch_point(cone: ConeSpec, V: np.ndarray) -> np.ndarray:
     """The row-wise projection of the validated 2-D ``V`` onto ``cone``."""
     kind, p, _ = cones.ordered_form(cone)
-    if kind == cones.MONOTONE_NONNEG or kind == cones.MESOC:
+    if kind == cones.MONOTONE_NONNEG or kind == cones.MESOC or kind == cones.ESOC:
         if p == 1:  # _norm_tail_1 row by row
             head = V[:, 0]
             nr = cones.row_norms(V[:, 1:])
@@ -244,11 +236,12 @@ def _batch_point(cone: ConeSpec, V: np.ndarray) -> np.ndarray:
             return out
         # isotonic_decreasing_batch is read from this module's globals, so the
         # benchmark tracer's wrapper of it counts these rows too
-        if p == cone.dim:
+        if p == cone.dim and kind != cones.ESOC:  # the ESOC's q = 0 takes r = 0 below
             return isotonic_decreasing_batch(V, nonneg=True)
         tail = V[:, p:]
         norms = cones.row_norms(tail)
-        fit = isotonic_decreasing_batch(np.column_stack([V[:, :p], norms]), nonneg=True)
+        head = np.column_stack([V[:, :p], norms])
+        fit = _esoc_fit_batch(head, p) if kind == cones.ESOC else isotonic_decreasing_batch(head, nonneg=True)
         scale = np.divide(fit[:, p], norms, out=np.zeros_like(norms), where=norms > 0.0)
         return np.hstack([fit[:, :p], tail * scale[:, None]])
     if kind == cones.MONOTONE:
@@ -260,29 +253,36 @@ def _batch_point(cone: ConeSpec, V: np.ndarray) -> np.ndarray:
     return V + _batch_point(cones.dual_of(cone), -V)
 
 
+def _esoc_fit_batch(H: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise :func:`_esoc_fit` of the 2-D ``H``, with its bytes: s_k =
+    C_k/(k + 1) over one ``cumsum`` C_k = r + w_(1) + ... + w_(k), with k
+    the length of the leading run of w_(k+1) < s_k, where its loop stops."""
+    S = np.sort(H[:, :p], axis=1)
+    C = np.cumsum(np.column_stack([H[:, p], S]), axis=1)
+    C /= np.arange(1.0, p + 2.0)
+    k = np.logical_and.accumulate(S < C[:, :p], axis=1).sum(axis=1)
+    s = np.maximum(C[np.arange(len(H)), k], 0.0)
+    fit = np.empty_like(H)
+    cones._by_rows(np.maximum, H[:, :p], s, fit[:, :p])
+    fit[:, p] = s
+    return fit
+
+
 def project_batch(cone: ConeSpec, V) -> np.ndarray:
     """Row-wise ``project(cone, row).point`` for the rows of the 2-D ``V``.
 
-    A mirror of :func:`_point` over a batch: the batch PAV kernel and a clip
-    are the leaves, and the norm tail (in closed form at p = 1), the
-    cylinder and Moreau the reductions.  Its contract is finite rows of
-    moderate scale: the rescale that keeps a near-limit projection finite
-    lives in :func:`project` only.  The batch kernel sums a pooled block in
-    another order than the sweep that fits :func:`project`'s heads below
-    320 entries, so rows agree with :func:`project` to about 1e-12 relative.  The ESOC kinds are refused as by :func:`project`.
+    A mirror of :func:`_point` over a batch, with the batch PAV kernel in
+    place of ``pav_fit``.  Its contract is finite rows of moderate scale:
+    the rescale that keeps a near-limit projection finite lives in
+    :func:`project` only.  The batch kernel sums a pooled block in another
+    order than the sweep that fits :func:`project`'s heads below 320
+    entries, so rows agree with :func:`project` to about 1e-12 relative.
 
     The rows are projected in blocks of about :data:`cones.BLOCK_ENTRIES`
     entries, whose temporaries stay in cache.  Every row gets the bytes a
     single block gives it, but for the sign of a NaN: a Moreau sum of two
     NaNs takes either one's, and IEEE 754 gives that sign no meaning.
     """
-    # _refuse_unsupported inline: one more call made a small projection
-    # about 3% slower
-    base = cone
-    while base.inner is not None:
-        base = base.inner
-    if base.kind in _UNSUPPORTED:
-        raise UnsupportedConeError(f"no projection for {base.kind!r}")
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[1] != cone.dim:
         raise DimensionError(f"expected rows of length {cone.dim}, got shape {V.shape}")

@@ -5,8 +5,8 @@ fixed seed reproduces the exact same arrays.  Members are produced by exact
 parametrizations of each cone (cumulative sums of nonnegative increments,
 norm floors, partial-sum coordinates), never by rejection, so every returned
 point satisfies its defining inequalities up to float rounding.
-Complementary pairs come from one rule for every projectable kind: the
-Moreau split (P_K(v), P_K(v) - v) of standard normal points v.
+Complementary pairs come from one rule for every kind: the Moreau split
+(P_K(v), P_K(v) - v) of standard normal points v.
 
 A sampler assembles its members in one C-ordered (size, dim) output: every
 block is written into its columns with in-place arithmetic, and beside the
@@ -15,11 +15,11 @@ of ``mesoc(8, 8)`` (24.4 MiB of output) the traced peak is 38.3 MiB and
 the resident peak above the process's baseline 38.1 MiB, against 50.4 and
 64.0 MiB for a chain of whole-array temporaries joined by ``np.hstack``
 (``benchmarks/bench_kernels.py``).  A block of at most ``cones.NARROW_MAX``
-columns is worked down its columns, one 1-D call per column (:func:`_by_rows`,
-:func:`_put`), because NumPy pays a 2-D call on so narrow a block per row:
-``sample_ordered_pairs`` of 200000 ``mesoc(2, 2)`` pairs (12.2 MiB) takes
-about 40 ms against 55 with every block worked as a whole.  Its traced
-peak is 18.8 MiB (21.4 for the whole-array formulas): the unit directions'
+columns is worked down its columns, one 1-D call per column
+(``cones._by_rows``, ``cones.row_sums``, :func:`_put`), because NumPy pays
+a 2-D call on so narrow a block per row: ``sample_ordered_pairs`` of
+200000 ``mesoc(2, 2)`` pairs (12.2 MiB) takes about 40 ms against 55 with
+every block worked as a whole.  Its traced peak is 18.8 MiB (21.4 for the whole-array formulas): the unit directions'
 norms square their second column in slices
 (:func:`~mesoc_kit.cones.row_norms`), which holds 0.3 MiB more than one
 ``einsum`` did, and the radii are scaled straight into the output, so
@@ -35,8 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import cones
-from .cones import ConeSpec, row_norms
-from .errors import UnsupportedConeError
+from .cones import ConeSpec, _by_rows, row_norms, row_sums
 from .projections import project_batch
 
 
@@ -44,20 +43,9 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _by_rows(ufunc, a, v, out):
-    """``ufunc(a, v[:, None], out=out)``: every row of the 2-D ``a`` with its
-    entry of ``v``.  A block of at most ``cones.NARROW_MAX`` columns is worked
-    down its columns, one 1-D call each, with the same bytes."""
-    if a.shape[1] > cones.NARROW_MAX:
-        return ufunc(a, v[:, None], out=out)
-    for j in range(a.shape[1]):
-        ufunc(a[:, j], v, out=out[:, j])
-    return out
-
-
 def _put(out, a):
     """``out[...] = a`` for two 2-D blocks of one shape, down the columns of
-    a narrow block as :func:`_by_rows` works."""
+    a narrow block as :func:`~mesoc_kit.cones._by_rows` works."""
     if a.shape[1] > cones.NARROW_MAX:
         out[...] = a
     else:
@@ -145,7 +133,7 @@ def _members(cone, rng, size, out):
     elif kind == cones.ESOC_DUAL:
         e = rng.exponential(1.0, (size, p))
         _put(x, e)
-        total = e.sum(axis=1)
+        total = row_sums(e)
         del e  # released before the direction draw
         u = _unit_rows(rng.standard_normal((size, q)))
         _by_rows(np.multiply, u, total * rng.uniform(0.0, 1.0, size), out[:, p:])
@@ -164,11 +152,9 @@ def _members(cone, rng, size, out):
         _put(x, rng.standard_normal((size, p)))
         _by_rows(np.multiply, x, rng.uniform(0.2, 2.5, size), x)
         _members(cone.inner, rng, size, out[:, p:])
-    elif kind == cones.CYLINDER_DUAL:
+    else:  # CYLINDER_DUAL, the last kind
         x[...] = 0.0
         _members(cone.inner, rng, size, out[:, p:])
-    else:
-        raise UnsupportedConeError(f"no sampler for {kind!r}")
     return out
 
 
@@ -198,8 +184,9 @@ def complementarity_pairs(
     orthogonal parts, so z = P_K(v) and w = z - v = P_K*(-v) is a
     complementary pair, and every pair (z, w) is the one of v = z - w.  The
     ``n_random`` points v are standard normal rows, projected by
-    :func:`~mesoc_kit.projections.project_batch`; every kind it projects is
-    covered.  Rows of the two returned (n, dim) arrays correspond.
+    :func:`~mesoc_kit.projections.project_batch`, which reaches every kind,
+    the ESOC and its dual included.  Rows of the two returned (n, dim)
+    arrays correspond.
 
     ``include_deterministic`` is accepted and ignored: it stays until the
     next change to ``perfbench/``, whose ``cli_problems.py`` still passes it.

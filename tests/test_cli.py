@@ -405,19 +405,37 @@ def test_non_convergence_exit(capsys, tmp_path):
     assert json.loads(out)["status"] == "diverged"
 
 
-@pytest.mark.parametrize("inner", [{"kind": "esoc", "p": 1, "q": 1}, {"kind": "esoc_dual", "p": 1, "q": 1}])
+@pytest.mark.parametrize("inner", [{"kind": "esoc", "p": 2, "q": 2}, {"kind": "esoc_dual", "p": 2, "q": 2}])
 @pytest.mark.parametrize("max_iter", ["0", "1", "2000"])
-def test_solve_refuses_an_inner_cone_without_a_projection(capsys, tmp_path, inner, max_iter):
-    # every budget exits 3, a budget of no steps included
+def test_solve_on_a_cylinder_over_an_esoc_kind(capsys, tmp_path, inner, max_iter):
+    # the update 0.5 z - b is a contraction: it converges, and a budget it
+    # does not reach, no steps included, exits 4
     doc = {
         "version": 1,
         "command": "solve",
         "cone": {"kind": "cylinder", "p": 2, "inner": inner},
-        "payload": {"map": {"kind": "affine", "p": 2, "q": 2, "matrix": np.eye(4).tolist(), "offset": [0.0] * 4}},
+        "payload": {"map": {"kind": "affine", "p": 2, "q": 4, "matrix": (0.5 * np.eye(6)).tolist(),
+                            "offset": [0.3, -0.2, 1.0, -0.5, 0.25, -1.5]}},
     }
-    code, out, err = run_cli(capsys, "solve", write_problem(tmp_path, doc), "--max-iter", max_iter)
-    assert code == 3 and out == ""
-    assert err == f"error: no projection for {inner['kind']!r}\n"
+    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, doc), "--max-iter", max_iter)
+    report = json.loads(out)
+    if max_iter != "2000":
+        assert code == 4 and report["status"] == "max_iter" and report["iterations"] == int(max_iter)
+        return
+    assert code == 0 and report["status"] == "converged"
+    assert report["verify"]["ok"] is True and report["verify"]["failed"] == []
+    cone = getattr(mk, inner["kind"])(2, 2)
+    assert mk.contains(cone, report["solution"]["u"])
+
+
+def test_lyap_rank_on_an_esoc_kind(capsys, tmp_path):
+    # the numeric rank needs only project_batch; no closed form covers the kind
+    doc = {"version": 1, "command": "lyap-rank", "cone": {"kind": "esoc", "p": 2, "q": 3},
+           "payload": {"n_pairs": 300}}
+    code, out, _ = run_cli(capsys, "lyap-rank", write_problem(tmp_path, doc))
+    report = json.loads(out)
+    assert code == 0
+    assert report["rank"] == 4 and report["predicted"] is None and report["agree"] is None
 
 
 def test_check_failed_exit_for_non_member_pair(capsys, tmp_path):

@@ -342,6 +342,36 @@ def test_row_norms_keep_the_einsum_bits(n, layout):
             assert got.dtype == np.float64 and got.tobytes() == want[: len(rows)].tobytes()
 
 
+_SPECIAL = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-0.0, np.nan, np.inf, -np.inf, 1e308]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 6), st.integers(1, 4), st.data())
+def test_row_sums_keep_the_bits_of_sum(m, n, data):
+    # NumPy adds a row's entries to 0.0 in turn, so one or two columns added
+    # a column at a time give its bits, signed zeros and overflow included
+    A = data.draw(arrays(float, (m, n), elements=_SPECIAL))
+    assert cones.row_sums(A).tobytes() == A.sum(axis=1).tobytes()
+    assert cones.row_sums(A[:, ::-1]).tobytes() == A[:, ::-1].sum(axis=1).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 6), st.data())
+def test_esoc_slacks_keep_the_bits_of_the_2d_formulas(p, q, m, data):
+    # narrow x blocks are worked down their columns, with the bits of the
+    # whole-block formulas they replaced
+    Z = data.draw(arrays(float, (m, p + q), elements=_SPECIAL))
+    X, U = Z[:, :p], Z[:, p:]
+    want = {mk.esoc(p, q): X - row_norms(U)[:, None],
+            mk.esoc_dual(p, q): np.column_stack([X, X.sum(axis=1) - row_norms(U)])}
+    for cone, ref in want.items():
+        got = _slacks_batch(cone, Z)
+        assert got.flags.f_contiguous and not np.shares_memory(got, Z)
+        assert got.tobytes(order="F") == np.asfortranarray(ref).tobytes(order="F"), cone
+
+
 @settings(deadline=None, max_examples=300)
 @given(data=st.data())
 def test_row_norms_match_linalg_norm(data):
@@ -469,6 +499,8 @@ _PAIR_CONES = [
     mk.mesoc_dual(3, 2), mk.monotone(4), mk.monotone_dual(4), mk.monotone_nonneg(4),
     mk.monotone_nonneg_dual(4), mk.nonneg_orthant(4), mk.lorentz(4),
     mk.cylinder(2, mk.mesoc(2, 2)), mk.cylinder_dual(2, mk.lorentz(3)),
+    mk.esoc(3, 2), mk.esoc_dual(2, 3), mk.cylinder(1, mk.esoc(2, 2)),
+    mk.cylinder_dual(2, mk.esoc(2, 1)),
 ]
 
 

@@ -110,8 +110,9 @@ def test_basis_with_one_ordered_coordinate_is_the_lorentz_basis(q):
 def test_unsupported_predictions_raise():
     with pytest.raises(mk.UnsupportedConeError):
         mk.predicted_rank(mk.monotone(3))
+    # Sznajder's rule for the ESOC is not in the closed form
     with pytest.raises(mk.UnsupportedConeError):
-        mk.lyapunov_rank_numeric(mk.esoc(2, 2))
+        mk.predicted_rank(mk.esoc(2, 2))
 
 
 def test_an_empty_sample_is_refused():

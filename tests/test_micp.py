@@ -544,16 +544,23 @@ def test_edge_starts_reach_every_status():
                 mk.picard_solve(inst)
 
 
-@pytest.mark.parametrize("inner", [mk.esoc(1, 1), mk.esoc_dual(1, 1), mk.cylinder(1, mk.esoc(1, 1))])
-@pytest.mark.parametrize("max_iter", [0, 1])
-def test_solve_refuses_an_inner_cone_without_a_projection(inner, max_iter):
-    # before the first step, so a budget of no steps is refused too
-    q = inner.dim
-    map_ = mk.AffineMap(p=2, q=q, matrix=np.eye(2 + q), offset=np.zeros(2 + q))
+@pytest.mark.parametrize("inner", [mk.esoc(2, 2), mk.esoc_dual(2, 2), mk.cylinder(1, mk.esoc(2, 1))])
+@pytest.mark.parametrize("max_iter", [0, 2000])
+def test_solve_on_an_esoc_inner_cone(inner, max_iter):
+    # the update 0.5 z - b is a contraction, so the iteration converges on
+    # every closed convex inner cone; a budget of no steps returns the start
+    n = 2 + inner.dim
+    offset = np.random.default_rng(inner.dim).normal(size=n)
+    map_ = mk.AffineMap(p=2, q=inner.dim, matrix=0.5 * np.eye(n), offset=offset)
     inst = mk.MicpInstance(map=map_, inner=inner, max_iter=max_iter)
-    base = "esoc_dual" if inner.kind == "esoc_dual" else "esoc"
-    with pytest.raises(mk.UnsupportedConeError, match=f"no projection for '{base}'"):
-        mk.picard_solve(inst)
+    solution, trace = mk.picard_solve(inst)
+    if not max_iter:
+        assert trace.status == "max_iter" and trace.n_steps == 0
+        assert solution.concat().tolist() == [0.0] * n
+        return
+    assert trace.status == "converged"
+    assert mk.verify_solution(inst, solution.concat()).ok
+    assert mk.contains(inner, solution.u)
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,10 @@ def test_worked_map_not_isotone_for_componentwise_cone():
 
 def test_cylinder_projections_are_isotone():
     # R^p x C is an isotonic projection set for L(p, q) whatever the closed
-    # convex C, because P_C is nonexpansive: every projectable C of dimension 2
+    # convex C, because P_C is nonexpansive: every kind of C of dimension 2
     for inner in (mk.monotone(2), mk.monotone_nonneg(2), mk.nonneg_orthant(2), mk.lorentz(2),
                   mk.mesoc(1, 1), mk.mesoc(2, 0), mk.mesoc_dual(1, 1), mk.mesoc_dual(2, 0),
+                  mk.esoc(1, 1), mk.esoc(2, 0), mk.esoc_dual(1, 1), mk.esoc_dual(2, 0),
                   mk.monotone_dual(2), mk.monotone_nonneg_dual(2),
                   mk.cylinder(1, mk.lorentz(1)), mk.cylinder_dual(1, mk.nonneg_orthant(1))):
         cyl = mk.cylinder(2, inner)

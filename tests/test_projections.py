@@ -153,8 +153,6 @@ def test_oracle_certificate_rejects_the_apex(monkeypatch):
 
 
 def test_unsupported_and_dimension_errors():
-    with pytest.raises(mk.UnsupportedConeError):
-        mk.project(mk.esoc(2, 2), [1.0, 1.0, 0.0, 0.0])
     with pytest.raises(mk.DimensionError):
         mk.project(mk.monotone(3), [1.0, 2.0])
     with pytest.raises(mk.UnsupportedConeError):
@@ -349,15 +347,15 @@ def test_sweep_frozen_outputs(v, fit, starts, lengths):
     np.testing.assert_array_equal(got[2], lengths)
 
 
-# every projectable kind but the cylinder, whose inner cone the tests choose
+# every kind but the cylinder, whose inner cone the tests choose
 _KINDS = ("monotone", "monotone_nonneg", "nonneg_orthant", "lorentz", "mesoc", "mesoc_dual",
-          "monotone_dual", "monotone_nonneg_dual", "cylinder_dual")
+          "esoc", "esoc_dual", "monotone_dual", "monotone_nonneg_dual", "cylinder_dual")
 _PAV_KINDS = ("monotone", "monotone_nonneg", "mesoc")
 
 
 def _cone(kind, n):
     """A cone of ``kind`` in R^n (n >= 2 for cylinder_dual)."""
-    if kind in ("mesoc", "mesoc_dual"):
+    if kind in ("mesoc", "mesoc_dual", "esoc", "esoc_dual"):
         return getattr(mk, kind)(n - n // 2, n // 2)
     if kind == "cylinder_dual":
         return mk.cylinder_dual(1, mk.lorentz(n - 1))
@@ -418,34 +416,33 @@ def test_dimension_errors_of_every_kind(kind):
 
 @pytest.mark.parametrize("cone", [mk.esoc(2, 2), mk.esoc_dual(2, 2), mk.esoc(1, 0),
                                   mk.cylinder(2, mk.esoc_dual(1, 2))])
-def test_unsupported_kinds(cone):
-    z = np.ones(cone.dim)
-    with pytest.raises(mk.UnsupportedConeError):
-        mk.project(cone, z)
-    for outer in (mk.cylinder(1, cone), mk.cylinder_dual(1, cone), mk.cylinder(1, mk.cylinder(1, cone))):
-        with pytest.raises(mk.UnsupportedConeError):
-            mk.project(outer, np.ones(outer.dim))
-    # an unsupported kind is reported before a wrong length
-    with pytest.raises(mk.UnsupportedConeError):
-        mk.project(cone, z[:-1])
-    with pytest.raises(mk.UnsupportedConeError):
-        mk.project(mk.cylinder(1, cone), z)
+def test_esoc_kinds_project(cone, rng):
+    # the ESOC kinds project as every other kind does, also under cylinders
+    for outer in (cone, mk.cylinder(1, cone), mk.cylinder_dual(1, cone), mk.cylinder(1, mk.cylinder(1, cone))):
+        for v in rng.standard_normal((20, outer.dim)) * 3.0:
+            y = mk.project(outer, v).point
+            assert projections._moreau_residual(outer, v, y) <= 1e-12, (outer, v)
+    # a wrong length is a DimensionError, as for every kind
+    with pytest.raises(mk.DimensionError):
+        mk.project(cone, np.ones(cone.dim - 1))
+    with pytest.raises(mk.DimensionError):
+        mk.project(mk.cylinder(1, cone), np.ones(cone.dim))
 
 
 @pytest.mark.parametrize("cone", [mk.esoc(2, 2), mk.esoc_dual(2, 2), mk.cylinder(1, mk.esoc(1, 1)),
                                   mk.cylinder_dual(1, mk.esoc(1, 1)),
                                   mk.cylinder(1, mk.cylinder_dual(1, mk.esoc_dual(1, 1)))], ids=str)
-def test_refusal_names_the_base_before_any_other_error(cone):
-    # the refusal lives in the dispatch, but names the base under the
-    # cylinders (not the dual a cylinder_dual reaches) and comes first
-    base = cone
-    while base.inner is not None:
-        base = base.inner
-    message = f"no projection for {base.kind!r}"
-    for z in (np.ones(cone.dim), np.ones(cone.dim + 1), [], "not a vector", [[1.0, None]]):
-        with pytest.raises(mk.UnsupportedConeError) as info:
+def test_esoc_kinds_keep_the_errors_of_every_kind(cone):
+    # project raises what it raises for any kind; only the face-enumeration
+    # oracle, which has no ESOC face list, refuses the kind
+    message = f"expected a vector of length {cone.dim}, got"
+    for z in (np.ones(cone.dim + 1), [], [[1.0, None]]):
+        with pytest.raises(mk.DimensionError, match=message):
             mk.project(cone, z)
-        assert str(info.value) == message
+    with pytest.raises(ValueError, match="could not convert"):
+        mk.project(cone, "not a vector")
+    with pytest.raises(mk.UnsupportedConeError, match="not polyhedral"):
+        mk.project_oracle(cone, np.ones(cone.dim))
 
 
 def test_supported_kinds_keep_their_errors():
@@ -498,6 +495,8 @@ _LONG = _kernels.PASSES_MIN + 1
         (mk.monotone(2), [-1e308, 1.7e308]),  # was [inf, inf]
         (mk.monotone_nonneg_dual(3), [5.0, 1e308, -1e308]),  # was [inf, inf, inf]
         (mk.lorentz(3), [1.7e308, 1.7e308, 1e307]),  # head + ||rest|| overflows
+        (mk.esoc(2, 2), [1.6e308, 1.65e308, 1.7e308, 0.0]),  # the pulled sum overflows
+        (mk.esoc_dual(2, 2), [-1.6e308, -1.65e308, -1.7e308, 0.0]),
     ],
 )
 def test_overflowing_fast_values_are_redone(cone, v):
@@ -534,6 +533,89 @@ def test_nonfinite_input_is_not_rescaled():
             v = np.zeros(p + 2)
             v[0], v[p:] = bad, 1e308
             assert not np.isfinite(mk.project(mk.mesoc(p, 2), v).point).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("p", [2, 3])
+def test_esoc_nonfinite_input_is_not_rescaled(p, monkeypatch):
+    # the ESOC leaf raises on an overflow of finite values only, so a
+    # non-finite head, also beside a tail whose norm overflows, is never
+    # rescaled; a finite head beside that tail is rescaled once
+    calls = []
+    rescaled = projections._rescaled
+    monkeypatch.setattr(projections, "_rescaled", lambda leaf, v: calls.append(1) or rescaled(leaf, v))
+    esoc = mk.esoc(p, 2)
+    for cone, lead in ((esoc, []), (mk.esoc_dual(p, 2), []), (mk.cylinder(1, esoc), [0.5])):
+        for head in (np.nan, np.inf, -np.inf, 0.5):
+            for tail in (1.0, 1e308):
+                v = np.array(lead + [head] + [0.25] * (p - 1) + [tail, tail])
+                calls.clear()
+                y = mk.project(cone, v).point
+                finite = np.isfinite(y).all()
+                if head == 0.5:
+                    assert finite and calls == [1] * (tail == 1e308), (cone, v)
+                    continue
+                assert calls == [], (cone, v)
+                if head == -np.inf and tail == 1.0 and cone.kind != "esoc_dual":
+                    # x_1 -> -inf pulls s below 0: the limit (0, w_2, ..., 0)
+                    assert finite and mk.contains(cone, y)
+                else:
+                    assert not finite, (cone, v, y)
+
+
+# every kind, as it is and as the base of a cylinder or a dual cylinder
+_BASE_KINDS = tuple(k for k in _KINDS if k != "cylinder_dual")
+
+
+@st.composite
+def _any_cones(draw):
+    cone = _cone(draw(st.sampled_from(_BASE_KINDS)), draw(st.integers(1, 6)))
+    outer = draw(st.sampled_from([None, mk.cylinder, mk.cylinder_dual]))
+    return cone if outer is None else outer(draw(st.integers(1, 2)), cone)
+
+
+def _rel(a, v):
+    """``a`` over 1 + the largest magnitude of ``v``: the relative error bound."""
+    return np.abs(a).max(initial=0.0) / (1.0 + np.abs(v).max(initial=0.0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_any_cones(), st.data())
+def test_every_kind_projects_idempotently_and_nonexpansively(cone, data):
+    a, b = data.draw(arrays(float, (2, cone.dim), elements=MODERATE))
+    Pa, Pb = mk.project(cone, a).point, mk.project(cone, b).point
+    assert _rel(mk.project(cone, Pa).point - Pa, a) <= 1e-12, (cone, a)
+    gap = np.linalg.norm(Pa - Pb) - np.linalg.norm(a - b)
+    assert gap <= 1e-12 * (1.0 + np.abs([a, b]).max()), (cone, a, b)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_any_cones(), st.data())
+def test_every_kind_meets_moreau(cone, data):
+    # v = P_K(v) - P_K*(-v), and the certificate reads only membership
+    # slacks of K and K*, no code of the reductions
+    v = data.draw(arrays(float, cone.dim, elements=MODERATE))
+    y = mk.project(cone, v).point
+    w = mk.project(mk.dual_of(cone), -v).point
+    assert _rel(v - (y - w), v) <= 1e-12, (cone, v)
+    assert projections._moreau_residual(cone, v, y) <= 1e-9, (cone, v)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_any_cones(), st.integers(0, 5), st.data())
+def test_batch_rows_equal_project(cone, m, data):
+    n = cone.dim
+    V = data.draw(arrays(float, (m, n), elements=MODERATE))
+    for row in V:
+        form = data.draw(st.sampled_from(["drawn", "zero tail", "zero"]))
+        if form == "zero tail":
+            row[n - n // 2 :] = 0.0
+        elif form == "zero":
+            row[:] = 0.0
+    B = project_batch(cone, V)
+    assert B.shape == V.shape
+    for v, b in zip(V, B):
+        assert _rel(b - mk.project(cone, v).point, v) <= 1e-12, (cone, v)
 
 
 # isotonic heads just below, at and just above the length where pav_fit
@@ -604,22 +686,6 @@ def test_clipped_fit_is_np_maximum_bit_for_bit(n, rng):
     assert len(_kernels.pav_fit(descending, nonneg=True)[1]) == n
 
 
-@settings(deadline=None)
-@given(st.sampled_from(_KINDS + ("cylinder",)), st.integers(2, 6), st.integers(0, 5), st.data())
-def test_batch_rows_equal_project(kind, n, m, data):
-    cone = mk.cylinder(1, _cone("mesoc", n - 1)) if kind == "cylinder" else _cone(kind, n)
-    V = data.draw(arrays(float, (m, n), elements=MODERATE))
-    for row in V:
-        form = data.draw(st.sampled_from(["drawn", "zero tail", "zero"]))
-        if form == "zero tail":
-            row[n - n // 2 :] = 0.0
-        elif form == "zero":
-            row[:] = 0.0
-    B = project_batch(cone, V)
-    assert B.shape == V.shape
-    for v, b in zip(V, B):
-        tol = 1e-12 * (1.0 + np.abs(v).max())
-        assert np.abs(b - mk.project(cone, v).point).max() <= tol, (cone, v)
 
 
 # Row blocks.  With cones.BLOCK_ENTRIES cut to a few entries a batch runs as
@@ -634,7 +700,7 @@ def _bits(A):
 
 
 def _block_cones(n):
-    """Every projectable kind in R^n, a cylinder and a nested cylinder."""
+    """Every kind in R^n, a cylinder and a nested cylinder."""
     return [_cone(kind, n) for kind in _KINDS] + [
         mk.cylinder(1, _cone("mesoc", n - 1)),
         mk.cylinder_dual(1, mk.cylinder(1, _cone("mesoc_dual", n - 2))),
@@ -688,12 +754,10 @@ def test_batch_blocks_with_cascade_rows(cone, rng):
 
 
 def test_batch_refusals():
-    for cone in (mk.esoc(2, 2), mk.esoc_dual(2, 2), mk.cylinder(1, mk.esoc(1, 1))):
-        with pytest.raises(mk.UnsupportedConeError):
-            project_batch(cone, np.ones((2, cone.dim)))
-    for V in (np.ones((2, 3)), np.ones(4), np.ones((1, 2, 4))):
-        with pytest.raises(mk.DimensionError):
-            project_batch(mk.mesoc(2, 2), V)
+    for cone in (mk.mesoc(2, 2), mk.esoc(2, 2), mk.esoc_dual(2, 2)):
+        for V in (np.ones((2, 3)), np.ones(4), np.ones((1, 2, 4))):
+            with pytest.raises(mk.DimensionError):
+                project_batch(cone, V)
 
 
 @pytest.mark.parametrize("cone", [mk.lorentz(2), mk.nonneg_orthant(2)], ids=str)
