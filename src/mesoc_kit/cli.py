@@ -10,10 +10,14 @@ canonical JSON (sorted keys, two-space indent, trailing newline) or as flat
 ``key: value`` text; given the same file and flags the bytes are identical
 run to run.
 
-Exit codes: 0 success, 2 malformed problem file, 3 dimension mismatch or
-unsupported cone, 4 iteration did not converge, 5 a checked property failed
-to hold.  Reports echo the command, the settings that influenced the run,
-and the exit status.
+Exit codes: 0 success, 2 malformed problem file or flag, 3 dimension
+mismatch or unsupported cone, 4 iteration did not converge, 5 a checked
+property failed to hold.  Reports echo the command, the settings that
+influenced the run, and the exit status.
+
+``_COMMANDS`` declares each subcommand with the flags it reads; it takes no
+other.  ``main`` loads the problem file, calls the subcommand's handler and
+writes the report the handler returns.
 
 At the top this module imports only the standard library, NumPy, ``cones``
 and ``errors``.  Each subcommand imports the rest of what it runs when it
@@ -37,7 +41,7 @@ import argparse
 import json
 import math
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -74,6 +78,9 @@ EXIT_SCHEMA = 2
 EXIT_DIMENSION = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_CHECK_FAILED = 5
+
+# the most entries of lyap-rank's first constraint matrix (8 MB of floats)
+MAX_CONSTRAINT_ENTRIES = 10**6
 
 
 # --------------------------------------------------------------------------
@@ -159,7 +166,7 @@ def load_problem(path: str, command: str) -> tuple[ConeSpec, dict]:
     for key in ("version", "command", "cone", "payload"):
         if key not in doc:
             raise SchemaError(f"problem file is missing the {key!r} key")
-    if doc["version"] != 1:
+    if _integer(doc["version"], "problem 'version'") != 1:
         raise SchemaError(f"unsupported problem version {doc['version']!r}")
     if doc["command"] != command:
         raise SchemaError(
@@ -274,25 +281,22 @@ def write_trace(path: str, p: int, q: int, trace: micp_solver.IterationTrace) ->
 
 # --------------------------------------------------------------------------
 # subcommands
+#
+# A handler takes the problem file's cone and payload and the parsed flags,
+# and returns the report, the exit code and the settings to echo; ``main``
+# loads the file and writes the report.
 
 
-def cmd_contains(args) -> int:
-    cone, payload = load_problem(args.problem, "contains")
+def cmd_contains(cone: ConeSpec, payload: dict, args) -> tuple[dict, int, dict]:
     point = _payload_vector(payload, "point")
     slacks = membership_slacks(cone, point)
-    tol = DEFAULT_TOL if args.tol is None else args.tol
-    return emit(
-        {
-            "cone": cone_to_json(cone),
-            "contains": contains(cone, point, tol),
-            "min_slack": least_slack(slacks),
-            "slacks": slacks,
-        },
-        args.output,
-        "contains",
-        EXIT_OK,
-        {"tol": tol},
-    )
+    report = {
+        "cone": cone_to_json(cone),
+        "contains": contains(cone, point, args.tol),
+        "min_slack": least_slack(slacks),
+        "slacks": slacks,
+    }
+    return report, EXIT_OK, {"tol": args.tol}
 
 
 def _verify_report(report: micp_solver.SolutionReport) -> dict:
@@ -306,10 +310,9 @@ def _verify_report(report: micp_solver.SolutionReport) -> dict:
     }
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(cone: ConeSpec, payload: dict, args) -> tuple[dict, int, dict]:
     from . import micp_solver
 
-    cone, payload = load_problem(args.problem, "solve")
     if cone.kind != CYLINDER:
         raise SchemaError("solve expects a cylinder cone")
     map_ = map_from_json(payload.get("map"))
@@ -317,39 +320,29 @@ def cmd_solve(args) -> int:
     if start is not None:
         _finite(start, "payload key 'start'")
     instance = micp_solver.MicpInstance(
-        map=map_,
-        inner=cone.inner,
-        start=start,
-        max_iter=args.max_iter,
-        conv_tol=args.tol if args.tol is not None else 1e-12,
+        map=map_, inner=cone.inner, start=start, max_iter=args.max_iter, conv_tol=args.tol
     )
     solution, trace = micp_solver.picard_solve(instance)
     if args.trace:
         write_trace(args.trace, map_.p, map_.q, trace)
     verify = micp_solver.verify_solution(instance, trace.final)
+    report = {
+        "status": trace.status,
+        "iterations": trace.n_steps,
+        "solution": {"x": solution.x, "u": solution.u},
+        "final_step_norm": float(trace.step_norms[-1]) if trace.n_steps else 0.0,
+        "order_certificates_all_ok": bool(trace.order_certificates.all())
+        if trace.n_steps
+        else True,
+        "verify": _verify_report(verify),
+    }
     code = EXIT_OK if trace.status == "converged" else EXIT_NO_CONVERGENCE
-    return emit(
-        {
-            "status": trace.status,
-            "iterations": trace.n_steps,
-            "solution": {"x": solution.x, "u": solution.u},
-            "final_step_norm": float(trace.step_norms[-1]) if trace.n_steps else 0.0,
-            "order_certificates_all_ok": bool(trace.order_certificates.all())
-            if trace.n_steps
-            else True,
-            "verify": _verify_report(verify),
-        },
-        args.output,
-        "solve",
-        code,
-        {"conv_tol": instance.conv_tol, "max_iter": instance.max_iter},
-    )
+    return report, code, {"conv_tol": instance.conv_tol, "max_iter": instance.max_iter}
 
 
-def cmd_lyap_rank(args) -> int:
+def cmd_lyap_rank(cone: ConeSpec, payload: dict, args) -> tuple[dict, int, dict]:
     from . import lyapunov
 
-    cone, payload = load_problem(args.problem, "lyap-rank")
     if cone.dim > 10:
         raise UnsupportedConeError(
             "lyap-rank enumerates dim^2 x dim^2 constraints; dimension must be <= 10"
@@ -360,65 +353,59 @@ def cmd_lyap_rank(args) -> int:
         raise SchemaError(
             f"'n_pairs' must be at least dim^2 = {cone.dim**2} to pin down the rank, got {n_pairs}"
         )
+    # the constraint matrix has n_pairs x dim^2 entries and may grow 81-fold
+    most = MAX_CONSTRAINT_ENTRIES // cone.dim**2
+    if n_pairs > most:
+        raise SchemaError(
+            f"'n_pairs' must be at most {MAX_CONSTRAINT_ENTRIES} / dim^2 = {most}, got {n_pairs}"
+        )
     result = lyapunov.lyapunov_rank_numeric(cone, n_pairs=n_pairs, seed=args.seed)
     try:
         predicted = lyapunov.predicted_rank(cone)
     except UnsupportedConeError:
         predicted = None
-    return emit(
-        {
-            "cone": cone_to_json(cone),
-            "rank": result.rank,
-            "predicted": predicted,
-            "agree": None if predicted is None else result.rank == predicted,
-            "matrix_dim": result.matrix_dim,
-            "n_pairs": result.n_pairs,
-            # to one decimal: more digits would pin the summation order of
-            # every step before the SVD
-            "singular_gap_log10": round(math.log10(result.singular_gap), 1),
-        },
-        args.output,
-        "lyap-rank",
-        EXIT_OK,
-        {"n_pairs": n_pairs, "seed": args.seed},
-    )
+    report = {
+        "cone": cone_to_json(cone),
+        "rank": result.rank,
+        "predicted": predicted,
+        "agree": None if predicted is None else result.rank == predicted,
+        "matrix_dim": result.matrix_dim,
+        "n_pairs": result.n_pairs,
+        # to one decimal: more digits would pin the summation order of
+        # every step before the SVD
+        "singular_gap_log10": round(math.log10(result.singular_gap), 1),
+    }
+    return report, EXIT_OK, {"n_pairs": n_pairs, "seed": args.seed}
 
 
-def cmd_check_project(args) -> int:
+def cmd_check_project(cone: ConeSpec, payload: dict, args) -> tuple[dict, int, dict]:
     from . import projections
 
-    cone, payload = load_problem(args.problem, "check.project")
     point = _payload_vector(payload, "point")
     fast = projections.project(cone, point)
     oracle = projections.project_oracle(cone, point)
     gap = float(np.abs(fast.point - oracle.point).max())
-    tol = args.tol if args.tol is not None else 1e-8
-    ok = gap <= tol
-    return emit(
-        {
-            "point": fast.point,
-            "distance": fast.distance,
-            "oracle_distance": oracle.distance,
-            "oracle_gap": gap,
-            "ok": ok,
-        },
-        args.output,
-        "check.project",
-        EXIT_OK if ok else EXIT_CHECK_FAILED,
-        {"tol": tol},
-    )
+    ok = gap <= args.tol
+    report = {
+        "point": fast.point,
+        "distance": fast.distance,
+        "oracle_distance": oracle.distance,
+        "oracle_gap": gap,
+        "ok": ok,
+    }
+    return report, EXIT_OK if ok else EXIT_CHECK_FAILED, {"tol": args.tol}
 
 
-def cmd_check_isotone(args) -> int:
+def cmd_check_isotone(cone: ConeSpec, payload: dict, args) -> tuple[dict, int, dict]:
     from . import order
 
-    cone, payload = load_problem(args.problem, "check.isotone")
-    tol = DEFAULT_TOL if args.tol is None else args.tol
-    settings = {"samples": args.samples, "seed": args.seed, "tol": tol}
+    settings = {"samples": args.samples, "seed": args.seed, "tol": args.tol}
     if "normal" in payload:
+        if "map" in payload or "pairs" in payload:
+            raise SchemaError("payload holds a 'normal' and a 'map' or 'pairs': give one test")
         try:
             report = order.hyperplane_isotone_test(
-                cone, _payload_vector(payload, "normal"), args.samples, args.seed, tol
+                cone, _payload_vector(payload, "normal"), args.samples, args.seed, args.tol
             )
         except MesocKitError:
             raise
@@ -432,13 +419,7 @@ def cmd_check_isotone(args) -> int:
         }
         if report.witness is not None:
             out["witness"] = {"x": report.witness.lo, "y": report.witness.hi}
-        return emit(
-            out,
-            args.output,
-            "check.isotone",
-            EXIT_OK if report.held else EXIT_CHECK_FAILED,
-            settings,
-        )
+        return out, EXIT_OK if report.held else EXIT_CHECK_FAILED, settings
     map_ = map_from_json(payload.get("map"))
     pairs = payload.get("pairs", [])
     if not isinstance(pairs, list):
@@ -452,7 +433,7 @@ def cmd_check_isotone(args) -> int:
             np.asarray(_finite(entry["hi"], "pair 'hi'"), dtype=float),
         ))
     report = order.check_isotone(
-        map_, cone, args.samples, args.seed, tol, extra_pairs=tuple(extra)
+        map_, cone, args.samples, args.seed, args.tol, extra_pairs=tuple(extra)
     )
     out = {
         "mode": "map",
@@ -469,88 +450,61 @@ def cmd_check_isotone(args) -> int:
             "failed_inequality": worst.failed_inequality,
             "margin": worst.margin,
         }
-    return emit(
-        out,
-        args.output,
-        "check.isotone",
-        EXIT_OK if report.ok else EXIT_CHECK_FAILED,
-        settings,
-    )
+    return out, EXIT_OK if report.ok else EXIT_CHECK_FAILED, settings
 
 
-def cmd_check_complementarity(args) -> int:
-    cone, payload = load_problem(args.problem, "check.complementarity")
+def cmd_check_complementarity(cone: ConeSpec, payload: dict, args) -> tuple[dict, int, dict]:
     pair = CompPair(
         primal=_payload_vector(payload, "primal"),
         dual=_payload_vector(payload, "dual"),
     )
-    tol = DEFAULT_TOL if args.tol is None else args.tol
-    report = in_complementarity_set(cone, pair, tol)
-    return emit(
-        {
-            "member": report.member,
-            "mode": report.mode,
-            "residuals": report.residuals,
-            "failed": list(report.failed),
-            "scaling": report.scaling,
-        },
-        args.output,
-        "check.complementarity",
-        EXIT_OK if report.member else EXIT_CHECK_FAILED,
-        {"tol": tol},
-    )
+    report = in_complementarity_set(cone, pair, args.tol)
+    out = {
+        "member": report.member,
+        "mode": report.mode,
+        "residuals": report.residuals,
+        "failed": list(report.failed),
+        "scaling": report.scaling,
+    }
+    return out, EXIT_OK if report.member else EXIT_CHECK_FAILED, {"tol": args.tol}
 
 
-def cmd_check_verify(args) -> int:
+def cmd_check_verify(cone: ConeSpec, payload: dict, args) -> tuple[dict, int, dict]:
     from . import micp_solver
 
-    cone, payload = load_problem(args.problem, "check.verify")
     if cone.kind != CYLINDER:
         raise SchemaError("check.verify expects a cylinder cone")
     map_ = map_from_json(payload.get("map"))
     instance = micp_solver.MicpInstance(map=map_, inner=cone.inner)
     point = _payload_vector(payload, "point")
-    tol = args.tol if args.tol is not None else 1e-8
-    report = micp_solver.verify_solution(instance, point, tol=tol)
+    report = micp_solver.verify_solution(instance, point, tol=args.tol)
     region = micp_solver.region_membership(instance, point)
-    return emit(
-        {
-            **_verify_report(report),
-            "region": {
-                "in_feasible": region.in_feasible,
-                "in_descent": region.in_descent,
-                "reasons": list(region.reasons),
-            },
+    out = {
+        **_verify_report(report),
+        "region": {
+            "in_feasible": region.in_feasible,
+            "in_descent": region.in_descent,
+            "reasons": list(region.reasons),
         },
-        args.output,
-        "check.verify",
-        EXIT_OK if report.ok else EXIT_CHECK_FAILED,
-        {"tol": tol},
-    )
+    }
+    return out, EXIT_OK if report.ok else EXIT_CHECK_FAILED, {"tol": args.tol}
 
 
-def cmd_check_decompose(args) -> int:
-    cone, payload = load_problem(args.problem, "check.decompose")
+def cmd_check_decompose(cone: ConeSpec, payload: dict, args) -> tuple[dict, int, dict]:
     if cone.kind != MESOC:
         raise SchemaError("check.decompose expects a mesoc cone")
     point = _payload_vector(payload, "point")
-    tol = DEFAULT_TOL if args.tol is None else args.tol
-    dec = decompose_mesoc(cone.p, cone.q, point, tol)
+    dec = decompose_mesoc(cone.p, cone.q, point, args.tol)
     residual = float(np.abs(dec.reconstruct() - np.asarray(point, dtype=float)).max())
-    ok = residual <= tol
-    return emit(
-        {
-            "weights": dec.weights,
-            "first_summand": dec.first_summand,
-            "second_summand": dec.second_summand,
-            "reconstruction_gap": residual,
-            "ok": ok,
-        },
-        args.output,
-        "check.decompose",
-        EXIT_OK if ok else EXIT_CHECK_FAILED,
-        {"tol": tol},
-    )
+    ok = residual <= args.tol
+    report = {
+        "weights": dec.weights,
+        "first_summand": dec.first_summand,
+        "second_summand": dec.second_summand,
+        "reconstruction_gap": residual,
+        "ok": ok,
+    }
+    return report, EXIT_OK if ok else EXIT_CHECK_FAILED, {"tol": args.tol}
 
 
 _CHECKS = {
@@ -594,42 +548,75 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("problem", help="path to a JSON problem file")
-    common.add_argument("--tol", type=_tolerance, default=None, help="override tolerance")
-    common.add_argument("--max-iter", type=_int_at_least(0), default=2000)
-    common.add_argument("--seed", type=_int_at_least(0), default=0)
-    common.add_argument("--samples", type=_int_at_least(1), default=200)
-    common.add_argument("--trace", default=None, metavar="PATH", help="write a CSV iteration trace")
-    common.add_argument("--output", choices=("json", "text"), default="json")
+# the flags other than --tol and --output, each taken by the subcommands that
+# list it in _COMMANDS
+_FLAGS = {
+    "--max-iter": dict(type=_int_at_least(0), default=2000, help="iteration budget"),
+    "--seed": dict(type=_int_at_least(0), default=0, help="seed of the sampled pairs"),
+    "--samples": dict(type=_int_at_least(1), default=200, help="number of sampled pairs"),
+    "--trace": dict(default=None, metavar="PATH", help="write a CSV iteration trace"),
+}
 
+
+class _Command(NamedTuple):
+    help: str
+    tol: float | None  # the --tol default, or None for a subcommand without --tol
+    flags: tuple[str, ...] = ()  # keys of _FLAGS, in the order --help lists them
+
+
+# Every subcommand by its dotted name, with the flags it reads.  Each takes the
+# problem file and --output too; any other flag exits 2 as an unknown one.
+_COMMANDS = {
+    "contains": _Command("membership slacks of a point", DEFAULT_TOL),
+    "solve": _Command("run the fixed-point iteration", 1e-12, ("--max-iter", "--trace")),
+    "lyap-rank": _Command("numeric Lyapunov rank of a cone", None, ("--seed", "--samples")),
+    "check.project": _Command("fast projection against the face-enumeration oracle", 1e-8),
+    "check.isotone": _Command(
+        "sampled isotonicity of a map, or a hyperplane test", DEFAULT_TOL, ("--seed", "--samples")
+    ),
+    "check.complementarity": _Command("whether a pair is complementary", DEFAULT_TOL),
+    "check.verify": _Command("verify a candidate solution", 1e-8),
+    "check.decompose": _Command("split a point of mesoc(p, q) into its two summands", DEFAULT_TOL),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mesoc-kit",
         description="Ordered-cone calculus and an isotone fixed-point solver.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("contains", parents=[common], help="membership slacks of a point")
-    sub.add_parser("solve", parents=[common], help="run the fixed-point iteration")
-    sub.add_parser("lyap-rank", parents=[common], help="numeric Lyapunov rank of a cone")
-    check = sub.add_parser("check", help="pass/fail property checks")
-    check_sub = check.add_subparsers(dest="check_command", required=True)
-    for name in _CHECKS:
-        check_sub.add_parser(name, parents=[common])
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for command, (help_, tol, flags) in _COMMANDS.items():
+        group, _, name = command.rpartition(".")
+        if group not in groups:
+            checks = groups[""].add_parser(group, help="pass/fail property checks")
+            groups[group] = checks.add_subparsers(dest=group, required=True)
+        leaf = groups[group].add_parser(
+            name, help=help_, formatter_class=argparse.ArgumentDefaultsHelpFormatter
+        )
+        leaf.set_defaults(command=command)
+        leaf.add_argument("problem", help="path to a JSON problem file")
+        if tol is not None:
+            leaf.add_argument("--tol", type=_tolerance, default=tol, help="tolerance")
+        for flag in flags:
+            leaf.add_argument(flag, **_FLAGS[flag])
+        leaf.add_argument(
+            "--output", choices=("json", "text"), default="json", help="report format"
+        )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    group, _, check = args.command.partition(".")
+    # looked up on every call, so a wrapper set in place of a handler (as a
+    # module attribute or a _CHECKS entry) is the one that runs
+    handler = _CHECKS[check] if check else globals()["cmd_" + group.replace("-", "_")]
     try:
-        if args.command == "contains":
-            return cmd_contains(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "lyap-rank":
-            return cmd_lyap_rank(args)
-        return _CHECKS[args.check_command](args)
+        cone, payload = load_problem(args.problem, args.command)
+        report, code, settings = handler(cone, payload, args)
+        return emit(report, args.output, args.command, code, settings)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

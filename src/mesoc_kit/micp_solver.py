@@ -476,8 +476,6 @@ def check_solvability_preconditions(
     instance: MicpInstance,
     n_samples: int = 200,
     seed: int = 0,
-    cone: ConeSpec | None = None,
-    extra_pairs: tuple[order.OrderedPairSample, ...] = (),
 ) -> PreconditionReport:
     """Sampled check of the sufficient conditions for convergence to a
     solution: the update map is isotone for the order cone, and the first
@@ -485,16 +483,12 @@ def check_solvability_preconditions(
     check, not a proof."""
     from . import order
 
-    cone = instance.order_cone if cone is None else cone
+    cone = instance.order_cone
     z1 = picard_step(instance, instance.start)
-    ascending = order.cone_leq(cone, instance.start, z1)
-    report = order.check_isotone(
-        instance.map, cone, n_samples, seed, extra_pairs=extra_pairs
-    )
     return PreconditionReport(
-        start_ascending=bool(ascending),
+        start_ascending=bool(order.cone_leq(cone, instance.start, z1)),
         first_step=z1,
-        isotone=report,
+        isotone=order.check_isotone(instance.map, cone, n_samples, seed),
     )
 
 

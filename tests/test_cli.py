@@ -1,7 +1,9 @@
 """End-to-end CLI coverage: the shipped problem files, exit codes, output
 byte-determinism, the CSV trace, and the schema/dimension error paths."""
 
+import argparse
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -315,6 +317,16 @@ def test_check_isotone_refuses_before_evaluating(capsys, tmp_path):
         assert code == 3 and out == "" and "does not match" in err
 
 
+@pytest.mark.parametrize("keep", [("map", "pairs"), ("map",), ("pairs",)], ids="+".join)
+def test_check_isotone_refuses_a_normal_beside_a_map(capsys, tmp_path, keep):
+    # the hyperplane test used to run and drop the map and its pairs in silence
+    doc = json.loads((PROBLEMS / "check_isotone_esoc.json").read_text())
+    doc["payload"] = {key: doc["payload"][key] for key in keep}
+    doc["payload"]["normal"] = [0.0, 0.0, 1.0, 0.0]
+    code, out, err = run_cli(capsys, "check", "isotone", write_problem(tmp_path, doc))
+    assert code == 2 and out == "" and "'normal'" in err
+
+
 @pytest.mark.parametrize("pairs", [5, None])
 def test_check_isotone_refuses_extra_pairs_that_are_not_a_list(capsys, tmp_path, pairs):
     doc = json.loads((PROBLEMS / "check_isotone_mesoc.json").read_text())
@@ -367,6 +379,11 @@ def test_invalid_json(capsys, tmp_path):
          "payload": {"point": [1, 1]}},  # cylinder without inner cone
         {"version": 1, "command": "contains", "cone": {"kind": [1], "p": 2},
          "payload": {"point": [1, 1]}},  # a kind that is not a string
+        # versions equal to 1 that are not the integer 1
+        {"version": True, "command": "contains", "cone": {"kind": "mesoc", "p": 2, "q": 2},
+         "payload": {"point": [1, 1, 0, 0]}},
+        {"version": 1.0, "command": "contains", "cone": {"kind": "mesoc", "p": 2, "q": 2},
+         "payload": {"point": [1, 1, 0, 0]}},
     ],
 )
 def test_schema_errors(capsys, tmp_path, doc):
@@ -546,6 +563,21 @@ def test_lyap_rank_needs_dim_squared_pairs(capsys, tmp_path, n_pairs, code):
 
 
 @pytest.mark.parametrize(
+    "n_pairs,code", [(62500, 0), (62501, 2), (10**400, 2)], ids=["62500", "62501", "1e400"]
+)
+def test_lyap_rank_caps_the_constraint_matrix(capsys, tmp_path, n_pairs, code):
+    # mesoc(2, 2): 10^6 / 16 pairs at most.  An n_pairs beyond the float range
+    # ended in a traceback, and a large one asked for n_pairs x 16 floats,
+    # up to 81 times over
+    doc = json.loads((PROBLEMS / "lyap_rank_mesoc.json").read_text())
+    doc["payload"]["n_pairs"] = n_pairs
+    got, out, err = run_cli(capsys, "lyap-rank", write_problem(tmp_path, doc))
+    assert got == code
+    if code:
+        assert out == "" and "'n_pairs' must be at most 1000000 / dim^2 = 62500" in err
+
+
+@pytest.mark.parametrize(
     "argv,flag",
     [
         (("check", "isotone", "check_isotone_mesoc.json", "--samples", "-3"), "--samples"),
@@ -568,6 +600,94 @@ def test_bad_flag_values_exit_2(capsys, argv, flag):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert f"argument {flag}" in captured.err
+
+
+# the flags each subcommand reads; every subcommand also takes --output
+_READS = {
+    "contains": ("--tol",),
+    "solve": ("--tol", "--max-iter", "--trace"),
+    "lyap-rank": ("--seed", "--samples"),
+    "check.project": ("--tol",),
+    "check.isotone": ("--tol", "--seed", "--samples"),
+    "check.complementarity": ("--tol",),
+    "check.verify": ("--tol",),
+    "check.decompose": ("--tol",),
+}
+_FLAG_VALUES = {"--tol": "1e-6", "--max-iter": "10", "--seed": "1", "--samples": "10",
+                "--trace": "trace.csv"}
+_UNREAD = [(command, flag) for command, reads in _READS.items()
+           for flag in _FLAG_VALUES if flag not in reads]
+
+
+def _shipped(command):
+    return next(path for path in sorted(PROBLEMS.glob("*.json"))
+                if json.loads(path.read_text())["command"] == command)
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD, ids="".join)
+def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, tmp_path, monkeypatch, command, flag):
+    # accepted and ignored before: contains --seed, lyap-rank --tol, ...
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command.split("."), str(_shipped(command)), flag, _FLAG_VALUES[flag]])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", _READS)
+def test_subcommand_help_lists_only_its_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command.split("."), "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    shown = {flag for flag in _FLAG_VALUES if flag in out}
+    assert shown == set(_READS[command])
+
+
+def _leaf_parsers(parser, prefix=""):
+    """Dotted name -> parser of every subcommand that takes a problem file."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix[:-1]: parser}
+    return {name: leaf for action in subs for sub_name, sub in action.choices.items()
+            for name, leaf in _leaf_parsers(sub, f"{prefix}{sub_name}.").items()}
+
+
+def _doc_value(cell):
+    text = cell.strip().strip("`")
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return {"none": None}.get(text, text)
+
+
+def test_flag_table_in_the_schema_matches_the_parser():
+    # docs/schema.md's "Flags" table: one row per subcommand, one column per
+    # flag, each cell the default or "—" for a flag the subcommand refuses
+    text = (Path(__file__).resolve().parent.parent / "docs" / "schema.md").read_text()
+    section = text.split("### Flags", 1)[1].splitlines()
+    table = itertools.takewhile(lambda line: line.startswith("|"),
+                                itertools.dropwhile(lambda line: not line.startswith("|"), section))
+    header, _, *body = [line.strip("|").split("|") for line in table]
+    flags = [cell.strip().strip("`").split()[0] for cell in header[1:]]
+    documented = {
+        row[0].strip().strip("`"): {flag: _doc_value(cell) for flag, cell in zip(flags, row[1:])
+                                    if cell.strip() != "—"}
+        for row in body
+    }
+    parsed = {
+        command: {option: action.default for action in leaf._actions
+                  for option in action.option_strings if option != "-h" and option != "--help"}
+        for command, leaf in _leaf_parsers(cli.build_parser()).items()
+    }
+    assert documented == parsed
+    assert {command: set(reads) | {"--output"} for command, reads in _READS.items()} == {
+        command: set(options) for command, options in parsed.items()}
+    assert len(_UNREAD) == 27  # of the 8 x 6 slots the shared flags used to fill
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -668,7 +788,11 @@ def _fuzz_maps(draw, p, q):
 # the contract
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("argv", [("contains",), ("check", "project"), ("check", "isotone"), ("solve",)])
+@pytest.mark.parametrize(
+    "argv",
+    [("contains",), ("check", "project"), ("check", "isotone"), ("solve",), ("lyap-rank",),
+     ("check", "complementarity"), ("check", "verify"), ("check", "decompose")],
+)
 @settings(deadline=None, max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -689,6 +813,16 @@ def test_cli_fuzz_exit_codes(capsys, tmp_path, argv, data):
     elif argv == ("solve",):
         flags = ["--max-iter", "50"]
         payload = {"map": data.draw(_fuzz_maps(p, max(dim - p, 0)))}
+    elif argv == ("lyap-rank",):
+        # --samples is the default n_pairs; both stay near dim^2 to keep the SVD small
+        flags = ["--samples", str(data.draw(st.integers(1, 40)))]
+        payload = data.draw(st.dictionaries(
+            st.just("n_pairs"), st.one_of(st.integers(-2, 40), _FUZZ_ENTRIES), max_size=1))
+    elif argv == ("check", "complementarity"):
+        payload = {"primal": data.draw(_fuzz_points(dim)), "dual": data.draw(_fuzz_points(dim))}
+    elif argv == ("check", "verify"):
+        payload = {"map": data.draw(_fuzz_maps(p, max(dim - p, 0))),
+                   "point": data.draw(_fuzz_points(dim))}
     else:
         payload = {"point": data.draw(_fuzz_points(dim))}
     doc = {"version": 1, "command": ".".join(argv), "cone": cone, "payload": payload}
