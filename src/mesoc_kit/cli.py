@@ -26,13 +26,12 @@ runs, so a call pays only for those modules:
     contains, check complementarity, check decompose   nothing more
     check project        projections, _kernels
     solve, check verify  micp_solver, projections, _kernels
-    check isotone        order, sampling, projections, _kernels; micp_solver for a map
+    check isotone        order, sampling; micp_solver for a map
     lyap-rank            lyapunov, sampling, projections, _kernels
 
-On a 2-vCPU Xeon with Python 3.11, bytecode writing off and no
-``__pycache__``, a call on a shipped problem file takes 200-250 ms, about
-10% less than when every subcommand loaded every module; NumPy is about
-150 ms of it.  The README's "Start-up" paragraph has the details.
+The records of these modules, ``_Command`` here among them, are built by
+the small ``_record``, which generates no code.  The README's "Start-up"
+paragraph has the cost of a call.
 """
 
 from __future__ import annotations
@@ -41,11 +40,12 @@ import argparse
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
+from ._record import record
 from .cones import (
     CYLINDER,
     CYLINDER_DUAL,
@@ -558,7 +558,8 @@ _FLAGS = {
 }
 
 
-class _Command(NamedTuple):
+@record
+class _Command:
     help: str
     tol: float | None  # the --tol default, or None for a subcommand without --tol
     flags: tuple[str, ...] = ()  # keys of _FLAGS, in the order --help lists them
@@ -587,19 +588,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     groups = {"": parser.add_subparsers(dest="command", required=True)}
-    for command, (help_, tol, flags) in _COMMANDS.items():
+    for command, spec in _COMMANDS.items():
         group, _, name = command.rpartition(".")
         if group not in groups:
             checks = groups[""].add_parser(group, help="pass/fail property checks")
             groups[group] = checks.add_subparsers(dest=group, required=True)
         leaf = groups[group].add_parser(
-            name, help=help_, formatter_class=argparse.ArgumentDefaultsHelpFormatter
+            name, help=spec.help, formatter_class=argparse.ArgumentDefaultsHelpFormatter
         )
         leaf.set_defaults(command=command)
         leaf.add_argument("problem", help="path to a JSON problem file")
-        if tol is not None:
-            leaf.add_argument("--tol", type=_tolerance, default=tol, help="tolerance")
-        for flag in flags:
+        if spec.tol is not None:
+            leaf.add_argument("--tol", type=_tolerance, default=spec.tol, help="tolerance")
+        for flag in spec.flags:
             leaf.add_argument(flag, **_FLAGS[flag])
         leaf.add_argument(
             "--output", choices=("json", "text"), default="json", help="report format"

@@ -29,10 +29,10 @@ Lyapunov basis (:mod:`mesoc_kit.lyapunov`) derive from the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import factory, record
 from .errors import DimensionError, MembershipError
 
 MESOC = "mesoc"
@@ -86,7 +86,7 @@ def least_slack(slacks):
     return np.minimum.reduce(slacks, axis=-1, initial=np.inf)
 
 
-@dataclass(frozen=True)
+@record
 class ConeSpec:
     """Description of a cone: a variant tag plus dimension parameters.
 
@@ -179,7 +179,7 @@ def cylinder_dual(p: int, inner: ConeSpec) -> ConeSpec:
     return ConeSpec(CYLINDER_DUAL, p, inner.dim, inner)
 
 
-@dataclass(frozen=True)
+@record
 class PartitionedVector:
     """A vector split into its x block (length p) and u block (length q)."""
 
@@ -263,6 +263,12 @@ BLOCK_ENTRIES = 2**16
 # benchmarks/bench_kernels.py).
 NARROW_MAX = 2
 
+# row_norms sums the squared columns of a block of two to NARROW_MAX columns
+# only from this many rows: below, the slices and additions of the column
+# form cost more than one einsum call (the short-block table of
+# benchmarks/bench_kernels.py).
+NARROW_MIN_ROWS = 256
+
 
 def row_norms(A: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row of the 2-D array ``A``.
@@ -270,16 +276,17 @@ def row_norms(A: np.ndarray) -> np.ndarray:
     One ``einsum`` pass over the rows; ``np.linalg.norm(A, axis=1)`` runs a
     short reduction loop per row, about 5x slower at 200000 x 8.  The two
     agree bit for bit up to two columns and within a few ulp beyond.  A
-    block of at most :data:`NARROW_MAX` columns and more than one row sums
-    its squared columns instead, with the bits of ``einsum``, which adds a
-    row's first two squares as one sum: at 200000 x 2 it takes about 0.8 ms
-    against 1.3, and at 16384 x 2 0.04 ms against 0.12.  At one row, as in
-    every solver step of a scalar-combination map, the single ``einsum``
-    call is cheaper.  The square root is taken in place, which spares a
-    second vector of norms.
+    block of one column, or of at most :data:`NARROW_MAX` columns and at
+    least :data:`NARROW_MIN_ROWS` rows, sums its squared columns instead,
+    with the bits of ``einsum``, which adds a row's first two squares as one
+    sum: at 200000 x 2 it takes about 0.8 ms against 1.3, and at 16384 x 2
+    0.04 ms against 0.12.  A shorter block of two columns, such as the steps
+    of a solve that its order certificates take, makes one ``einsum`` call,
+    which costs less than the column form's slices and additions.  The
+    square root is taken in place, which spares a second vector of norms.
     """
     m, n = A.shape
-    if 0 < n <= NARROW_MAX and m > 1:
+    if 0 < n <= NARROW_MAX and (n == 1 or m >= NARROW_MIN_ROWS):
         s = _column_squares(A)
     else:
         s = np.einsum("ij,ij->i", A, A)
@@ -501,7 +508,7 @@ def duality_chain(
     return (float(xu.x @ yv.x), nu * float(yv.x.sum()), nu * nv)
 
 
-@dataclass(frozen=True)
+@record
 class CompPair:
     """A candidate complementary pair (primal point, dual point).
 
@@ -513,7 +520,7 @@ class CompPair:
     dual: PartitionedVector | np.ndarray
 
 
-@dataclass(frozen=True)
+@record
 class ComplementarityReport:
     """Outcome of a complementarity-set test with per-condition residuals.
 
@@ -526,7 +533,7 @@ class ComplementarityReport:
 
     member: bool
     mode: str
-    residuals: dict[str, float] = field(default_factory=dict)
+    residuals: dict[str, float] = factory(dict)
     failed: tuple[str, ...] = ()
     scaling: float | None = None
 
@@ -591,7 +598,7 @@ def in_complementarity_set(
     return _report("structured", res, tol, scaling=lam)
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     """Additive split of a point of L(p, q) into its two generating summands.
 

@@ -18,11 +18,10 @@ it live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import sampling
+from ._record import factory, record
 from .cones import (
     CYLINDER,
     MESOC,
@@ -40,10 +39,10 @@ from .cones import (
 from .errors import OracleError, UnsupportedConeError
 
 
-@dataclass(frozen=True)
+@record
 class LyapMatrix:
     entries: np.ndarray
-    params: dict = field(default_factory=dict)
+    params: dict = factory(dict)
 
     @property
     def dim(self) -> int:
@@ -115,7 +114,7 @@ def _pairs(cone, rng, n_pairs, pairs):
     return sampling.complementarity_pairs(cone, rng, n_pairs)
 
 
-@dataclass(frozen=True)
+@record
 class LyapCheck:
     ok: bool
     checked: int
@@ -153,7 +152,7 @@ def is_lyapunov_like(
     )
 
 
-@dataclass(frozen=True)
+@record
 class LyapRankResult:
     rank: int
     matrix_dim: int

@@ -48,19 +48,23 @@ loop's norms) call ``ndarray.dot``: the ``@`` operator goes through the
 matmul ufunc dispatch, about 0.8 us more per call on vectors of length 4-16
 (NumPy 2.4, ``benchmarks/bench_solver.py``), for the same BLAS routine and
 the same bytes.  The batch updates keep ``@``.
+
+``projections`` is imported by the functions that project, not at the top,
+so a caller that only builds and evaluates maps, as ``check isotone`` does,
+does not load it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from . import projections
+from ._record import factory, record
 from .cones import (
+    NARROW_MAX,
     ConeSpec,
     PartitionedVector,
     _as_vector,
@@ -82,7 +86,7 @@ if TYPE_CHECKING:
 DIVERGENCE_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
+@record
 class ScalarField:
     """Affine scalar field f(x, u) = <linear, x> + norm_coeff * |u| + offset."""
 
@@ -94,7 +98,7 @@ class ScalarField:
         object.__setattr__(self, "linear", np.asarray(self.linear, dtype=float))
 
 
-@dataclass(frozen=True)
+@record
 class ScalarComboMap:
     """Map whose update z - F(z) is a scalar-field combination of fixed
     directions: z - F(z) = sum_i f_i(z) * w_i."""
@@ -135,14 +139,20 @@ class ScalarComboMap:
 
     def update(self, z: np.ndarray) -> np.ndarray:
         """:meth:`update_batch` of the one-row batch ``z[None, :]``, byte for
-        byte: a dot product per field and :func:`row_norms` for |u| (a plain
-        dot norm differs from it in the last bit from three tail entries on).
-        A row of a larger batch can differ in the last bits, because BLAS
-        multiplies a batch's field values as a matrix (gemm) and one row's
-        as a vector (gemv)."""
+        byte: a dot product per field and the bits of :func:`row_norms` for
+        |u| (a plain dot norm differs from it in the last bit from three tail
+        entries on).  A tail of at most ``NARROW_MAX`` entries takes its
+        norm from Python floats, one product or one sum of two, as
+        ``row_norms`` adds them, at a fifth of the cost of its ``einsum``
+        call (0.65 against 3.4 us).  A row of a larger batch can differ in the last bits, because
+        BLAS multiplies a batch's field values as a matrix (gemm) and one
+        row's as a vector (gemv)."""
         z = np.asarray(z, dtype=float)
-        x = z[: self.p]
-        norm = row_norms(z[None, self.p :])[0]
+        x, u = z[: self.p], z[self.p :]
+        if self.q <= NARROW_MAX:
+            norm = math.sqrt(sum([v * v for v in u.tolist()]))
+        else:
+            norm = row_norms(u[None])[0]
         vals = [x.dot(f.linear) + f.norm_coeff * norm + f.offset for f in self.fields]
         return np.array(vals).dot(self.directions)
 
@@ -151,7 +161,7 @@ class ScalarComboMap:
         return z - self.update(z)
 
 
-@dataclass(frozen=True)
+@record
 class AffineMap:
     """Map F(z) = matrix @ z + offset."""
 
@@ -195,7 +205,7 @@ def evaluate_map(map_: StructuredMap, z) -> tuple[np.ndarray, np.ndarray]:
     return r[: map_.p], r[map_.p :]
 
 
-@dataclass(frozen=True)
+@record
 class MicpInstance:
     map: StructuredMap
     inner: ConeSpec
@@ -298,6 +308,8 @@ class IterationTrace:
 
 def picard_step(instance: MicpInstance, z) -> np.ndarray:
     """One half-projected step (x - G(z), P_C(u - H(z)))."""
+    from . import projections
+
     p = instance.map.p
     t = instance.map.update(_as_vector(z, p + instance.map.q))
     t[p:] = projections.project(instance.inner, t[p:]).point
@@ -309,6 +321,8 @@ def picard_solve(instance: MicpInstance) -> tuple[PartitionedVector, IterationTr
     iterate as the solution and the trace.  See the module docstring for
     the stopping rules.  Raises ``ValueError`` when no step was kept and
     the start is not finite."""
+    from . import projections
+
     p = instance.map.p
     update, inner, conv_tol = instance.map.update, instance.inner, instance.conv_tol
     z = instance.start.copy()
@@ -370,7 +384,7 @@ def _finish(instance: MicpInstance, iterates: list, step_norms: list,
     return PartitionedVector._split(z, instance.map.p), trace
 
 
-@dataclass(frozen=True)
+@record
 class SolutionReport:
     ok: bool
     g_norm: float
@@ -409,12 +423,12 @@ def verify_solution(instance: MicpInstance, z, tol: float = 1e-8) -> SolutionRep
     return SolutionReport(ok=not failed, failed=failed, **report)
 
 
-@dataclass(frozen=True)
+@record
 class RegionReport:
     in_feasible: bool
     in_descent: bool
     reasons: tuple[str, ...]
-    details: dict = field(default_factory=dict)
+    details: dict = factory(dict)
 
 
 def region_membership(instance: MicpInstance, z, tol: float = 1e-10) -> RegionReport:
@@ -425,6 +439,8 @@ def region_membership(instance: MicpInstance, z, tol: float = 1e-10) -> RegionRe
     the weaker floor |u - P_C(u - H)| (the actual move of the u-block), so
     the feasible region sits inside the descent region.
     """
+    from . import projections
+
     check_tol(tol)
     p = instance.map.p
     zv = _as_vector(z, p + instance.map.q)
@@ -461,7 +477,7 @@ def region_membership(instance: MicpInstance, z, tol: float = 1e-10) -> RegionRe
     )
 
 
-@dataclass(frozen=True)
+@record
 class PreconditionReport:
     start_ascending: bool
     first_step: np.ndarray

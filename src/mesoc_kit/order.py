@@ -20,18 +20,18 @@ whole-array check, whose reports have the same bytes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import cones, sampling
+from ._record import record
 from .cones import (
     DEFAULT_TOL, ConeSpec, _as_vector, _slacks_batch, check_tol, contains, dual_of, least_slack,
 )
 from .errors import DimensionError
 
 
-@dataclass(frozen=True)
+@record
 class OrderedPairSample:
     """A pair with lo <=_K hi, i.e. hi - lo in the ordering cone."""
 
@@ -39,7 +39,7 @@ class OrderedPairSample:
     hi: np.ndarray
 
 
-@dataclass(frozen=True)
+@record
 class IsotonicityViolation:
     pair: OrderedPairSample
     image_diff: np.ndarray
@@ -47,7 +47,7 @@ class IsotonicityViolation:
     margin: float
 
 
-@dataclass(frozen=True)
+@record
 class IsotonicityReport:
     cone: ConeSpec
     checked: int
@@ -138,7 +138,7 @@ def check_isotone(
     return IsotonicityReport(cone=cone, checked=len(lo), violations=tuple(violations))
 
 
-@dataclass(frozen=True)
+@record
 class HyperplaneReport:
     """Outcome of the supporting-inequality test for a unit normal ``a``:
     <x, y> >= <a, x> * <a, y> over sampled x in K, y in K*."""

@@ -36,7 +36,6 @@ import numpy as np
 
 from . import cones
 from .cones import ConeSpec, _by_rows, row_norms, row_sums
-from .projections import project_batch
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -191,6 +190,8 @@ def complementarity_pairs(
     ``include_deterministic`` is accepted and ignored: it stays until the
     next change to ``perfbench/``, whose ``cli_problems.py`` still passes it.
     """
+    from .projections import project_batch
+
     V = rng.standard_normal((n_random, cone.dim))
     Z = project_batch(cone, V)
     return Z, Z - V

@@ -896,7 +896,8 @@ def test_check_project_caps_the_oracle(capsys, tmp_path, cone, key):
     assert key not in projections._FACE_CACHE
 
 
-# mesoc_kit submodules each subcommand must leave unloaded; no case loads scipy
+# mesoc_kit submodules each subcommand must leave unloaded; no case loads
+# scipy or dataclasses
 _BEYOND_CONES = ("projections", "_kernels", "sampling", "order", "lyapunov", "micp_solver")
 _NOT_LOADED = {
     "contains": _BEYOND_CONES,
@@ -906,7 +907,7 @@ _NOT_LOADED = {
     "solve": ("lyapunov", "order", "sampling"),
     "check.verify": ("lyapunov", "order", "sampling"),
     "lyap-rank": ("micp_solver", "order"),
-    "check.isotone": ("lyapunov",),
+    "check.isotone": ("lyapunov", "projections", "_kernels"),
 }
 
 
@@ -935,6 +936,7 @@ def test_subcommand_loads_only_what_it_runs(path):
     assert proc.returncode == 0, proc.stderr
     status, *loaded = proc.stdout.split()
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+    assert "dataclasses" not in loaded
     if path is None:
         assert status == "0"
         assert "numpy" not in loaded

@@ -320,9 +320,11 @@ def test_contains_batch_block_edges(cone, rng):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 @pytest.mark.parametrize("layout", ["contiguous", "strided"])
-def test_row_norms_keep_the_einsum_bits(n, layout):
+def test_row_norms_keep_the_einsum_bits(n, layout, monkeypatch):
     # a block of at most NARROW_MAX columns sums its squared columns, in
-    # slices of BLOCK_ENTRIES rows; einsum's one pass gave these bits
+    # slices of BLOCK_ENTRIES rows, at one column or from NARROW_MIN_ROWS
+    # rows (set to 0 below, so every block of these 97 rows does too);
+    # einsum's one pass gave these bits
     rng = np.random.default_rng(n)
     wide = rng.standard_normal((97, 2 * n + 1)) * 10.0 ** rng.integers(-3, 4, (97, 2 * n + 1))
     A = np.ascontiguousarray(wide[:, :n]) if layout == "contiguous" else wide[:, 1 : n + 1]
@@ -333,13 +335,15 @@ def test_row_norms_keep_the_einsum_bits(n, layout):
         A[4], A[5] = -0.0, 1e-200
         A[6, 0], A[6, -1] = 1e200, -1e200
     want = np.sqrt(np.einsum("ij,ij->i", A, A))
-    for entries in (1, 2, 5, 2**16):
-        for rows in (A, A[:1], A[:2], A[:0]):
-            # einsum warns of no overflow, and neither may the column form
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = with_block_entries(entries, row_norms, rows)
-            assert got.dtype == np.float64 and got.tobytes() == want[: len(rows)].tobytes()
+    for floor in (cones.NARROW_MIN_ROWS, 0):
+        monkeypatch.setattr(cones, "NARROW_MIN_ROWS", floor)
+        for entries in (1, 2, 5, 2**16):
+            for rows in (A, A[:1], A[:2], A[:0]):
+                # einsum warns of no overflow, and neither may the column form
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = with_block_entries(entries, row_norms, rows)
+                assert got.dtype == np.float64 and got.tobytes() == want[: len(rows)].tobytes()
 
 
 _SPECIAL = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-0.0, np.nan, np.inf, -np.inf, 1e308]))

@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 from scipy import optimize
 
 import mesoc_kit as mk
-from mesoc_kit import micp_solver, projections, sampling
+from mesoc_kit import cones, micp_solver, projections, sampling
 
 from _worked_instance import worked_solution
 
@@ -422,6 +422,25 @@ def test_update_matches_one_row_batch(p, q, map_kind, seed, scale):
         map_ = _scalar_combo(rng, p, q)
     z = scale * rng.standard_normal(n)
     assert map_.update(z).tobytes() == map_.update_batch(z[None, :])[0].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(deadline=None, max_examples=400)
+@given(q=st.integers(0, 3), data=st.data())
+def test_one_row_update_keeps_the_row_norms_bits(q, data):
+    # a tail of at most NARROW_MAX entries takes its norm from Python
+    # floats; one einsum call (row_norms) gave these bits, for squares that
+    # overflow or underflow, NaN, infinities and signed zeros too
+    scale = st.sampled_from([1e-160, 1e-5, 1.0, 1e5, 1e155])
+    entry = st.one_of(st.floats(), st.builds(lambda a, s: a * s, st.floats(-1.0, 1.0), scale),
+                      st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
+    u = np.array(data.draw(st.lists(entry, min_size=q, max_size=q)), dtype=float)
+    field = mk.ScalarField([0.0], 1.0, 0.0)
+    map_ = mk.ScalarComboMap(p=1, q=q, fields=(field,), directions=np.ones((1, 1 + q)))
+    got = map_.update(np.concatenate([[0.0], u]))
+    # 0.0 + norm + 0.0, times 1.0: the norm itself in every entry
+    want = np.full(1 + q, cones.row_norms(u[None])[0])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_solver_projects_through_the_module_name(monkeypatch):
