@@ -483,6 +483,15 @@ def dual_of(cone: ConeSpec) -> ConeSpec:
     return ConeSpec(_DUAL_MAP[cone.kind], cone.p, cone.q)
 
 
+def pair_residuals(cone: ConeSpec, z, w) -> tuple[float, float, float]:
+    """The conditions z in K, w in K* and <z, w> = 0 of a complementary pair,
+    as the least slack of ``z`` in ``cone``, that of ``w`` in its dual and
+    |<z, w>|, Python floats that the pair, solution and projection checks read."""
+    z, w = _as_vector(z, cone.dim), _as_vector(w, cone.dim)
+    return (float(least_slack(membership_slacks(cone, z))),
+            float(least_slack(membership_slacks(dual_of(cone), w))), abs(float(z @ w)))
+
+
 def duality_chain(
     xu: PartitionedVector, yv: PartitionedVector, tol: float = DEFAULT_TOL
 ) -> tuple[float, float, float]:
@@ -548,16 +557,9 @@ def _report(mode, residuals, tol, scaling=None):
     )
 
 
-def _memberships(cone, zp, zd):
-    return {
-        "primal_membership": float(least_slack(membership_slacks(cone, zp))),
-        "dual_membership": float(least_slack(membership_slacks(dual_of(cone), zd))),
-    }
-
-
 def _direct_report(cone, zp, zd, tol):
-    res = _memberships(cone, zp, zd)
-    res["orthogonality"] = -abs(float(zp @ zd))
+    primal, dual, product = pair_residuals(cone, zp, zd)
+    res = {"primal_membership": primal, "dual_membership": dual, "orthogonality": -product}
     return _report("direct", res, tol)
 
 
@@ -587,7 +589,8 @@ def in_complementarity_set(
     R = reduced_coordinates(cone.kind, zp[None, :p])[0]
     S = reduced_coordinates(_DUAL_MAP[cone.kind], zd[None, :p])[0]
     rays = p - 1 if q else p
-    res = _memberships(cone, zp, zd)
+    primal, dual, _ = pair_residuals(cone, zp, zd)
+    res = {"primal_membership": primal, "dual_membership": dual}
     res["face_products"] = -float(np.max(np.abs(R[:rays] * S[:rays]), initial=0.0))
     if not q:
         return _report("structured", res, tol)

@@ -26,6 +26,7 @@ from .cones import (
     CYLINDER,
     MESOC,
     MESOC_DUAL,
+    MONOTONE,
     MONOTONE_NONNEG,
     NONNEG_ORTHANT,
     ConeSpec,
@@ -83,7 +84,10 @@ def predicted_rank(cone: ConeSpec) -> int:
     """Closed-form Lyapunov rank for the kinds where one is known.
 
     A dual kind has the rank of its primal, beta(K*) = beta(K) (Gowda & Tao,
-    Math. Program. 147, 2014), and a cylinder R^p x C has p(p + q) + beta(C).
+    Math. Program. 147, 2014).  A cone R^k x K' with K' pointed has
+    k(k + dim K') + beta(K'): the monotone cone, R x R_+^(p-1) under the
+    reduction map, has 2p - 1.  A cylinder R^p x C has p(p + q + k) + beta(C),
+    k the dimension of C's lineality space, into which T may map R^p.
     """
     kind, p, q = ordered_form(cone)
     # the monotone nonnegative cone is L(p, 0)
@@ -91,11 +95,20 @@ def predicted_rank(cone: ConeSpec) -> int:
         return p + q * (q + 1) // 2
     if kind == NONNEG_ORTHANT:
         return cone.p
+    if kind == MONOTONE:
+        return 2 * p - 1
     if kind == CYLINDER:
-        return cone.p * cone.dim + predicted_rank(cone.inner)
+        return cone.p * (cone.dim + _lineality(cone.inner)) + predicted_rank(cone.inner)
     if kind.endswith("_dual"):
         return predicted_rank(dual_of(cone))
     raise UnsupportedConeError(f"no closed-form Lyapunov rank for {kind!r}")
+
+
+def _lineality(cone: ConeSpec) -> int:
+    """The dimension of the largest subspace in ``cone``."""
+    if cone.inner is not None:  # R^p x C or {0}^p x C
+        return cone.p * (cone.kind == CYLINDER) + _lineality(cone.inner)
+    return int(cone.kind == MONOTONE)  # the line of (1, ..., 1)
 
 
 def _check_n_pairs(n_pairs):

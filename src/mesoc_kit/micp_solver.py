@@ -71,11 +71,9 @@ from .cones import (
     check_tol,
     contains,
     contains_batch,
-    membership_slacks,
-    dual_of,
-    least_slack,
     mesoc,
     monotone_nonneg,
+    pair_residuals,
     row_norms,
 )
 from .errors import DimensionError
@@ -151,6 +149,8 @@ class ScalarComboMap:
         x, u = z[: self.p], z[self.p :]
         if self.q <= NARROW_MAX:
             norm = math.sqrt(sum([v * v for v in u.tolist()]))
+            if norm != norm:  # of two NaNs, Python's sum keeps another payload than einsum
+                norm = row_norms(u[None])[0]
         else:
             norm = row_norms(u[None])[0]
         vals = [x.dot(f.linear) + f.norm_coeff * norm + f.offset for f in self.fields]
@@ -405,22 +405,14 @@ def verify_solution(instance: MicpInstance, z, tol: float = 1e-8) -> SolutionRep
     check_tol(tol)
     zv = _as_vector(z, instance.map.p + instance.map.q)
     G, H = evaluate_map(instance.map, zv)
-    u = zv[instance.map.p :]
-    report = {
-        "g_norm": float(np.abs(G).max()) if G.size else 0.0,
-        "inner_slack": float(least_slack(membership_slacks(instance.inner, u))),
-        "dual_slack": float(least_slack(membership_slacks(dual_of(instance.inner), H))),
-        "orthogonality": float(abs(u @ H)),
-    }
+    g_norm = float(np.abs(G).max()) if G.size else 0.0
+    inner, dual, product = pair_residuals(instance.inner, zv[instance.map.p :], H)
     # each condition as a slack that passes at >= -tol, so a NaN fails
-    slacks = {
-        "g_norm": -report["g_norm"],
-        "inner_membership": report["inner_slack"],
-        "dual_membership": report["dual_slack"],
-        "orthogonality": -report["orthogonality"],
-    }
+    slacks = {"g_norm": -g_norm, "inner_membership": inner,
+              "dual_membership": dual, "orthogonality": -product}
     failed = tuple(name for name, s in slacks.items() if not s >= -tol)
-    return SolutionReport(ok=not failed, failed=failed, **report)
+    return SolutionReport(ok=not failed, g_norm=g_norm, inner_slack=inner, dual_slack=dual,
+                          orthogonality=product, failed=failed)
 
 
 @record

@@ -21,11 +21,12 @@ the point, once per step.
 leaves and reductions, with the batch PAV kernel in place of ``pav_fit``.
 The complementary-pair sampler behind the Lyapunov rank draws through it.
 
-:func:`project_oracle` re-solves the polyhedral and Lorentz problems by
-exhaustive face enumeration — every subset of active constraints for the
-polyhedral cones, and the interior, the apex and the boundary ray for the
-Lorentz cone — and certifies each result with the full Moreau conditions.
-``check project`` and the test suite use it to cross-check the fast paths.
+:func:`moreau_residuals` certifies a projection on every kind by Moreau's
+conditions; ``check project`` reports them.  :func:`project_oracle`
+re-solves the polyhedral and Lorentz problems by exhaustive face
+enumeration — every subset of active constraints for the polyhedral cones,
+and the interior, the apex and the boundary ray for the Lorentz cone — as
+the test suite's independent second projection.
 """
 
 from __future__ import annotations
@@ -299,7 +300,8 @@ def project_monotone_nonneg_batch(V) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# independent oracle
+# independent oracle: the test suite's second projection.  No subcommand
+# calls it; the benchmark tracer (perfbench/tracing.py) wraps it by name.
 
 
 def _constraint_rows(cone: ConeSpec) -> np.ndarray:
@@ -369,14 +371,20 @@ def _lorentz_oracle(v: np.ndarray) -> np.ndarray:
     return min(candidates, key=lambda y: np.linalg.norm(v - y))
 
 
+def moreau_residuals(cone: ConeSpec, v, y) -> dict[str, float]:
+    """Moreau's conditions y in K, y - v in K* and <y, y - v> = 0, which hold
+    for y = P_K(v) and no other y, as slacks that hold at >= 0: the least
+    slacks over 1 + ||v|| and minus the product over 1 + ||v||^2."""
+    v = cones._as_vector(v, cone.dim)
+    primal, dual, product = cones.pair_residuals(cone, y, y - v)
+    scale = 1.0 + float(np.linalg.norm(v))
+    return {"primal_membership": primal / scale, "dual_membership": dual / scale,
+            "orthogonality": -product / (1.0 + float(v @ v))}
+
+
 def _moreau_residual(cone: ConeSpec, v: np.ndarray, y: np.ndarray) -> float:
-    """Largest violation of y = P_K(v): y in K and y - v in K* (slacks
-    scaled by 1 + ||v||), and <v - y, y> = 0 (scaled by 1 + ||v||^2)."""
-    primal = cones.least_slack(cones.membership_slacks(cone, y))
-    dual = cones.least_slack(cones.membership_slacks(cones.dual_of(cone), y - v))
-    feas = -min(primal, dual) / (1.0 + float(np.linalg.norm(v)))
-    comp = abs(float((v - y) @ y)) / (1.0 + float(v @ v))
-    return max(feas, comp)
+    """The largest violation of :func:`moreau_residuals`, NaN if one is NaN."""
+    return -float(np.min(list(moreau_residuals(cone, v, y).values())))
 
 
 def project_oracle(cone: ConeSpec, v) -> ProjectionResult:

@@ -13,13 +13,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import mesoc_kit as mk
 from mesoc_kit import cli, projections
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def _no_oracle(*args, **kwargs):
+    raise AssertionError("a CLI path ran the face-enumeration oracle")
+
+
+# project_oracle is the tests' independent second projection; no subcommand
+# may call it (check project certifies by Moreau's conditions instead)
+@pytest.fixture(autouse=True, scope="module")
+def _oracle_off_the_cli_path():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projections, "project_oracle", _no_oracle)
+        yield
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +174,20 @@ def test_decompose_report(capsys):
     np.testing.assert_allclose(doc["weights"], [2.0, 1.5, 1.5], atol=1e-12)
 
 
+@pytest.mark.parametrize("point", [[5.0, 3.0, 4.0], [2.0, 0.5, -1.0], [1.0, 0.0, 0.0, 0.0]])
+def test_decompose_reads_lorentz_as_mesoc(capsys, tmp_path, point):
+    # lorentz(n) is L(1, n - 1): the two descriptions give the same bytes
+    outs = []
+    for cone in ({"kind": "lorentz", "p": len(point)},
+                 {"kind": "mesoc", "p": 1, "q": len(point) - 1}):
+        doc = {"version": 1, "command": "check.decompose", "cone": cone, "payload": {"point": point}}
+        for mode in ("json", "text"):
+            code, out, _ = run_cli(capsys, "check", "decompose", write_problem(tmp_path, doc),
+                                   "--output", mode)
+            outs.append((code, out))
+    assert outs[:2] == outs[2:] and outs[0][0] == 0
+
+
 # ---------------------------------------------------------------------------
 # output behaviour
 
@@ -295,12 +322,21 @@ def test_unpartitioned_kinds_take_no_q(capsys, tmp_path, cone):
 
 
 def test_lyap_rank_without_a_closed_form(capsys, tmp_path):
-    doc = {"version": 1, "command": "lyap-rank", "cone": {"kind": "monotone", "p": 3},
+    doc = {"version": 1, "command": "lyap-rank", "cone": {"kind": "esoc_dual", "p": 2, "q": 1},
            "payload": {"n_pairs": 100}}
     code, out, _ = run_cli(capsys, "lyap-rank", write_problem(tmp_path, doc))
     report = json.loads(out)
     assert code == 0 and report["predicted"] is None and report["agree"] is None
-    assert report["rank"] == mk.lyapunov_rank_numeric(mk.monotone(3), n_pairs=100).rank
+    assert report["rank"] == mk.lyapunov_rank_numeric(mk.esoc_dual(2, 1), n_pairs=100).rank
+
+
+@pytest.mark.parametrize("cone,rank", [({"kind": "monotone", "p": 3}, 5),
+                                       ({"kind": "monotone_dual", "p": 4}, 7)])
+def test_lyap_rank_predicts_the_monotone_pair(capsys, tmp_path, cone, rank):
+    doc = {"version": 1, "command": "lyap-rank", "cone": cone, "payload": {"n_pairs": 100}}
+    code, out, _ = run_cli(capsys, "lyap-rank", write_problem(tmp_path, doc))
+    report = json.loads(out)
+    assert code == 0 and report["rank"] == report["predicted"] == rank and report["agree"] is True
 
 
 def test_check_isotone_refuses_before_evaluating(capsys, tmp_path):
@@ -716,8 +752,7 @@ def test_solve_stops_on_nonfinite_iterate(capsys, tmp_path):
     assert len(rows) == 2 and rows[1][1:4] == ["0.0", "0.0", "1e+308"]
 
 
-# Small cones only: check project runs the face-enumeration oracle, whose
-# cost doubles with every extra coordinate.
+# Small cones only: lyap-rank's constraint matrix grows with dim^4.
 _FUZZ_CONES = st.one_of(
     st.builds(
         lambda kind, p, q: {"kind": kind, "p": p, "q": q},
@@ -840,7 +875,10 @@ def test_check_project_cone_without_constraints(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
     assert code == 0
     report = json.loads(out)
-    assert report["point"] == [-2.5] and report["oracle_gap"] == 0.0
+    assert report["point"] == [-2.5] and report["failed"] == [] and report["ok"] is True
+    # monotone(1) is R: no inequality, so its least slack is +inf and reads null
+    assert report["residuals"] == {"primal_membership": None, "dual_membership": 0.0,
+                                   "orthogonality": 0.0}
 
 
 def test_check_project_cylinder_over_lorentz(capsys, tmp_path, rng):
@@ -868,32 +906,92 @@ def test_solve_on_cylinder_over_mesoc(capsys, tmp_path, rng):
     assert mk.contains(mk.mesoc(2, 2), report["solution"]["u"])
 
 
-def test_check_project_refuses_mesoc(capsys, tmp_path):
-    # project reaches L(p, q), but no face-enumeration oracle covers it
+def test_check_project_certifies_mesoc(capsys, tmp_path):
+    # the paper's own cone, which no face-enumeration oracle covers
     doc = {"version": 1, "command": "check.project", "cone": {"kind": "mesoc", "p": 2, "q": 2},
            "payload": {"point": [1.0, 0.0, 3.0, 4.0]}}
-    code, out, err = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
-    assert code == 3 and out == "" and "mesoc" in err
+    code, out, _ = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True and report["failed"] == []
+    np.testing.assert_allclose(report["point"], [2.0, 2.0, 1.2, 1.6], rtol=1e-15)
+    assert sorted(report["residuals"]) == ["dual_membership", "orthogonality", "primal_membership"]
 
 
 @pytest.mark.parametrize(
-    "cone,key",
-    [
-        ({"kind": "monotone", "p": 14}, ("monotone", 14)),
-        ({"kind": "cylinder", "p": 1, "inner": {"kind": "nonneg_orthant", "p": 13}},
-         ("nonneg_orthant", 13)),
-    ],
+    "cone",
+    [{"kind": "monotone", "p": 14},
+     {"kind": "cylinder", "p": 1, "inner": {"kind": "nonneg_orthant", "p": 13}}],
 )
-def test_check_project_caps_the_oracle(capsys, tmp_path, cone, key):
+def test_check_project_needs_no_oracle(capsys, tmp_path, monkeypatch, cone):
     # 13 constraint rows: the oracle would build 2^13 face projectors
+    monkeypatch.setattr(projections, "_FACE_CACHE", {})
     dim = cli.cone_from_json(cone).dim
     doc = {"version": 1, "command": "check.project", "cone": cone,
            "payload": {"point": np.linspace(-1.0, 1.0, dim).tolist()}}
     t0 = time.perf_counter()
-    code, out, err = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
+    code, out, _ = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
     assert time.perf_counter() - t0 < 1.0
-    assert code == 3 and out == "" and "constraint rows" in err
-    assert key not in projections._FACE_CACHE
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert projections._FACE_CACHE == {}
+
+
+_BASE_KINDS = sorted(mk.cones.KINDS - {"cylinder", "cylinder_dual"})
+
+
+@st.composite
+def _projection_problems(draw, kind, wrap):
+    """A cone of ``kind``, in a cylinder or dual cylinder when ``wrap`` says
+    so, and a point of norm 1 to 1e9 in its space."""
+    cone = {"kind": kind, "p": draw(st.integers(1, 4))}
+    if kind in mk.cones.PARTITIONED_KINDS:
+        cone["q"] = draw(st.integers(0, 3))
+    if wrap:
+        cone = {"kind": wrap, "p": draw(st.integers(1, 3)), "inner": cone}
+    dim = cli.cone_from_json(cone).dim
+    direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    norm = np.linalg.norm(direction)
+    assume(norm > 1e-3)
+    scale = 10.0 ** draw(st.floats(0.0, 9.0))
+    return cone, (direction * (scale / norm)).tolist()
+
+
+# Moreau's conditions hold for the kit's projection on every kind, cylinders
+# and dual cylinders included, at every scale
+@pytest.mark.parametrize("wrap", [None, "cylinder", "cylinder_dual"])
+@pytest.mark.parametrize("kind", _BASE_KINDS)
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_check_project_certifies_every_kind(capsys, tmp_path, kind, wrap, data):
+    cone, point = data.draw(_projection_problems(kind, wrap))
+    doc = {"version": 1, "command": "check.project", "cone": cone, "payload": {"point": point}}
+    code, out, _ = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True and report["failed"] == [], report
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [mk.mesoc(2, 2), mk.esoc_dual(2, 1), mk.monotone(4), mk.cylinder(2, mk.lorentz(3))],
+    ids=str,
+)
+def test_check_project_refuses_a_feasible_point_that_is_not_nearest(
+        capsys, tmp_path, monkeypatch, rng, cone):
+    # 0 lies in every cone, but it is the projection of v only for v in -K*;
+    # for any other v, 0 - v is not in K* and the certificate must say so
+    monkeypatch.setattr(projections, "project",
+                        lambda cone, z: projections.ProjectionResult(np.zeros(cone.dim), 0.0))
+    refused = 0
+    for v in rng.normal(size=(60, cone.dim)):
+        if mk.contains(mk.dual_of(cone), -v, tol=1e-6):
+            continue
+        doc = {"version": 1, "command": "check.project", "cone": cli.cone_to_json(cone),
+               "payload": {"point": v.tolist()}}
+        code, out, _ = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
+        report = json.loads(out)
+        assert code == 5 and report["ok"] is False and report["failed"] == ["dual_membership"]
+        refused += 1
+    assert refused >= 30
 
 
 # mesoc_kit submodules each subcommand must leave unloaded; no case loads

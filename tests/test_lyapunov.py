@@ -108,11 +108,10 @@ def test_basis_with_one_ordered_coordinate_is_the_lorentz_basis(q):
 
 
 def test_unsupported_predictions_raise():
-    with pytest.raises(mk.UnsupportedConeError):
-        mk.predicted_rank(mk.monotone(3))
     # Sznajder's rule for the ESOC is not in the closed form
-    with pytest.raises(mk.UnsupportedConeError):
-        mk.predicted_rank(mk.esoc(2, 2))
+    for cone in (mk.esoc(2, 2), mk.esoc_dual(2, 2), mk.cylinder(1, mk.esoc(2, 1))):
+        with pytest.raises(mk.UnsupportedConeError):
+            mk.predicted_rank(cone)
 
 
 def test_an_empty_sample_is_refused():
@@ -139,23 +138,31 @@ def test_numeric_rank_matches_closed_form_without_a_tail(cone):
     assert mk.lyapunov_rank_numeric(cone, n_pairs=100).rank == mk.predicted_rank(cone) == 4
 
 
-# a dual has the rank of its primal, a cylinder R^p x C has p(p + q) + beta(C)
+# a dual has the rank of its primal, and R^k x K' with K' pointed has
+# k(k + dim K') + beta(K'): the monotone cone, R x R_+^(n-1), has 2n - 1,
+# and a cylinder R^p x C has p(p + q + k) + beta(C), k the lines of C
 @pytest.mark.parametrize(
     "cone,expect",
     [
         (mk.mesoc_dual(3, 3), 9),
+        (mk.monotone(1), 1),
+        (mk.monotone(3), 5),
+        (mk.monotone(6), 11),
         (mk.monotone_dual(4), 7),
         (mk.monotone_nonneg_dual(4), 4),
         (mk.cylinder(2, mk.monotone_nonneg(2)), 10),
         (mk.cylinder(2, mk.lorentz(3)), 14),
         (mk.cylinder_dual(2, mk.mesoc(2, 1)), 13),
+        # the monotone cone's line joins the cylinder's: p(p + q) + beta(C) gives 15
+        (mk.cylinder(2, mk.monotone(3)), 17),
+        (mk.cylinder_dual(2, mk.monotone_dual(3)), 17),
+        # monotone_dual is pointed, so here the cylinder rule holds
+        (mk.cylinder(2, mk.monotone_dual(3)), 15),
+        # {0} x monotone(2) keeps the line
+        (mk.cylinder(1, mk.cylinder_dual(1, mk.monotone(2))), 11),
     ],
     ids=str,
 )
 def test_rank_of_duals_and_cylinders(cone, expect):
     assert mk.lyapunov_rank_numeric(cone, seed=7).rank == expect
-    if cone.kind == "monotone_dual":  # as for the monotone cone, no closed form
-        with pytest.raises(mk.UnsupportedConeError):
-            mk.predicted_rank(cone)
-    else:
-        assert mk.predicted_rank(cone) == expect
+    assert mk.predicted_rank(cone) == expect
