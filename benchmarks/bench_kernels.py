@@ -202,6 +202,43 @@ whatever the length, and the sweep one interpreted turn per entry, so the
 sweep wins on short rows and the passes on long ones.  They are about even
 at 256 and win on both sets from 320 on, the constant.  The worst
 difference was 7e-17.
+
+The per-kind table times ``contains_batch`` on 200 000 rows of every kind,
+and of a cylinder over ``mesoc`` and over ``esoc`` (``KIND_CONES``), half
+sampled members and half normal rows, against the same row blocks through
+the per-kind slack formulas of ``tests/_reference_slacks.py``, which are
+the parent commit's ``contains_batch`` before the slacks came from the
+factor table of ``cones.factors``.  Seven interleaved rounds, each side
+first in every other one; it exits 1 unless every result has the same
+bytes.  Medians of three runs on a 2-vCPU Xeon (NumPy 2.4), then the range
+of the three, in ms, factor table first:
+
+    cone                        table  per kind   table range  per kind range
+    mesoc(8, 8)                   5.7       5.2       5.3-7.7        5.1-7.3
+    mesoc_dual(8, 8)              9.5       9.2      9.2-12.8       9.1-12.8
+    esoc(8, 8)                    9.6       9.4      7.7-12.6       7.5-12.6
+    esoc_dual(8, 8)               9.8       9.7      9.2-12.2       9.6-11.5
+    monotone(16)                  5.4       5.3       5.3-7.0        5.2-6.9
+    monotone_dual(16)            18.7      18.5     18.2-22.3      17.6-21.7
+    monotone_nonneg(16)           5.5       5.5       5.3-7.8        5.4-7.8
+    monotone_nonneg_dual(16)     16.1      16.2     15.7-16.9      15.7-16.8
+    nonneg_orthant(16)            5.2       5.2       5.1-6.3        5.0-6.3
+    lorentz(16)                   4.1       3.8       3.5-5.6        3.4-5.1
+    cylinder(4, mesoc(6, 6))      4.4       4.3       4.3-6.0        4.3-5.7
+    cylinder(4, esoc(6, 6))       6.5       6.1       6.2-6.6        6.1-7.2
+    cylinder_dual(4, mesoc_dual)  12.2      13.3     11.7-12.3      12.9-13.5
+
+Every kind stays within its run-to-run range.  The table's loop over the
+factors costs about 2 µs of Python per row block of 2^16 entries (timed
+on blocks of 4 rows: 8.0 against 6.4 µs for ``mesoc(8, 8)``), 0.1 ms over
+the 49 blocks of a call, which shows most on the cheapest kind, lorentz.
+The dual cylinder is faster: its inner slacks are copied once, not twice.
+The dual kinds take 2-3x the time of their primals in both columns: their
+partial sums run ``np.cumsum`` along the rows of a block, a short loop per
+row.  Adding down the columns gives the same bytes in about a quarter of
+the time (89 against 332 µs on a 4096 x 16 block); no workload of the
+benchmark measures a dual kind's membership, so that is left for a change
+that adds one.
 """
 
 import statistics
@@ -220,6 +257,7 @@ from mesoc_kit.projections import project, project_batch
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
 import _reference_order  # noqa: E402  (the isotonicity check before it ran in row blocks)
+import _reference_slacks  # noqa: E402  (the per-kind slack formulas before the factor table)
 import _reference_sampling  # noqa: E402  (the formulas before members were built in one output)
 from bench_solver import large_instance  # noqa: E402  (perfbench's large_pav instance)
 
@@ -238,6 +276,14 @@ NARROW_TIE = 1.05  # a column form this much slower ties: the run-to-run spread
 SHORT_ROWS = (1, 2, 8, 32, 128, 256, 320, 384, 512, 1024, 4096)
 SHORT_CALLS = 2000
 ISOTONE_PAIRS = 200_000
+KIND_ROWS = 200_000
+KIND_CONES = [
+    cones.mesoc(8, 8), cones.mesoc_dual(8, 8), cones.esoc(8, 8), cones.esoc_dual(8, 8),
+    cones.monotone(16), cones.monotone_dual(16), cones.monotone_nonneg(16),
+    cones.monotone_nonneg_dual(16), cones.nonneg_orthant(16), cones.lorentz(16),
+    cones.cylinder(4, cones.mesoc(6, 6)), cones.cylinder(4, cones.esoc(6, 6)),
+    cones.cylinder_dual(4, cones.mesoc_dual(6, 6)),
+]
 SEED = 20240817
 TOL = 1e-12
 
@@ -614,6 +660,38 @@ def one_row(rounds: int = 7) -> bool:
     return agree
 
 
+def per_kind(rounds: int = 7) -> bool:
+    """Time ``contains_batch`` on ``KIND_ROWS`` rows of every cone of
+    ``KIND_CONES``, half sampled members and half normal rows, against the
+    same row blocks through the per-kind slack formulas of
+    ``tests/_reference_slacks.py`` (the parent's ``contains_batch``), in
+    ``rounds`` interleaved rounds; whether every result has the same bytes."""
+    print(f"{'cone':>44} {'table':>10} {'per kind':>10} {'bytes':>6}")
+    same = True
+    for cone in KIND_CONES:
+        rng = np.random.default_rng(SEED)
+        Z = rng.standard_normal((KIND_ROWS, cone.dim))
+        Z[::2] = sampling.sample(cone, rng, KIND_ROWS // 2)
+
+        def per_kind_contains(Z):
+            return cones.by_row_blocks(
+                lambda B: cones.least_slack(_reference_slacks.slacks_batch(cone, B)) >= -TOL,
+                Z, np.empty(len(Z), dtype=bool))
+
+        sides = {"table": lambda: cones.contains_batch(cone, Z, TOL),
+                 "per kind": lambda: per_kind_contains(Z)}
+        seconds, outs = {side: [] for side in sides}, {}
+        for r in range(rounds):  # each side runs first in every other round
+            for side in sorted(sides, reverse=r % 2 == 1):
+                outs[side], s = timed(sides[side])
+                seconds[side].append(s)
+        ok = outs["table"].tobytes() == outs["per kind"].tobytes()
+        same = same and ok
+        ms = [1e3 * statistics.median(seconds[side]) for side in sides]
+        print(f"{str(cone):>44} {ms[0]:>8.2f}ms {ms[1]:>8.2f}ms {'yes' if ok else 'NO':>6}")
+    return same
+
+
 def main() -> int:
     nonneg_batch(np.zeros((2, 2)))  # warm the call path
     print(f"{'rows x dim':>22} {'batch':>12} {'one block':>12} {'row sweep':>12} "
@@ -642,6 +720,7 @@ def main() -> int:
     short_blocks()
     block_sizes()
     one_row_agrees = one_row()
+    kinds_same = per_kind()
     worst = max(w for w, _ in results)
     same = membership_same and all(ok for _, ok in results)
     status = 0
@@ -656,6 +735,9 @@ def main() -> int:
         status = 1
     if not one_row_agrees:
         print(f"pav_fit through the passes disagrees with the sweep by more than {TOL:.0e}")
+        status = 1
+    if not kinds_same:
+        print("contains_batch differs in its bytes from the per-kind slack formulas")
         status = 1
     if not samplers_same:
         print("a sampler differs in its bytes or generator state from the reference formulas")

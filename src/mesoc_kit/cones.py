@@ -20,10 +20,11 @@ computed through per-inequality slack vectors so callers can see which
 inequality failed, not just a boolean.
 
 L(p, q) is reducible: A(x, u) = (x_1 - x_2, ..., x_{p-1} - x_p, x_p, u)
-takes it onto R_+^(p-1) x L^(q+1).  :func:`reduced_coordinates` is A's one
-encoding, and :data:`TAILS` holds the tail factor of each ordered kind.  The
-slacks, the structured complementarity test, the decomposition and the
-Lyapunov basis (:mod:`mesoc_kit.lyapunov`) derive from the two.
+takes it onto R_+^(p-1) x L^(q+1).  :func:`factors` is the one table of such
+reductions: for every kind it gives A, or A^-T for a dual kind, and the
+factors of the image.  The slacks, the structured complementarity test, the
+decomposition, and the Lyapunov rank rule and basis
+(:mod:`mesoc_kit.lyapunov`) derive from it.
 """
 
 from __future__ import annotations
@@ -369,13 +370,10 @@ def _columns(*blocks) -> np.ndarray:
     return out
 
 
-# The tail factor of each ordered kind after A's p - 1 rays: L^(q+1), where
-# L^1 = R_+, or R.  A dual kind, one not in _PRIMAL_TAILS, takes the dual tail
-# (the dual of R is {0}) and the reduced coordinates of A^-T.
-FREE, ZERO = "free", "zero"  # R and {0}
-_PRIMAL_TAILS = {MESOC: LORENTZ, MONOTONE_NONNEG: LORENTZ, MONOTONE: FREE}
-TAILS = {**_PRIMAL_TAILS,
-         MESOC_DUAL: LORENTZ, MONOTONE_NONNEG_DUAL: LORENTZ, MONOTONE_DUAL: ZERO}
+# The factors of an image of A: rays R_+, Lorentz cones L^k, head first (L^1
+# is R_+), free lines R, zeros {0}, and the ESOC pair, whose p heads share one
+# norm block.  Their duals: a ray, a Lorentz cone, a zero, a line, the other.
+RAY, FREE, ZERO = "ray", "free", "zero"
 
 
 def ordered_form(cone: ConeSpec) -> tuple[str, int, int]:
@@ -385,14 +383,9 @@ def ordered_form(cone: ConeSpec) -> tuple[str, int, int]:
     return (MESOC, 1, cone.p - 1) if cone.kind == LORENTZ else (cone.kind, cone.p, cone.q)
 
 
-def reduced_coordinates(kind: str, X: np.ndarray) -> np.ndarray:
-    """A's first p coordinates of every row of the x blocks ``X`` of an
-    ordered kind (a key of :data:`TAILS`), in a new column-major array: the
-    drops x_i - x_{i+1}, then x_p.  A dual kind takes those of A^-T instead,
-    the partial sums y_1 + ... + y_j."""
+def _drops(X):
+    """A's drops x_i - x_{i+1}, then x_p, of the rows of ``X``."""
     R = np.empty(X.shape, order="F")
-    if kind not in _PRIMAL_TAILS:
-        return np.cumsum(X, axis=1, out=R)
     # down R's columns: the default order runs along X's rows here, about
     # three times slower on a 4096 x 16 block (2-vCPU Xeon, NumPy 2.4)
     np.subtract(X[:, :-1], X[:, 1:], out=R[:, :-1], order="F")
@@ -400,38 +393,71 @@ def reduced_coordinates(kind: str, X: np.ndarray) -> np.ndarray:
     return R
 
 
-def _lorentz_tail(R, U):
-    if U.shape[1]:  # the slack of L^(q+1) at (h, u) is h - ||u||, and h at q = 0
-        R[:, -1] -= row_norms(U)
-    return R
+def _sums(X):
+    """A^-T's partial sums y_1 + ... + y_j of the rows of ``X``."""
+    return np.cumsum(X, axis=1, out=np.empty(X.shape, order="F"))
 
 
-# the slacks of an ordered kind from its reduced coordinates R (the rays,
-# then the tail's head h) and its u block U, written over R where they can be
-_TAIL_SLACKS = {
-    LORENTZ: _lorentz_tail,
-    FREE: lambda R, U: R[:, :-1],
-    ZERO: lambda R, U: _columns(R, -R[:, -1]),
-}
+def factors(cone: ConeSpec):
+    """The reduction of ``cone`` onto a product, as ``(lo, hi, reduce, parts)``.
+
+    A takes a block of rows Z to the image whose columns lo:hi are
+    ``reduce(Z[:, lo:hi])``, a new array (the drops, or the partial sums of
+    A^-T for a dual kind), and whose other columns are Z's.  ``parts`` lists
+    the factors as ``(factor, a, m, b)``: image columns a:m are the factor's
+    heads and m:b its norm block, which only a Lorentz factor and the ESOC
+    pair have.  A Lorentz factor's head lies in lo:hi.  The table of
+    ``dual_of(cone)`` has the dual factors in the same columns.
+    """
+    kind, p, q = ordered_form(cone)
+    if kind in (CYLINDER, CYLINDER_DUAL):  # R^p, or {0}^p, on the inner table
+        lo, hi, reduce, parts = factors(cone.inner)
+        return lo + p, hi + p, reduce, [(FREE if kind == CYLINDER else ZERO, 0, p, p),
+                                        *((f, a + p, m + p, b + p) for f, a, m, b in parts)]
+    if kind in (ESOC, ESOC_DUAL, NONNEG_ORTHANT):
+        return 0, 0, None, [(RAY if kind == NONNEG_ORTHANT else kind, 0, p, p + q)]
+    tail = {MONOTONE: FREE, MONOTONE_DUAL: ZERO}.get(kind, LORENTZ)
+    reduce = _drops if kind in (MESOC, MONOTONE_NONNEG, MONOTONE) else _sums
+    return 0, p, reduce, [(RAY, 0, p - 1, p - 1), (tail, p - 1, p, p + q)]
 
 
-def _slacks_batch(cone: ConeSpec, Z: np.ndarray) -> np.ndarray:
+def image(table, Z: np.ndarray):
+    """A of a :func:`factors` table on the rows of the 2-D ``Z``, as
+    ``cols(a, b)``, which returns image columns a:b, all in lo:hi or all
+    outside: a view of the reduced block, computed once, or of ``Z``."""
+    lo, hi, reduce, _ = table
+    if not reduce:
+        return lambda a, b: Z[:, a:b]
+    R = reduce(Z[:, lo:hi])
+    return lambda a, b: R[:, a - lo : b - lo] if lo <= a and b <= hi else Z[:, a:b]
+
+
+def _slacks_batch(cone: ConeSpec, Z: np.ndarray, table=None) -> np.ndarray:
     """Membership slacks of every row of ``Z``, one column per inequality,
-    in a column-major matrix."""
-    kind, p, _ = ordered_form(cone)
-    X, U = Z[:, :p], Z[:, p:]
-    if kind in TAILS:
-        return _TAIL_SLACKS[TAILS[kind]](reduced_coordinates(kind, X), U)
-    if kind == ESOC:
-        return _by_rows(np.subtract, X, row_norms(U), np.empty(X.shape, order="F"))
-    if kind == ESOC_DUAL:
-        return _columns(X, row_sums(X) - row_norms(U))
-    if kind == NONNEG_ORTHANT:
-        return _columns(X)
-    if kind == CYLINDER:
-        return _slacks_batch(cone.inner, U)
-    # CYLINDER_DUAL, the last kind
-    return _columns(X, -X, _slacks_batch(cone.inner, U))
+    in a new column-major matrix: those of each factor of ``table`` (by
+    default ``factors(cone)``) in turn, and without a copy when they are a
+    run of A's reduced columns."""
+    table = table or factors(cone)
+    cols = image(table, Z)
+    out = []  # image columns (a, b) as they stand, or new slack columns
+    for f, a, m, b in table[3]:
+        if f == ESOC:  # x_i - ||u|| for every head
+            H = cols(a, m)
+            out.append(_by_rows(np.subtract, H, row_norms(cols(m, b)), np.empty_like(H, order="F")))
+            continue
+        if f == LORENTZ and b > m:  # h - ||u||, written over the head
+            cols(a, m)[:, 0] -= row_norms(cols(m, b))
+        if f != FREE:  # a ray, a Lorentz head, a zero's h, the ESOC dual's x
+            out.append((a, m))
+        if f == ZERO:  # and -h
+            out.append(-cols(a, m))
+        elif f == ESOC_DUAL:  # and sum(x) - ||u||
+            out.append(row_sums(cols(a, m)) - row_norms(cols(m, b)))
+    if table[2] and all(type(s) is tuple for s in out):  # rays, then a Lorentz head
+        return cols(out[0][0], out[-1][1])
+    if len(out) == 1 and type(out[0]) is not tuple:
+        return out[0]
+    return _columns(*(cols(*s) if type(s) is tuple else s for s in out))
 
 
 def contains(cone: ConeSpec, z, tol: float = DEFAULT_TOL) -> bool:
@@ -451,7 +477,8 @@ def contains_batch(cone: ConeSpec, Z, tol: float = DEFAULT_TOL) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != cone.dim:
         raise DimensionError(f"expected shape (n, {cone.dim})")
-    return by_row_blocks(lambda B: least_slack(_slacks_batch(cone, B)) >= -tol,
+    table = factors(cone)  # once, not per block
+    return by_row_blocks(lambda B: least_slack(_slacks_batch(cone, B, table)) >= -tol,
                          Z, np.empty(len(Z), dtype=bool))
 
 
@@ -568,37 +595,41 @@ def in_complementarity_set(
 ) -> ComplementarityReport:
     """Test whether (primal, dual) is a complementary pair of ``cone``.
 
-    For L(p, q) and the monotone nonnegative cone L(p, 0) the structured
-    test runs factor by factor on the reduced coordinates, with S_i =
-    y_1 + ... + y_i: memberships, (x_i - x_{i+1}) * S_i = 0 for the rays
-    i < p, and on the tail x_p * S_p = 0 if q = 0, else x_p = ||u||,
-    S_p = ||v|| and v = -lambda * u with lambda = ||v|| / ||u|| > 0.  When
-    q > 0 and a norm block vanishes, as for every other kind, the direct
-    orthogonality test runs; the report's ``mode`` records which did.
+    The structured test runs factor by factor (:func:`factors`) on the
+    images of the primal under A and of the dual under A^-T, whose pairing
+    is <primal, dual>.  Besides both memberships, every ray r against s gives
+    r * s = 0 (``face_products``, the largest such product); a Lorentz
+    factor (h, u) against (g, v) with q > 0 gives h = ||u||, g = ||v|| and
+    v = -lambda * u with lambda = ||v|| / ||u|| > 0.  A free line r against
+    a zero s gives r * s = 0 too: membership bounds s only by tol, so r * s
+    can be as large as |r| * tol.  The ESOC pair, and a Lorentz factor whose
+    norm block vanishes in either point, take the direct orthogonality test
+    instead; the report's ``mode`` records which ran.
     """
     check_tol(tol)
     zp = _as_vector(pair.primal, cone.dim)
     zd = _as_vector(pair.dual, cone.dim)
-    p, q = cone.p, cone.q
-    if _PRIMAL_TAILS.get(cone.kind) != LORENTZ:  # mesoc and monotone_nonneg
-        return _direct_report(cone, zp, zd, tol)
-    u, v = zp[p:], zd[p:]
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if q and not (nu > tol and nv > tol):
-        return _direct_report(cone, zp, zd, tol)
-    R = reduced_coordinates(cone.kind, zp[None, :p])[0]
-    S = reduced_coordinates(_DUAL_MAP[cone.kind], zd[None, :p])[0]
-    rays = p - 1 if q else p
+    table = factors(cone)
+    R, S = image(table, zp[None, :]), image(factors(dual_of(cone)), zd[None, :])
+    products, lorentz, lam = [np.empty(0)], {}, None
+    for f, a, m, b in table[3]:
+        if f in (RAY, FREE, ZERO) or (f == LORENTZ and m == b):  # L^1 is R_+
+            products.append(R(a, m)[0] * S(a, m)[0])
+        elif f == LORENTZ:
+            u, v = R(m, b)[0], S(m, b)[0]
+            nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+            if not (nu > tol and nv > tol):
+                return _direct_report(cone, zp, zd, tol)
+            lam = nv / nu
+            lorentz = {"primal_tightness": -abs(float(R(a, m)[0, 0] - nu)),
+                       "dual_tightness": -abs(float(S(a, m)[0, 0] - nv)),
+                       "antiparallel": -float(np.max(np.abs(v + lam * u)))}
+        elif f in (ESOC, ESOC_DUAL):
+            return _direct_report(cone, zp, zd, tol)
     primal, dual, _ = pair_residuals(cone, zp, zd)
-    res = {"primal_membership": primal, "dual_membership": dual}
-    res["face_products"] = -float(np.max(np.abs(R[:rays] * S[:rays]), initial=0.0))
-    if not q:
-        return _report("structured", res, tol)
-    lam = nv / nu
-    res["primal_tightness"] = -abs(float(R[-1] - nu))
-    res["dual_tightness"] = -abs(float(S[-1] - nv))
-    res["antiparallel"] = -float(np.max(np.abs(v + lam * u)))
-    return _report("structured", res, tol, scaling=lam)
+    face = -float(np.max(np.abs(np.concatenate(products)), initial=0.0))
+    res = {"primal_membership": primal, "dual_membership": dual, "face_products": face}
+    return _report("structured", {**res, **lorentz}, tol, scaling=lam)
 
 
 @record
@@ -649,5 +680,5 @@ def decompose_mesoc(p: int, q: int, z, tol: float = DEFAULT_TOL) -> Decompositio
     z = _as_vector(z, cone.dim)
     if not contains(cone, z, tol):
         raise MembershipError(f"point is not in {cone}")
-    weights = reduced_coordinates(MESOC, z[None, :p])[0, ::-1]
+    weights = image(factors(cone), z[None, :])(0, p)[0, ::-1]
     return Decomposition(weights=weights, u=z[p:].copy())

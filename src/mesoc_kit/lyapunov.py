@@ -2,12 +2,12 @@
 
 A matrix T is Lyapunov-like for a cone K when <w, T z> = 0 for every
 complementary pair (z in K, w in K*, <z, w> = 0).  These matrices form a
-linear space whose dimension only depends on K; two independent routes to
-it live here:
+linear space whose dimension, the rank, only depends on K and follows
+from its factor table (``predicted_rank``); two other routes to it are:
 
 * a basis for L(p, q), the monotone nonnegative cone included at q = 0
   (``lyap_basis_mesoc``), conjugated back from the basis of the product
-  that the reduction map of :mod:`mesoc_kit.cones` takes L(p, q) onto, and
+  that :func:`mesoc_kit.cones.factors` reduces L(p, q) to, and
 * ``lyapunov_rank_numeric``, which stacks the rank-one constraints
   kron(w, z) coming from sampled complementary pairs and counts the
   dimension of their null space.  The pairs are Moreau splits of random
@@ -23,21 +23,19 @@ import numpy as np
 from . import sampling
 from ._record import factory, record
 from .cones import (
-    CYLINDER,
-    MESOC,
-    MESOC_DUAL,
-    MONOTONE,
-    MONOTONE_NONNEG,
-    NONNEG_ORTHANT,
+    FREE,
+    RAY,
+    ZERO,
     ConeSpec,
     _as_vector,
     check_tol,
-    dual_of,
-    ordered_form,
-    reduced_coordinates,
+    factors,
+    image,
+    mesoc,
+    mesoc_dual,
     row_norms,
 )
-from .errors import OracleError, UnsupportedConeError
+from .errors import OracleError
 
 
 @record
@@ -56,21 +54,25 @@ def lyap_basis_mesoc(p: int, q: int) -> list[LyapMatrix]:
 
     The Lyapunov-like space of a product is the direct sum of its factors'
     spaces (Gowda & Tao, Math. Program. 147, 2014).  So the basis is A^-1 S A,
-    A the reduction onto R_+^(p-1) x L^(q+1), over the product's basis S: the
-    identity, a unit diagonal per ray, and the q boosts (``coupling``) and
-    q(q-1)/2 rotations (``skew``) of the Lorentz factor, whose head is p - 1.
+    A the reduction of :func:`~mesoc_kit.cones.factors` onto R_+^(p-1) x
+    L^(q+1), over the product's basis S: the identity, a unit diagonal per
+    ray, and the q boosts (``coupling``) and q(q-1)/2 rotations (``skew``)
+    of the Lorentz factor.
     """
-    n, h = p + q, p - 1
-    # the helper's rows are the columns of A (primal) and of A^-T (dual)
-    A, A_inv = np.eye(n), np.eye(n)
-    A[:p, :p] = reduced_coordinates(MESOC, np.eye(p)).T
-    A_inv[:p, :p] = reduced_coordinates(MESOC_DUAL, np.eye(p))
-    product = (
-        [({"ray": i}, [(i, i, 1.0)]) for i in range(h)]
-        + [({"coupling": k}, [(h, p + k, 1.0), (p + k, h, 1.0)]) for k in range(q)]
-        + [({"skew": (k, l)}, [(p + k, p + l, 1.0), (p + l, p + k, -1.0)])
-           for k in range(q) for l in range(k + 1, q)]
-    )
+    n = p + q
+    table = factors(mesoc(p, q))
+    # the images of the identity's rows are the columns of A (primal) and
+    # the rows of A^-1 (A^-T, the dual's map)
+    img, img_dual = image(table, np.eye(n)), image(factors(mesoc_dual(p, q)), np.eye(n))
+    A, A_inv = np.hstack([img(0, p), img(p, n)]).T, np.hstack([img_dual(0, p), img_dual(p, n)])
+    product = []
+    for f, a, m, b in table[3]:
+        if f == RAY:
+            product += [({"ray": i}, [(i, i, 1.0)]) for i in range(a, m)]
+            continue
+        product += [({"coupling": k}, [(a, m + k, 1.0), (m + k, a, 1.0)]) for k in range(b - m)]
+        product += [({"skew": (k, l)}, [(m + k, m + l, 1.0), (m + l, m + k, -1.0)])
+                    for k in range(b - m) for l in range(k + 1, b - m)]
     out = [LyapMatrix(np.eye(n), {"diag": 1.0})]
     for params, entries in product:
         S = np.zeros((n, n))
@@ -81,34 +83,27 @@ def lyap_basis_mesoc(p: int, q: int) -> list[LyapMatrix]:
 
 
 def predicted_rank(cone: ConeSpec) -> int:
-    """Closed-form Lyapunov rank for the kinds where one is known.
+    """The Lyapunov rank of ``cone`` from its factor table.
 
-    A dual kind has the rank of its primal, beta(K*) = beta(K) (Gowda & Tao,
-    Math. Program. 147, 2014).  A cone R^k x K' with K' pointed has
-    k(k + dim K') + beta(K'): the monotone cone, R x R_+^(p-1) under the
-    reduction map, has 2p - 1.  A cylinder R^p x C has p(p + q + k) + beta(C),
-    k the dimension of C's lineality space, into which T may map R^p.
+    Up to the map A the cone is R^k x {0}^l x K_1 x ... x K_m, the free
+    lines and zeros of the table and its other factors.  A Lyapunov-like T
+    maps neither R^k nor the K_i into the zeros' coordinates, nor R^k into
+    the K_i's, so beta = k * dim + l * (dim - k) + sum beta(K_i)
+    (Gowda & Tao, Math. Program. 147, 2014), which gives a dual the rank of
+    its primal.  A factor of p heads and a norm block of q has the rank of
+    esoc(p, q): p at q = 0 (R_+^p), 1 + q(q+1)/2 at p = 1 (L^(q+1)), and
+    1 + q(q-1)/2 otherwise (Sznajder, J. Global Optim. 66, 2016).
     """
-    kind, p, q = ordered_form(cone)
-    # the monotone nonnegative cone is L(p, 0)
-    if kind == MESOC or kind == MONOTONE_NONNEG:
-        return p + q * (q + 1) // 2
-    if kind == NONNEG_ORTHANT:
-        return cone.p
-    if kind == MONOTONE:
-        return 2 * p - 1
-    if kind == CYLINDER:
-        return cone.p * (cone.dim + _lineality(cone.inner)) + predicted_rank(cone.inner)
-    if kind.endswith("_dual"):
-        return predicted_rank(dual_of(cone))
-    raise UnsupportedConeError(f"no closed-form Lyapunov rank for {kind!r}")
-
-
-def _lineality(cone: ConeSpec) -> int:
-    """The dimension of the largest subspace in ``cone``."""
-    if cone.inner is not None:  # R^p x C or {0}^p x C
-        return cone.p * (cone.kind == CYLINDER) + _lineality(cone.inner)
-    return int(cone.kind == MONOTONE)  # the line of (1, ..., 1)
+    n, k, l, rank = cone.dim, 0, 0, 0
+    for f, a, m, b in factors(cone)[3]:
+        p, q = m - a, b - m
+        if f == FREE:
+            k += p
+        elif f == ZERO:
+            l += p
+        else:
+            rank += p if not q else 1 + q * (q + 1) // 2 if p == 1 else 1 + q * (q - 1) // 2
+    return k * n + l * (n - k) + rank
 
 
 def _check_n_pairs(n_pairs):

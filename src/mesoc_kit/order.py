@@ -118,13 +118,13 @@ def check_isotone(
     if extra_pairs:
         lo = np.vstack([[_as_vector(p.lo, cone.dim) for p in extra_pairs], lo])
         hi = np.vstack([[_as_vector(p.hi, cone.dim) for p in extra_pairs], hi])
-    violations = []
+    violations, table = [], cones.factors(cone)
     for start, stop in cones.row_blocks(len(lo), cone.dim):
         img_lo = _evaluate(map_, lo[start:stop])
         if img_lo.shape[1] != cone.dim:
             raise DimensionError("map image dimension does not match the cone")
         diffs = _evaluate(map_, hi[start:stop]) - img_lo
-        slacks = _slacks_batch(cone, diffs)
+        slacks = _slacks_batch(cone, diffs, table)
         for i in np.flatnonzero(~(least_slack(slacks) >= -tol)):
             j = int(np.argmin(slacks[i]))
             violations.append(

@@ -56,9 +56,11 @@ class ProjectionResult:
     values it is given.  A result from :func:`project` holds the point, a
     private copy of the input and the block lengths; the first read of
     ``distance`` computes ``math.sqrt(r @ r)`` with r = input - point (a
-    Python float), and the first read of ``active_blocks`` builds the tuple
-    of Python-int pairs.  Writing into the input after the call does not
-    change either.  The public attributes are read-only.
+    Python float; one that overflows on finite values is taken on both
+    scaled by 2^-k, as :func:`_rescaled` does, and scaled back), and the
+    first read of ``active_blocks`` builds the tuple of Python-int pairs.
+    Writing into the input after the call does not change either.  The
+    public attributes are read-only.
     """
 
     __slots__ = ("_point", "_distance", "_blocks", "_source", "_lengths")
@@ -80,7 +82,13 @@ class ProjectionResult:
         source = self._source
         if source is not None:
             r = source - self._point
-            self._distance = math.sqrt(r @ r)
+            with np.errstate(over="ignore"):  # an overflow is evaluated again
+                d = math.sqrt(r @ r)
+            if d == math.inf and np.isfinite(source).all() and np.isfinite(self._point).all():
+                k = math.frexp(float(np.abs(source).max()))[1]  # as _rescaled scales
+                r = np.ldexp(source, -k) - np.ldexp(self._point, -k)
+                d = math.ldexp(math.sqrt(r @ r), k)
+            self._distance = d
             self._source = None
         return self._distance
 
@@ -374,12 +382,28 @@ def _lorentz_oracle(v: np.ndarray) -> np.ndarray:
 def moreau_residuals(cone: ConeSpec, v, y) -> dict[str, float]:
     """Moreau's conditions y in K, y - v in K* and <y, y - v> = 0, which hold
     for y = P_K(v) and no other y, as slacks that hold at >= 0: the least
-    slacks over 1 + ||v|| and minus the product over 1 + ||v||^2."""
+    slacks over 1 + ||v|| and minus the product over 1 + ||v||^2.  The
+    conditions are homogeneous, so when ||v||^2, the product or a slack
+    overflows on finite v and y they are taken on 2^-k (v, y), scaled as
+    :func:`_rescaled` scales, over 2^-k + ||2^-k v|| and 2^-2k + ||2^-k v||^2:
+    the same ratios.  A least slack of +inf is that of a cone with no
+    inequality, not an overflow."""
     v = cones._as_vector(v, cone.dim)
+    res, overflowed = _moreau(cone, v, y, 1.0)
+    if overflowed and np.isfinite(v).all() and np.isfinite(y).all():
+        k = math.frexp(float(np.abs(v).max()))[1]
+        res, _ = _moreau(cone, np.ldexp(v, -k), np.ldexp(y, -k), math.ldexp(1.0, -k))
+    return res
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is evaluated again
+def _moreau(cone, v, y, one):
     primal, dual, product = cones.pair_residuals(cone, y, y - v)
-    scale = 1.0 + float(np.linalg.norm(v))
-    return {"primal_membership": primal / scale, "dual_membership": dual / scale,
-            "orthogonality": -product / (1.0 + float(v @ v))}
+    scale, square = one + float(np.linalg.norm(v)), one * one + float(v @ v)
+    res = {"primal_membership": primal / scale, "dual_membership": dual / scale,
+           "orthogonality": -product / square}
+    finite = square < math.inf and product < math.inf and primal > -math.inf and dual > -math.inf
+    return res, not finite
 
 
 def _moreau_residual(cone: ConeSpec, v: np.ndarray, y: np.ndarray) -> float:

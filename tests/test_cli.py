@@ -5,6 +5,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -321,12 +322,13 @@ def test_unpartitioned_kinds_take_no_q(capsys, tmp_path, cone):
     assert code == 2 and out == "" and "q must be 0" in err
 
 
-def test_lyap_rank_without_a_closed_form(capsys, tmp_path):
+def test_lyap_rank_predicts_the_esoc_dual(capsys, tmp_path):
+    # esoc(2, 1) has rank 1 + q(q - 1)/2 = 1 (Sznajder), and so has its dual
     doc = {"version": 1, "command": "lyap-rank", "cone": {"kind": "esoc_dual", "p": 2, "q": 1},
            "payload": {"n_pairs": 100}}
     code, out, _ = run_cli(capsys, "lyap-rank", write_problem(tmp_path, doc))
     report = json.loads(out)
-    assert code == 0 and report["predicted"] is None and report["agree"] is None
+    assert code == 0 and report["predicted"] == report["rank"] == 1 and report["agree"] is True
     assert report["rank"] == mk.lyapunov_rank_numeric(mk.esoc_dual(2, 1), n_pairs=100).rank
 
 
@@ -482,13 +484,13 @@ def test_solve_on_a_cylinder_over_an_esoc_kind(capsys, tmp_path, inner, max_iter
 
 
 def test_lyap_rank_on_an_esoc_kind(capsys, tmp_path):
-    # the numeric rank needs only project_batch; no closed form covers the kind
+    # the numeric rank needs only project_batch; the rule gives 1 + q(q - 1)/2
     doc = {"version": 1, "command": "lyap-rank", "cone": {"kind": "esoc", "p": 2, "q": 3},
            "payload": {"n_pairs": 300}}
     code, out, _ = run_cli(capsys, "lyap-rank", write_problem(tmp_path, doc))
     report = json.loads(out)
     assert code == 0
-    assert report["rank"] == 4 and report["predicted"] is None and report["agree"] is None
+    assert report["rank"] == report["predicted"] == 4 and report["agree"] is True
 
 
 def test_check_failed_exit_for_non_member_pair(capsys, tmp_path):
@@ -502,6 +504,22 @@ def test_check_failed_exit_for_non_member_pair(capsys, tmp_path):
     assert code == 5
     doc_out = json.loads(out)
     assert doc_out["member"] is False and doc_out["failed"]
+
+
+@pytest.mark.parametrize(
+    "cone,primal,dual",
+    [({"kind": "monotone", "p": 2}, [1e9, 1e9], [0, 5e-11]),
+     ({"kind": "cylinder", "p": 1, "inner": {"kind": "nonneg_orthant", "p": 1}},
+      [1e6, 0], [5e-11, 1])],
+)
+def test_check_complementarity_refuses_a_line_against_a_zero(capsys, tmp_path, cone, primal, dual):
+    # both memberships hold within tol, but <z, w> is 0.05 and 5e-5
+    doc = {"version": 1, "command": "check.complementarity", "cone": cone,
+           "payload": {"primal": primal, "dual": dual}}
+    code, out, _ = run_cli(capsys, "check", "complementarity", write_problem(tmp_path, doc))
+    report = json.loads(out)
+    assert code == 5 and report["mode"] == "structured"
+    assert report["failed"] == ["face_products"]
 
 
 def test_check_failed_exit_for_non_solution(capsys, tmp_path):
@@ -939,9 +957,10 @@ _BASE_KINDS = sorted(mk.cones.KINDS - {"cylinder", "cylinder_dual"})
 
 
 @st.composite
-def _projection_problems(draw, kind, wrap):
+def _projection_problems(draw, kind, wrap, exponents=(0.0, 9.0)):
     """A cone of ``kind``, in a cylinder or dual cylinder when ``wrap`` says
-    so, and a point of norm 1 to 1e9 in its space."""
+    so, and a point in its space whose norm is 10 to a power in ``exponents``
+    (1 to 1e9 by default)."""
     cone = {"kind": kind, "p": draw(st.integers(1, 4))}
     if kind in mk.cones.PARTITIONED_KINDS:
         cone["q"] = draw(st.integers(0, 3))
@@ -951,7 +970,7 @@ def _projection_problems(draw, kind, wrap):
     direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
     norm = np.linalg.norm(direction)
     assume(norm > 1e-3)
-    scale = 10.0 ** draw(st.floats(0.0, 9.0))
+    scale = 10.0 ** draw(st.floats(*exponents))
     return cone, (direction * (scale / norm)).tolist()
 
 
@@ -968,6 +987,48 @@ def test_check_project_certifies_every_kind(capsys, tmp_path, kind, wrap, data):
     code, out, _ = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
     report = json.loads(out)
     assert code == 0 and report["ok"] is True and report["failed"] == [], report
+
+
+# above about 1e154 the squares of v overflow; the conditions are then
+# evaluated on v and its projection scaled by a power of two, and no
+# overflow warning is printed
+@pytest.mark.parametrize("wrap", [None, "cylinder", "cylinder_dual"])
+@pytest.mark.parametrize("kind", _BASE_KINDS)
+@settings(deadline=None, max_examples=15,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_check_project_certifies_every_kind_near_the_float_limit(
+        capsys, recwarn, tmp_path, kind, wrap, data):
+    cone, point = data.draw(_projection_problems(kind, wrap, (150.0, 300.0)))
+    doc = {"version": 1, "command": "check.project", "cone": cone, "payload": {"point": point}}
+    code, out, _ = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True and report["distance"] is not None, report
+    assert not recwarn.list, [str(w.message) for w in recwarn]
+
+
+@pytest.mark.parametrize("cone,point", [({"kind": "lorentz", "p": 2}, [5e199, 5e199]),
+                                        ({"kind": "monotone", "p": 2}, [5e199, 5e199])])
+def test_check_project_past_the_square_overflow(capsys, recwarn, tmp_path, cone, point):
+    # both exited 5 with null residuals and distance while <v, v> overflowed
+    doc = {"version": 1, "command": "check.project", "cone": cone, "payload": {"point": [0, 1e200]}}
+    code, out, err = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True and report["point"] == point
+    assert err == "" and not recwarn.list, [str(w.message) for w in recwarn]
+    assert report["distance"] == pytest.approx(math.sqrt(0.5) * 1e200, rel=1e-15)
+    assert all(math.isfinite(r) for r in report["residuals"].values())
+
+
+def test_check_project_refuses_a_wrong_point_past_the_overflow(capsys, tmp_path, monkeypatch):
+    # the zero stub is not the projection of (0, 1e200) onto lorentz(2)
+    monkeypatch.setattr(projections, "project",
+                        lambda cone, z: projections.ProjectionResult(np.zeros(cone.dim), 0.0))
+    doc = {"version": 1, "command": "check.project", "cone": {"kind": "lorentz", "p": 2},
+           "payload": {"point": [0, 1e200]}}
+    code, out, _ = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
+    report = json.loads(out)
+    assert code == 5 and report["failed"] == ["dual_membership"]
 
 
 @pytest.mark.parametrize(

@@ -595,12 +595,14 @@ def test_complementarity_monotone_nonneg_path(rng):
 
 
 def test_complementarity_direct_kinds(rng):
-    # kinds without a structured characterization route through "direct"
-    cone = mk.lorentz(3)
-    Z, W = sampling.complementarity_pairs(cone, rng, 100)
-    for z, w in zip(Z, W):
-        rep = mk.in_complementarity_set(cone, mk.CompPair(z, w))
-        assert rep.member and rep.mode == "direct"
+    # the ESOC pair has no structured characterization and routes through
+    # "direct"; the Lorentz cone, L(1, 2), takes the structured test
+    for cone, mode in ((mk.esoc(2, 2), "direct"), (mk.lorentz(3), "structured")):
+        Z, W = sampling.complementarity_pairs(cone, rng, 100)
+        for z, w in zip(Z, W):
+            rep = mk.in_complementarity_set(cone, mk.CompPair(z, w))
+            vanishes = min(np.linalg.norm(z[-2:]), np.linalg.norm(w[-2:])) <= 1e-10
+            assert rep.member and rep.mode == ("direct" if vanishes else mode)
 
 
 # ---------------------------------------------------------------------------

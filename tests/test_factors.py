@@ -1,0 +1,206 @@
+"""The factor table of ``cones.factors`` and what derives from it: the
+membership slacks, byte for byte against the per-kind formulas they replace,
+the structured complementarity test and the Lyapunov rank rule."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import mesoc_kit as mk
+from mesoc_kit import cones, sampling
+from mesoc_kit.cones import ConeSpec, _slacks_batch, least_slack
+
+import _reference_slacks as reference
+
+_NORM_KINDS = sorted(cones.PARTITIONED_KINDS - {cones.CYLINDER, cones.CYLINDER_DUAL})
+_BASE_KINDS = sorted(cones.KINDS - {cones.CYLINDER, cones.CYLINDER_DUAL})
+
+
+def _cone(data, kind, depth=2):
+    """A cone of ``kind``; a cylinder's inner cone may be a cylinder again,
+    ``depth`` cylinders deep at most."""
+    p = data.draw(st.integers(1, 4))
+    if kind in (cones.CYLINDER, cones.CYLINDER_DUAL):
+        kinds = sorted(cones.KINDS) if depth > 1 else _BASE_KINDS
+        inner = _cone(data, data.draw(st.sampled_from(kinds)), depth - 1)
+        return ConeSpec(kind, p, inner.dim, inner)
+    return ConeSpec(kind, p, data.draw(st.integers(0, 3)) if kind in _NORM_KINDS else 0)
+
+
+_ENTRIES = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e300, -1e300]),
+)
+
+
+def _rows(data, cone):
+    m = data.draw(st.integers(0, 6))
+    Z = data.draw(arrays(float, (m, cone.dim), elements=_ENTRIES))
+    members = sampling.sample(cone, sampling.rng_from_seed(data.draw(st.integers(0, 99))), m)
+    Z[::3] = members[::3]
+    return Z
+
+
+def _pin(cone, Z):
+    with np.errstate(all="ignore"):
+        ref = reference.slacks_batch(cone, Z)
+        got = _slacks_batch(cone, Z)
+        assert got.shape == ref.shape and got.flags.f_contiguous
+        assert not np.shares_memory(got, Z)
+        assert got.tobytes(order="F") == ref.tobytes(order="F"), cone
+        for z in Z:  # one row may differ from a block's in the sign of a NaN
+            want = reference.slacks_batch(cone, z[None, :])[0]
+            assert mk.membership_slacks(cone, z).tobytes() == want.tobytes(), cone
+        want = least_slack(ref) >= -cones.DEFAULT_TOL
+        assert mk.contains_batch(cone, Z).tobytes() == want.tobytes(), cone
+
+
+@pytest.mark.parametrize("kind", sorted(cones.KINDS))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_slacks_keep_the_bytes_of_the_per_kind_formulas(kind, data):
+    cone = _cone(data, kind)
+    _pin(cone, _rows(data, cone))
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [mk.esoc(1, 3), mk.esoc_dual(1, 3), mk.esoc(3, 0), mk.esoc_dual(3, 0), mk.esoc(1, 0),
+     mk.esoc_dual(1, 0), mk.cylinder(2, mk.cylinder_dual(1, mk.monotone(3))),
+     mk.cylinder_dual(2, mk.cylinder(1, mk.esoc_dual(2, 0))),
+     mk.cylinder_dual(1, mk.cylinder_dual(2, mk.lorentz(1)))],
+    ids=str,
+)
+def test_slacks_pin_the_edge_shapes(cone):
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -2.5]
+    rng = np.random.default_rng(0)
+    Z = rng.choice(specials, size=(40, cone.dim))
+    _pin(cone, np.vstack([Z, sampling.sample(cone, rng, 5)]))
+
+
+def test_slacks_keep_their_documented_columns():
+    # the redundant sum column of esoc_dual and the (h, -h) of a zero factor
+    assert mk.membership_slacks(mk.esoc_dual(2, 0), [1, 1]).tolist() == [1, 1, 2]
+    assert mk.membership_slacks(mk.monotone_dual(3), [1, 1, 1]).tolist() == [1, 2, 3, -3]
+    got = mk.membership_slacks(mk.cylinder_dual(2, mk.monotone(2)), [1, -2, 5, 3])
+    assert got.tolist() == [1, -2, -1, 2, 2]
+
+
+# ---------------------------------------------------------------------------
+# structured complementarity
+
+_ESOC_FREE = [k for k in sorted(cones.KINDS) if k not in (cones.ESOC, cones.ESOC_DUAL)]
+
+
+def _over_esoc(cone):
+    return cone.kind in (cones.ESOC, cones.ESOC_DUAL) or (
+        cone.inner is not None and _over_esoc(cone.inner))
+
+
+def _norm_block(cone):
+    """The width of the Lorentz factor's norm block, the last columns of the
+    innermost cone, or 0 without one."""
+    while cone.inner is not None:
+        cone = cone.inner
+    kind, _, q = cones.ordered_form(cone)
+    return q if kind in (cones.MESOC, cones.MESOC_DUAL) else 0
+
+
+@pytest.mark.parametrize("kind", _ESOC_FREE)
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_moreau_pairs_are_structured_complementary(kind, data):
+    cone = _cone(data, kind)
+    assume(not _over_esoc(cone))
+    rng = sampling.rng_from_seed(data.draw(st.integers(0, 99)))
+    Z, W = sampling.complementarity_pairs(cone, rng, 20)
+    t = _norm_block(cone)
+    for z, w in zip(Z, W):
+        rep = mk.in_complementarity_set(cone, mk.CompPair(z, w))
+        # a norm block that vanishes in either point takes the direct test
+        vanishes = t and min(np.linalg.norm(z[-t:]), np.linalg.norm(w[-t:])) <= cones.DEFAULT_TOL
+        assert rep.member and rep.mode == ("direct" if vanishes else "structured"), (cone, rep)
+        primal, dual, product = cones.pair_residuals(cone, z, w)
+        assert min(primal, dual, -product) >= -cones.DEFAULT_TOL
+    # a dual half taken from another point is not complementary
+    for z, w in zip(Z, np.roll(W, 1, axis=0)):
+        if abs(z @ w) > 1e-6:
+            assert not mk.in_complementarity_set(cone, mk.CompPair(z, w)).member
+
+
+@pytest.mark.parametrize("cone", [mk.esoc(2, 2), mk.esoc_dual(3, 1), mk.esoc(1, 2),
+                                  mk.cylinder(1, mk.esoc(2, 2))], ids=str)
+def test_the_esoc_pair_stays_direct(cone, rng):
+    Z, W = sampling.complementarity_pairs(cone, rng, 50)
+    for z, w in zip(Z, W):
+        rep = mk.in_complementarity_set(cone, mk.CompPair(z, w))
+        assert rep.member and rep.mode == "direct"
+
+
+def test_every_factor_reports_its_residuals():
+    # rays: face products; the Lorentz factor: tightness and antiparallel
+    rep = mk.in_complementarity_set(mk.monotone(3), mk.CompPair([1, 0, 0], [1, -1, 0]))
+    assert rep.mode == "structured" and rep.failed == ("face_products",)
+    assert rep.residuals["face_products"] == -1.0
+    # a free line against a zero: the zero holds within tol, r * s does not
+    for cone, pair in [(mk.monotone(2), mk.CompPair([1e9, 1e9], [0, 5e-11])),
+                       (mk.monotone_dual(2), mk.CompPair([0, 5e-11], [1e9, 1e9])),
+                       (mk.cylinder_dual(1, mk.nonneg_orthant(1)), mk.CompPair([5e-11, 1], [1e6, 0]))]:
+        rep = mk.in_complementarity_set(cone, pair)
+        assert rep.mode == "structured" and rep.failed == ("face_products",), (cone, rep)
+    pair = mk.CompPair([-3, 1, 0.6, 0.8], [0, 1, -0.6, -0.8])
+    rep = mk.in_complementarity_set(mk.cylinder(1, mk.lorentz(3)), pair)
+    assert rep.member and rep.mode == "structured" and rep.scaling == pytest.approx(1.0)
+    assert list(rep.residuals) == ["primal_membership", "dual_membership", "face_products",
+                                   "primal_tightness", "dual_tightness", "antiparallel"]
+    # a vanishing norm block keeps the direct test
+    rep = mk.in_complementarity_set(mk.lorentz(3), mk.CompPair([0, 0, 0], [1, 0, 0]))
+    assert rep.member and rep.mode == "direct"
+
+
+# ---------------------------------------------------------------------------
+# the Lyapunov rank rule
+
+
+def _each_kind(n):
+    """A cone of every kind at size ``n``, the cylinders over ``mesoc``."""
+    out = []
+    for kind in sorted(cones.KINDS):
+        if kind in (cones.CYLINDER, cones.CYLINDER_DUAL):
+            out.append(ConeSpec(kind, 1, n, mk.mesoc(n - 1, 1)))
+        elif kind in cones.PARTITIONED_KINDS:
+            out.append(ConeSpec(kind, n - 1, 1))
+        else:
+            out.append(ConeSpec(kind, n))
+    return out
+
+
+def _nested(inner):
+    yield from (mk.cylinder(1, inner), mk.cylinder_dual(1, inner))
+    yield from (mk.cylinder(1, mk.cylinder_dual(1, inner)),
+                mk.cylinder_dual(1, mk.cylinder(1, inner)))
+
+
+_RANK_CONES = _each_kind(3) + _each_kind(4) + [
+    c for inner in _each_kind(2) if inner.inner is None for c in _nested(inner)]
+
+
+@pytest.mark.parametrize("cone", _RANK_CONES, ids=str)
+def test_predicted_rank_is_the_numeric_rank(cone):
+    assert mk.predicted_rank(cone) == mk.lyapunov_rank_numeric(cone, seed=3).rank
+
+
+@pytest.mark.parametrize(
+    "cone,expect",
+    [(mk.esoc(2, 2), 2), (mk.esoc(3, 3), 4), (mk.esoc(4, 2), 2), (mk.esoc(2, 1), 1),
+     (mk.esoc(1, 3), 7), (mk.esoc(3, 0), 3), (mk.esoc_dual(2, 2), 2), (mk.esoc_dual(3, 3), 4),
+     (mk.cylinder(1, mk.esoc(2, 2)), 7)],
+    ids=str,
+)
+def test_the_esoc_rank_rule(cone, expect):
+    # 1 + q(q - 1)/2 for p >= 2 and q >= 1 (Sznajder); esoc(1, q) is
+    # lorentz(q + 1) and esoc(p, 0) is the orthant R_+^p
+    assert mk.predicted_rank(cone) == expect
+    assert mk.lyapunov_rank_numeric(cone, seed=7).rank == expect

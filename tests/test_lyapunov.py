@@ -107,11 +107,13 @@ def test_basis_with_one_ordered_coordinate_is_the_lorentz_basis(q):
         assert mk.is_lyapunov_like(b, cone, pairs=pairs).ok, b.params
 
 
-def test_unsupported_predictions_raise():
-    # Sznajder's rule for the ESOC is not in the closed form
-    for cone in (mk.esoc(2, 2), mk.esoc_dual(2, 2), mk.cylinder(1, mk.esoc(2, 1))):
-        with pytest.raises(mk.UnsupportedConeError):
-            mk.predicted_rank(cone)
+def test_esoc_predictions_follow_sznajders_rule():
+    # 1 + q(q - 1)/2 for p >= 2 and q >= 1 (Sznajder); the dual has the rank
+    # of its primal, and R^p x C adds p * dim
+    for cone, expect in ((mk.esoc(2, 2), 2), (mk.esoc_dual(2, 2), 2),
+                         (mk.cylinder(1, mk.esoc(2, 1)), 5)):
+        assert mk.predicted_rank(cone) == expect
+        assert mk.lyapunov_rank_numeric(cone, n_pairs=100).rank == expect
 
 
 def test_an_empty_sample_is_refused():

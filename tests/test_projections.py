@@ -152,6 +152,23 @@ def test_oracle_certificate_rejects_the_apex(monkeypatch):
         mk.project_oracle(mk.monotone(4), [3.0, 2.0, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("cone,v,passes", [
+    (mk.monotone(1), [3.0], 1),  # no inequality: a least slack of +inf is no overflow
+    (mk.cylinder(1, mk.monotone(1)), [1.0, 2.0], 1),
+    (mk.mesoc(2, 2), [1.0, 2.0, 3.0, 4.0], 1),
+    (mk.lorentz(2), [0.0, 1e200], 2),  # <v, v> overflows
+], ids=str)
+def test_moreau_residuals_rescale_only_an_overflow(monkeypatch, cone, v, passes):
+    calls = []
+    moreau = projections._moreau
+    monkeypatch.setattr(projections, "_moreau", lambda *a: calls.append(a) or moreau(*a))
+    v = np.array(v)
+    with np.errstate(over="ignore"):  # the projection rescales an overflowed norm
+        y = mk.project(cone, v).point
+    res = projections.moreau_residuals(cone, v, y)
+    assert len(calls) == passes and min(res.values()) >= -1e-15
+
+
 def test_unsupported_and_dimension_errors():
     with pytest.raises(mk.DimensionError):
         mk.project(mk.monotone(3), [1.0, 2.0])
