@@ -22,9 +22,11 @@ inequality failed, not just a boolean.
 L(p, q) is reducible: A(x, u) = (x_1 - x_2, ..., x_{p-1} - x_p, x_p, u)
 takes it onto R_+^(p-1) x L^(q+1).  :func:`factors` is the one table of such
 reductions: for every kind it gives A, or A^-T for a dual kind, and the
-factors of the image.  The slacks, the structured complementarity test, the
-decomposition, and the Lyapunov rank rule and basis
-(:mod:`mesoc_kit.lyapunov`) derive from it.
+factors of the image; ``_INVERSE`` holds each reduction's inverse.  The
+slacks, the structured complementarity test, the decomposition of a point
+into one member per factor (:func:`decompose`), the Lyapunov rank rule and
+basis (:mod:`mesoc_kit.lyapunov`) and the samplers' increments
+(:mod:`mesoc_kit.sampling`) derive from it.
 """
 
 from __future__ import annotations
@@ -398,6 +400,28 @@ def _sums(X):
     return np.cumsum(X, axis=1, out=np.empty(X.shape, order="F"))
 
 
+def _rev_cumsum(a):
+    """Column j of ``a`` becomes a_j + ... + a_n, in place, added from the
+    right as ``np.cumsum`` adds the columns of the reversed view: the inverse
+    of :func:`_drops`."""
+    for j in range(a.shape[1] - 2, -1, -1):
+        np.add(a[:, j + 1], a[:, j], out=a[:, j])
+    return a
+
+
+def _diff(a):
+    """``np.diff(a, axis=1, prepend=0.0)`` in place: from the right, so every
+    difference reads original columns; the first column minus 0.0 is itself.
+    The inverse of :func:`_sums`."""
+    for j in range(a.shape[1] - 1, 0, -1):
+        np.subtract(a[:, j], a[:, j - 1], out=a[:, j])
+    return a
+
+
+# the inverse of each reduction of a factor table, in place
+_INVERSE = {_drops: _rev_cumsum, _sums: _diff}
+
+
 def factors(cone: ConeSpec):
     """The reduction of ``cone`` onto a product, as ``(lo, hi, reduce, parts)``.
 
@@ -634,51 +658,40 @@ def in_complementarity_set(
 
 @record
 class Decomposition:
-    """Additive split of a point of L(p, q) into its two generating summands.
+    """A point z of a cone split along its :func:`factors` table.
 
-    The first summand is a_1 * (1, ..., 1, u / a_1) — a constant x block of
-    height a_1 carrying the whole u block — and the second collects the
-    nonnegative staircase built from the increments a_2, ..., a_p, with
-    a_i = x_{p-i+1} - x_{p-i+2}.
+    ``image`` is A z (A^-T z for a dual kind), and ``factors`` lists the
+    table's parts that hold image columns, as ``(factor, a, m, b)``.  Row i
+    of ``summands`` is A^-1 of the image kept on part i's columns a:b and
+    zero elsewhere: a member of the cone, since the part is a member of its
+    factor.  The rows add up to z.  For L(p, q) they are the staircase of
+    the drops and the flat x_p ones carrying u, in that order.
     """
 
-    weights: np.ndarray
-    u: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.weights.size
-
-    @property
-    def q(self) -> int:
-        return self.u.size
-
-    @property
-    def first_summand(self) -> np.ndarray:
-        return np.concatenate([np.full(self.p, self.weights[0]), self.u])
-
-    @property
-    def second_summand(self) -> np.ndarray:
-        a = self.weights
-        # x_i - x_p is the sum of the drops below index i, i.e. a_2 + ... up
-        # to the increment recorded for that position
-        xs = np.append(np.cumsum(a[1:])[::-1], 0.0) if self.p > 1 else np.zeros(1)
-        return np.concatenate([xs, np.zeros(self.q)])
+    factors: tuple
+    image: np.ndarray
+    summands: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return self.first_summand + self.second_summand
+        return self.summands.sum(axis=0)
 
 
-def decompose_mesoc(p: int, q: int, z, tol: float = DEFAULT_TOL) -> Decomposition:
-    """Split a point of L(p, q) into its flat and staircase summands.
-
-    Weights are a_1 = x_p and a_i = x_{p-i+1} - x_{p-i+2} for i >= 2; all are
-    nonnegative for members and ``reconstruct`` returns the input exactly.
-    Raises :class:`MembershipError` when ``z`` is not in the cone.
-    """
-    cone = mesoc(p, q)
+def decompose(cone: ConeSpec, z, tol: float = DEFAULT_TOL) -> Decomposition:
+    """Split ``z`` into one summand per factor of ``cone`` with columns, in
+    O(dim) per summand: the table's inverse map works row by row, and no
+    matrix of A is built.  Raises :class:`MembershipError` when ``z`` is not
+    in the cone."""
     z = _as_vector(z, cone.dim)
     if not contains(cone, z, tol):
         raise MembershipError(f"point is not in {cone}")
-    weights = image(factors(cone), z[None, :])(0, p)[0, ::-1]
-    return Decomposition(weights=weights, u=z[p:].copy())
+    lo, hi, reduce, parts = factors(cone)
+    img = z.copy()
+    if reduce:
+        img[lo:hi] = reduce(z[None, lo:hi])[0]
+    parts = tuple(part for part in parts if part[3] > part[1])
+    summands = np.zeros((len(parts), z.size))
+    for row, (_, a, _, b) in zip(summands, parts):
+        row[a:b] = img[a:b]
+    if reduce:
+        _INVERSE[reduce](summands[:, lo:hi])
+    return Decomposition(factors=parts, image=img, summands=summands)

@@ -26,13 +26,12 @@ from .cones import (
     FREE,
     RAY,
     ZERO,
+    _INVERSE,
     ConeSpec,
     _as_vector,
     check_tol,
     factors,
-    image,
     mesoc,
-    mesoc_dual,
     row_norms,
 )
 from .errors import OracleError
@@ -60,13 +59,13 @@ def lyap_basis_mesoc(p: int, q: int) -> list[LyapMatrix]:
     of the Lorentz factor.
     """
     n = p + q
-    table = factors(mesoc(p, q))
-    # the images of the identity's rows are the columns of A (primal) and
-    # the rows of A^-1 (A^-T, the dual's map)
-    img, img_dual = image(table, np.eye(n)), image(factors(mesoc_dual(p, q)), np.eye(n))
-    A, A_inv = np.hstack([img(0, p), img(p, n)]).T, np.hstack([img_dual(0, p), img_dual(p, n)])
+    lo, hi, reduce, parts = factors(mesoc(p, q))
+    # a map of the rows of the identity gives the transpose of its matrix
+    A, A_inv = np.eye(n), np.eye(n)
+    A[lo:hi, lo:hi] = reduce(np.eye(hi - lo)).T
+    A_inv[lo:hi, lo:hi] = _INVERSE[reduce](np.eye(hi - lo)).T
     product = []
-    for f, a, m, b in table[3]:
+    for f, a, m, b in parts:
         if f == RAY:
             product += [({"ray": i}, [(i, i, 1.0)]) for i in range(a, m)]
             continue
@@ -168,7 +167,11 @@ class LyapRankResult:
     singular_gap: float
 
 
-def _constraint_rank(Z: np.ndarray, W: np.ndarray, svd_tol: float):
+# singular values below this share of the largest count as zero
+SVD_TOL = 1e-8
+
+
+def _constraint_rank(Z: np.ndarray, W: np.ndarray):
     rows = np.einsum("ik,il->ikl", W, Z).reshape(len(Z), -1)
     # np.linalg.norm, not row_norms: the two differ in the last bit from
     # three columns on, and the singular gap, a ratio against noise-level
@@ -179,7 +182,7 @@ def _constraint_rank(Z: np.ndarray, W: np.ndarray, svd_tol: float):
     if not len(rows):  # every pair had a zero member: no constraints at all
         return 0, np.inf
     s = np.linalg.svd(rows, compute_uv=False)
-    cut = svd_tol * s[0]
+    cut = SVD_TOL * s[0]
     r = int(np.count_nonzero(s > cut))
     below = s[r] if r < s.size else 0.0
     gap = float(s[r - 1] / below) if below > 0 else np.inf
@@ -195,7 +198,6 @@ def lyapunov_rank_numeric(
     cone: ConeSpec,
     n_pairs: int = 400,
     seed: int = 0,
-    svd_tol: float = 1e-8,
 ) -> LyapRankResult:
     """Measure the Lyapunov rank of a cone from sampled complementary pairs.
 
@@ -211,11 +213,11 @@ def lyapunov_rank_numeric(
     m = cone.dim
     rng = sampling.rng_from_seed(seed)
     Z, W = sampling.complementarity_pairs(cone, rng, n_pairs)
-    r, gap = _constraint_rank(Z, W, svd_tol)
+    r, gap = _constraint_rank(Z, W)
     for _ in range(MAX_DOUBLINGS):
         Z2, W2 = sampling.complementarity_pairs(cone, rng, 2 * len(Z))
         Z, W = np.vstack([Z, Z2]), np.vstack([W, W2])
-        r_next, gap_next = _constraint_rank(Z, W, svd_tol)
+        r_next, gap_next = _constraint_rank(Z, W)
         if r_next == r:
             return LyapRankResult(
                 rank=m * m - r,

@@ -4,7 +4,9 @@ All samplers draw through an explicit :class:`numpy.random.Generator`, so a
 fixed seed reproduces the exact same arrays.  Members are produced by exact
 parametrizations of each cone (cumulative sums of nonnegative increments,
 norm floors, partial-sum coordinates), never by rejection, so every returned
-point satisfies its defining inequalities up to float rounding.
+point satisfies its defining inequalities up to float rounding.  The sums
+and differences are ``cones._rev_cumsum`` and ``cones._diff``, the inverses
+of the reductions of :func:`~mesoc_kit.cones.factors`.
 Complementary pairs come from one rule for every kind: the Moreau split
 (P_K(v), P_K(v) - v) of standard normal points v.
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import cones
-from .cones import ConeSpec, _by_rows, row_norms, row_sums
+from .cones import ConeSpec, _by_rows, _diff, _rev_cumsum, row_norms, row_sums
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -72,22 +74,6 @@ def _directions(rng, out):
     _by_rows(np.multiply, g, rng.uniform(0.2, 2.5, size), out)
     del g
     return row_norms(out)
-
-
-def _rev_cumsum(a):
-    """Column j of ``a`` becomes a_j + ... + a_n, in place, added from the
-    right as ``np.cumsum`` adds the columns of the reversed view."""
-    for j in range(a.shape[1] - 2, -1, -1):
-        np.add(a[:, j + 1], a[:, j], out=a[:, j])
-    return a
-
-
-def _diff(a):
-    """``np.diff(a, axis=1, prepend=0.0)`` in place: from the right, so every
-    difference reads original columns; the first column minus 0.0 is itself."""
-    for j in range(a.shape[1] - 1, 0, -1):
-        np.subtract(a[:, j], a[:, j - 1], out=a[:, j])
-    return a
 
 
 def _take(out, draw):

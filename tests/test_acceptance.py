@@ -281,11 +281,10 @@ def test_11_decomposition_round_trip():
         first = np.empty_like(Z)
         second = np.empty_like(Z)
         for j, z in enumerate(Z):
-            dec = mk.decompose_mesoc(p, q, z)
+            dec = mk.decompose(cone, z)
             worst = max(worst, float(np.abs(dec.reconstruct() - z).max()))
-            members_ok = members_ok and (dec.weights >= 0).all()
-            first[j] = dec.first_summand
-            second[j] = dec.second_summand
+            members_ok = members_ok and (dec.image[:p] >= 0).all()
+            second[j], first[j] = dec.summands
         members_ok = (
             members_ok
             and mk.contains_batch(cone, first).all()

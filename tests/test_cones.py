@@ -447,7 +447,7 @@ _TOL_CALLS = {
     "duality_chain": lambda tol: mk.duality_chain(_PV([2, 1], [0, 0]), _PV([1, 0], [0, 0]), tol),
     "in_complementarity_set": lambda tol: mk.in_complementarity_set(
         mk.nonneg_orthant(2), mk.CompPair([1, 1], [1, 1]), tol),
-    "decompose_mesoc": lambda tol: mk.decompose_mesoc(2, 2, [2, 1, 0, 0], tol),
+    "decompose": lambda tol: mk.decompose(mk.mesoc(2, 2), [2, 1, 0, 0], tol),
     "cone_leq": lambda tol: mk.cone_leq(mk.mesoc(2, 2), [0, 0, 0, 0], [2, 1, 0, 0], tol),
     "check_isotone": lambda tol: mk.check_isotone(lambda z: -z, mk.mesoc(2, 2), 200, 0, tol),
     "hyperplane_isotone_test": lambda tol: mk.hyperplane_isotone_test(
@@ -610,10 +610,11 @@ def test_complementarity_direct_kinds(rng):
 
 
 def test_decompose_frozen_case():
-    dec = mk.decompose_mesoc(4, 1, [9.0, 6.0, 5.5, 2.0, 1.0])
-    assert_allclose(dec.weights, [2.0, 3.5, 0.5, 3.0])
-    assert_allclose(dec.first_summand, [2, 2, 2, 2, 1.0])
-    assert_allclose(dec.second_summand, [7.0, 4.0, 3.5, 0.0, 0.0])
+    dec = mk.decompose(mk.mesoc(4, 1), [9.0, 6.0, 5.5, 2.0, 1.0])
+    assert dec.factors == (("ray", 0, 3, 3), ("lorentz", 3, 4, 5))
+    assert_allclose(dec.image, [3.0, 0.5, 3.5, 2.0, 1.0])
+    # the staircase of the drops, then the flat x_p carrying u
+    assert_allclose(dec.summands, [[7.0, 4.0, 3.5, 0.0, 0.0], [2, 2, 2, 2, 1.0]])
     assert_allclose(dec.reconstruct(), [9.0, 6.0, 5.5, 2.0, 1.0])
 
 
@@ -622,17 +623,19 @@ def test_decompose_roundtrip_and_summands(rng):
         cone = mk.mesoc(p, q)
         Z = sampling.sample(cone, rng, 400)
         for z in Z:
-            dec = mk.decompose_mesoc(p, q, z)
-            assert dec.weights.min() >= 0
+            dec = mk.decompose(cone, z)
+            assert dec.image[:p].min() >= 0
             assert np.abs(dec.reconstruct() - z).max() <= 1e-12
-            # first summand: constant x block at least the tail norm
-            f = dec.first_summand
+            # the Lorentz summand: constant x block at least the tail norm
+            f = dec.summands[-1]
             assert np.ptp(f[:p]) == 0.0 and mk.contains(cone, f)
-            # second summand: staircase ending at zero, no tail
-            s = dec.second_summand
-            assert s[p - 1] == 0.0 and not s[p:].any() and mk.contains(cone, s)
+            # the ray summand: staircase ending at zero, no tail; L(1, q) has none
+            assert len(dec.summands) == (2 if p > 1 else 1)
+            if p > 1:
+                s = dec.summands[0]
+                assert s[p - 1] == 0.0 and not s[p:].any() and mk.contains(cone, s)
 
 
 def test_decompose_rejects_non_members():
     with pytest.raises(mk.MembershipError):
-        mk.decompose_mesoc(2, 2, [1.0, 2.0, 0.0, 0.0])
+        mk.decompose(mk.mesoc(2, 2), [1.0, 2.0, 0.0, 0.0])

@@ -1,6 +1,7 @@
 """The factor table of ``cones.factors`` and what derives from it: the
 membership slacks, byte for byte against the per-kind formulas they replace,
-the structured complementarity test and the Lyapunov rank rule."""
+the structured complementarity test, the decomposition and the Lyapunov rank
+rule."""
 
 import numpy as np
 import pytest
@@ -13,20 +14,7 @@ from mesoc_kit import cones, sampling
 from mesoc_kit.cones import ConeSpec, _slacks_batch, least_slack
 
 import _reference_slacks as reference
-
-_NORM_KINDS = sorted(cones.PARTITIONED_KINDS - {cones.CYLINDER, cones.CYLINDER_DUAL})
-_BASE_KINDS = sorted(cones.KINDS - {cones.CYLINDER, cones.CYLINDER_DUAL})
-
-
-def _cone(data, kind, depth=2):
-    """A cone of ``kind``; a cylinder's inner cone may be a cylinder again,
-    ``depth`` cylinders deep at most."""
-    p = data.draw(st.integers(1, 4))
-    if kind in (cones.CYLINDER, cones.CYLINDER_DUAL):
-        kinds = sorted(cones.KINDS) if depth > 1 else _BASE_KINDS
-        inner = _cone(data, data.draw(st.sampled_from(kinds)), depth - 1)
-        return ConeSpec(kind, p, inner.dim, inner)
-    return ConeSpec(kind, p, data.draw(st.integers(0, 3)) if kind in _NORM_KINDS else 0)
+from _strategies import draw_cone as _cone
 
 
 _ENTRIES = st.one_of(
@@ -158,6 +146,37 @@ def test_every_factor_reports_its_residuals():
     # a vanishing norm block keeps the direct test
     rep = mk.in_complementarity_set(mk.lorentz(3), mk.CompPair([0, 0, 0], [1, 0, 0]))
     assert rep.member and rep.mode == "direct"
+
+
+# ---------------------------------------------------------------------------
+# the decomposition
+
+
+@pytest.mark.parametrize("wrap", [None, cones.CYLINDER, cones.CYLINDER_DUAL])
+@pytest.mark.parametrize("kind", sorted(cones.KINDS))
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_decompose_splits_a_member_into_factor_members(kind, wrap, data):
+    cone = _cone(data, kind, depth=1 if wrap else 2)
+    if wrap:
+        cone = ConeSpec(wrap, data.draw(st.integers(1, 3)), cone.dim, cone)
+    parts = [part for part in cones.factors(cone)[3] if part[3] > part[1]]
+    rng = sampling.rng_from_seed(data.draw(st.integers(0, 99)))
+    for z in sampling.sample(cone, rng, 5):
+        dec = mk.decompose(cone, z)
+        assert list(dec.factors) == parts and len(dec.summands) == len(parts)
+        assert mk.contains_batch(cone, dec.summands).all(), (cone, dec)
+        gap = np.abs(dec.reconstruct() - z).max() / (1.0 + np.abs(z).max())
+        assert gap <= cones.DEFAULT_TOL, (cone, gap)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_decompose_reads_lorentz_as_mesoc(n, rng):
+    for z in sampling.sample(mk.lorentz(n), rng, 20):
+        a, b = mk.decompose(mk.lorentz(n), z), mk.decompose(mk.mesoc(1, n - 1), z)
+        assert a.factors == b.factors == ((cones.LORENTZ, 0, 1, n),)
+        assert a.image.tobytes() == b.image.tobytes()
+        assert a.summands.tobytes() == b.summands.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,9 @@ RECORDS = [
      "ComplementarityReport(member=True, mode='direct', residuals={'orthogonality': -0.0}, "
      "failed=('a',), scaling=2.0)",
      "ComplementarityReport(member=True, mode='direct', residuals={}, failed=(), scaling=None)"),
-    (cones.Decomposition, (np.array([1.0, 2.0]), np.array([0.5])), 2,
-     "Decomposition(weights=array([1., 2.]), u=array([0.5]))", None),
+    (cones.Decomposition, ((("ray", 0, 1, 1),), np.array([1.0, 2.0]), np.array([[1.0, 0.0]])), 3,
+     "Decomposition(factors=(('ray', 0, 1, 1),), image=array([1., 2.]), "
+     "summands=array([[1., 0.]]))", None),
     (micp_solver.ScalarField, ([1], 0.5, -1.0), 3,
      "ScalarField(linear=array([1.]), norm_coeff=0.5, offset=-1.0)", None),
     (micp_solver.ScalarComboMap, (1, 1, (_FIELD,), [[1, 0]]), 4, _COMBO_TEXT, None),
