@@ -233,12 +233,54 @@ factors costs about 2 µs of Python per row block of 2^16 entries (timed
 on blocks of 4 rows: 8.0 against 6.4 µs for ``mesoc(8, 8)``), 0.1 ms over
 the 49 blocks of a call, which shows most on the cheapest kind, lorentz.
 The dual cylinder is faster: its inner slacks are copied once, not twice.
-The dual kinds take 2-3x the time of their primals in both columns: their
-partial sums run ``np.cumsum`` along the rows of a block, a short loop per
-row.  Adding down the columns gives the same bytes in about a quarter of
-the time (89 against 332 µs on a 4096 x 16 block); no workload of the
-benchmark measures a dual kind's membership, so that is left for a change
-that adds one.
+The dual kinds took 2-3x the time of their primals in both columns: their
+partial sums ran ``np.cumsum`` along the rows of a block, a short loop per
+row.
+
+Since then the maps of the factor tables follow one loop rule
+(``cones._by_columns``): a block with more rows than columns, such as a row
+block of 4096 x 16, is worked down its columns.  The table column, medians
+of three runs of the per-kind table on the parent commit and on this one,
+alternating, in ms (the range of the three in brackets; the machine was
+shared and noisy):
+
+    cone                        parent               this
+    mesoc(8, 8)                    9.0 (6.8-9.4)       6.9 (6.2-8.3)
+    mesoc_dual(8, 8)              13.5 (11.1-13.9)     9.9 (7.6-10.4)
+    esoc(8, 8)                    13.0 (12.5-14.6)    10.3 (10.1-12.3)
+    esoc_dual(8, 8)               13.6 (10.3-14.9)    12.7 (12.5-14.8)
+    monotone(16)                   8.1 (6.5-9.2)       7.8 (6.5-8.1)
+    monotone_dual(16)             24.0 (21.1-26.9)    10.2 (9.9-12.7)
+    monotone_nonneg(16)            7.2 (6.3-8.3)       6.8 (6.7-7.9)
+    monotone_nonneg_dual(16)      21.6 (19.1-22.3)     9.7 (8.3-11.1)
+    nonneg_orthant(16)             7.7 (6.9-8.1)       6.7 (6.4-7.9)
+    lorentz(16)                    7.5 (4.2-9.3)       5.9 (4.5-6.1)
+    cylinder(4, mesoc(6, 6))       7.8 (6.0-7.8)       7.9 (6.0-8.0)
+    cylinder(4, esoc(6, 6))       13.1 (12.0-13.1)    11.2 (8.6-11.3)
+    cylinder_dual(4, mesoc_dual)  16.8 (14.8-18.0)    10.8 (10.7-13.9)
+
+Only the dual kinds with partial sums moved beyond the spread.  The two
+kinds alone, 31 interleaved rounds of one call each in one process, gave
+monotone_dual(16) 2.96x the time of monotone(16) on the parent and
+1.39-1.46x here (median 11.4 against 7.9 ms): the partial sums take 15
+ufunc calls down the columns where the drops take one 2-D subtract, and a
+zero's -h still copies A^-T's columns into a new slack matrix.
+
+The decompose table times ``cones.decompose`` of one sampled member of
+``mesoc(p, 10)`` and of ``mesoc_dual(p, 10)`` at p = 10^3, 10^4 and 10^5
+against the whole-row formulas of ``whole_row_split`` (the drops and
+``np.cumsum`` of the reversed rows, or ``np.cumsum`` and ``np.diff`` with
+0.0 prepended), seven interleaved rounds, and exits 1 unless the image and
+the summands have their bytes.  Medians of the three runs above, in ms:
+
+    p                 mesoc parent  this  whole row   mesoc_dual parent  this  whole row
+    1000                      1.40  0.07       0.03                2.46  0.06       0.03
+    10000                    26.18  0.16       0.11               25.88  0.15       0.09
+    100000                  160.75  1.26       1.26              132.98  1.50       1.15
+
+The parent ran the inverse map one column at a time (1.3-2.6 µs per
+column here); a summand block has two rows, so it now runs along its rows
+in one NumPy call and takes about the whole-row formulas' time.
 """
 
 import statistics
@@ -284,6 +326,8 @@ KIND_CONES = [
     cones.cylinder(4, cones.mesoc(6, 6)), cones.cylinder(4, cones.esoc(6, 6)),
     cones.cylinder_dual(4, cones.mesoc_dual(6, 6)),
 ]
+DECOMPOSE_P = (1_000, 10_000, 100_000)
+DECOMPOSE_Q = 10
 SEED = 20240817
 TOL = 1e-12
 
@@ -692,6 +736,52 @@ def per_kind(rounds: int = 7) -> bool:
     return same
 
 
+def whole_row_split(cone, z: np.ndarray):
+    """The image and summands of ``decompose(cone, z)`` for ``mesoc`` or
+    ``mesoc_dual``, by whole-row formulas: the drops and ``np.cumsum`` of the
+    reversed rows, or ``np.cumsum`` and ``np.diff`` with 0.0 prepended."""
+    p = cone.p
+    x = z[:p]
+    if cone.kind == cones.MESOC:
+        head = np.append(x[:-1] - x[1:], x[-1])
+        back = lambda S: np.cumsum(S[:, ::-1], axis=1)[:, ::-1]  # noqa: E731
+    else:
+        head = np.cumsum(x)
+        back = lambda S: np.diff(S, axis=1, prepend=0.0)  # noqa: E731
+    image = np.concatenate([head, z[p:]])
+    summands = np.zeros((2, z.size))
+    summands[0, : p - 1] = image[: p - 1]  # the rays, then the Lorentz factor
+    summands[1, p - 1 :] = image[p - 1 :]
+    summands[:, :p] = back(summands[:, :p])
+    return image, summands
+
+
+def decompose_table(rounds: int = 7) -> bool:
+    """Time ``decompose`` of one sampled member of ``mesoc(p, DECOMPOSE_Q)``
+    and of ``mesoc_dual`` at every p of ``DECOMPOSE_P``, against
+    :func:`whole_row_split`, in ``rounds`` interleaved rounds; whether every
+    image and summand has the bytes of the whole-row formulas."""
+    print(f"{'decompose':>44} {'kit':>10} {'whole row':>10} {'bytes':>6}")
+    same = True
+    for p in DECOMPOSE_P:
+        for cone in (cones.mesoc(p, DECOMPOSE_Q), cones.mesoc_dual(p, DECOMPOSE_Q)):
+            z = sampling.sample(cone, np.random.default_rng(SEED), 1)[0]
+            sides = {"kit": lambda: cones.decompose(cone, z),
+                     "whole row": lambda: whole_row_split(cone, z)}
+            seconds, outs = {side: [] for side in sides}, {}
+            for r in range(rounds):  # each side runs first in every other round
+                for side in sorted(sides, reverse=r % 2 == 1):
+                    outs[side], s = timed(sides[side])
+                    seconds[side].append(s)
+            dec, (image, summands) = outs["kit"], outs["whole row"]
+            ok = (dec.image.tobytes() == image.tobytes()
+                  and dec.summands.tobytes() == summands.tobytes())
+            same = same and ok
+            ms = [1e3 * statistics.median(seconds[side]) for side in sides]
+            print(f"{str(cone):>44} {ms[0]:>8.2f}ms {ms[1]:>8.2f}ms {'yes' if ok else 'NO':>6}")
+    return same
+
+
 def main() -> int:
     nonneg_batch(np.zeros((2, 2)))  # warm the call path
     print(f"{'rows x dim':>22} {'batch':>12} {'one block':>12} {'row sweep':>12} "
@@ -721,6 +811,7 @@ def main() -> int:
     block_sizes()
     one_row_agrees = one_row()
     kinds_same = per_kind()
+    decompose_same = decompose_table()
     worst = max(w for w, _ in results)
     same = membership_same and all(ok for _, ok in results)
     status = 0
@@ -738,6 +829,9 @@ def main() -> int:
         status = 1
     if not kinds_same:
         print("contains_batch differs in its bytes from the per-kind slack formulas")
+        status = 1
+    if not decompose_same:
+        print("decompose differs in its bytes from the whole-row formulas")
         status = 1
     if not samplers_same:
         print("a sampler differs in its bytes or generator state from the reference formulas")

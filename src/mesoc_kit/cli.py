@@ -483,12 +483,24 @@ def cmd_check_verify(cone: ConeSpec, payload: dict, args) -> tuple[dict, int, di
     return out, EXIT_OK if report.ok else EXIT_CHECK_FAILED, {"tol": args.tol}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is judged again
+def _reconstruction_gap(dec, z, one: float) -> float:
+    """max|sum of the summands - z| over one + max|z|, as
+    projections.moreau_residuals scales its residuals with one = 1.0: the
+    summands' rounding grows with the point.  A NaN gap fails."""
+    return float(np.abs(dec.reconstruct() - z).max()) / (one + float(np.abs(z).max()))
+
+
 def cmd_check_decompose(cone: ConeSpec, payload: dict, args) -> tuple[dict, int, dict]:
     point = np.asarray(_payload_vector(payload, "point"), dtype=float)
     dec = decompose(cone, point, args.tol)
-    # over 1 + max|z|, as projections.moreau_residuals scales its residuals:
-    # the summands' rounding grows with the point; a NaN gap fails
-    gap = float(np.abs(dec.reconstruct() - point).max()) / (1.0 + float(np.abs(point).max()))
+    gap = _reconstruction_gap(dec, point, 1.0)
+    if not gap < math.inf:  # an overflowed split of the finite point: the
+        # split is homogeneous, so 2^-k z, scaled as projections._rescaled
+        # scales, over 2^-k + max|2^-k z| gives the same ratio
+        k = math.frexp(float(np.abs(point).max()))[1]
+        small = np.ldexp(point, -k)
+        gap = _reconstruction_gap(decompose(cone, small, args.tol), small, math.ldexp(1.0, -k))
     ok = gap <= args.tol
     report = {
         "factors": [{"factor": f, "columns": [a, b]} for f, a, _, b in dec.factors],

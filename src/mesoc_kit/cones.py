@@ -27,6 +27,17 @@ slacks, the structured complementarity test, the decomposition of a point
 into one member per factor (:func:`decompose`), the Lyapunov rank rule and
 basis (:mod:`mesoc_kit.lyapunov`) and the samplers' increments
 (:mod:`mesoc_kit.sampling`) derive from it.
+
+A and A^-T work on a block of rows by the differences and running sums of
+its columns (``_drops``, ``_sums``), their inverses in place (``_rev_cumsum``,
+``_diff``).  One loop rule, ``_by_columns``, picks the axis of the last
+three: a block with more rows than columns (a sampler's output, a membership
+row block) is worked down its columns, one 1-D NumPy call each, where a 2-D
+call would loop along every short row; any other block (one vector's image,
+the few summands of a decomposition, an identity) along its rows in one
+NumPy call, so a point of dimension n costs O(n) in NumPy, not n Python
+calls.  Either way each entry has the same operands in the same order, so
+the same bytes.
 """
 
 from __future__ import annotations
@@ -251,7 +262,8 @@ def membership_slacks(cone: ConeSpec, z) -> np.ndarray:
     is uniformly ``min(slacks) >= -tol``.
     """
     z = _as_vector(z, cone.dim)
-    return _slacks_batch(cone, z[None, :])[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # see _slacks_batch
+        return _slacks_batch(cone, z[None, :])[0]
 
 
 # Entries per row block of the batch functions: 512 KiB of float64, so a
@@ -395,25 +407,37 @@ def _drops(X):
     return R
 
 
-def _sums(X):
-    """A^-T's partial sums y_1 + ... + y_j of the rows of ``X``."""
-    return np.cumsum(X, axis=1, out=np.empty(X.shape, order="F"))
+def _by_columns(a) -> bool:
+    """The loop rule of the other three maps: True when ``a`` has more rows
+    than columns, so they work it down its columns, one 1-D call each."""
+    return len(a) > a.shape[1]
+
+
+def _sums(X, out=None):
+    """A^-T's partial sums y_1 + ... + y_j of the rows of ``X``, into ``out``
+    (by default a new column-major array), which may be ``X``."""
+    out = np.empty(X.shape, order="F") if out is None else out
+    if not _by_columns(X):
+        return np.cumsum(X, axis=1, out=out)
+    out[:, :1] = X[:, :1]
+    for j in range(1, X.shape[1]):
+        np.add(out[:, j - 1], X[:, j], out=out[:, j])
+    return out
 
 
 def _rev_cumsum(a):
-    """Column j of ``a`` becomes a_j + ... + a_n, in place, added from the
-    right as ``np.cumsum`` adds the columns of the reversed view: the inverse
-    of :func:`_drops`."""
-    for j in range(a.shape[1] - 2, -1, -1):
-        np.add(a[:, j + 1], a[:, j], out=a[:, j])
+    """Column j of ``a`` becomes a_j + ... + a_n, in place: :func:`_sums` of
+    the reversed view, the inverse of :func:`_drops`."""
+    _sums(a[:, ::-1], a[:, ::-1])
     return a
 
 
 def _diff(a):
-    """``np.diff(a, axis=1, prepend=0.0)`` in place: from the right, so every
-    difference reads original columns; the first column minus 0.0 is itself.
-    The inverse of :func:`_sums`."""
-    for j in range(a.shape[1] - 1, 0, -1):
+    """``np.diff(a, axis=1, prepend=0.0)`` in place: the inverse of :func:`_sums`."""
+    if not _by_columns(a):
+        a[:, 1:] = np.diff(a, axis=1)
+        return a
+    for j in range(a.shape[1] - 1, 0, -1):  # from the right: each reads original columns
         np.subtract(a[:, j], a[:, j - 1], out=a[:, j])
     return a
 
@@ -460,7 +484,9 @@ def _slacks_batch(cone: ConeSpec, Z: np.ndarray, table=None) -> np.ndarray:
     """Membership slacks of every row of ``Z``, one column per inequality,
     in a new column-major matrix: those of each factor of ``table`` (by
     default ``factors(cone)``) in turn, and without a copy when they are a
-    run of A's reduced columns."""
+    run of A's reduced columns.  An overflow to +-inf, or inf - inf = NaN,
+    is a slack the checks read: callers run this under one ``np.errstate``
+    per call that lets both pass without a warning."""
     table = table or factors(cone)
     cols = image(table, Z)
     out = []  # image columns (a, b) as they stand, or new slack columns
@@ -502,8 +528,9 @@ def contains_batch(cone: ConeSpec, Z, tol: float = DEFAULT_TOL) -> np.ndarray:
     if Z.ndim != 2 or Z.shape[1] != cone.dim:
         raise DimensionError(f"expected shape (n, {cone.dim})")
     table = factors(cone)  # once, not per block
-    return by_row_blocks(lambda B: least_slack(_slacks_batch(cone, B, table)) >= -tol,
-                         Z, np.empty(len(Z), dtype=bool))
+    with np.errstate(over="ignore", invalid="ignore"):  # once, not per block
+        return by_row_blocks(lambda B: least_slack(_slacks_batch(cone, B, table)) >= -tol,
+                             Z, np.empty(len(Z), dtype=bool))
 
 
 _DUAL_MAP = {
@@ -676,6 +703,7 @@ class Decomposition:
         return self.summands.sum(axis=0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed image is reported
 def decompose(cone: ConeSpec, z, tol: float = DEFAULT_TOL) -> Decomposition:
     """Split ``z`` into one summand per factor of ``cone`` with columns, in
     O(dim) per summand: the table's inverse map works row by row, and no

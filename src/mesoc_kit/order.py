@@ -97,10 +97,9 @@ def check_isotone(
     with NaN or inf every image difference is NaN and every pair a false
     violation.
 
-    The images, their differences and the slacks are built per row block,
-    as :func:`~mesoc_kit.cones.contains_batch` builds its slacks (see the
-    module docstring); every report has the bytes of the one that whole
-    arrays give.
+    The images, their differences and the slacks are built per row block
+    (see the module docstring), and an overflow among them raises no NumPy
+    warning; every report has the bytes of the one that whole arrays give.
     """
     check_tol(tol)
     if n_samples < 0:
@@ -119,22 +118,23 @@ def check_isotone(
         lo = np.vstack([[_as_vector(p.lo, cone.dim) for p in extra_pairs], lo])
         hi = np.vstack([[_as_vector(p.hi, cone.dim) for p in extra_pairs], hi])
     violations, table = [], cones.factors(cone)
-    for start, stop in cones.row_blocks(len(lo), cone.dim):
-        img_lo = _evaluate(map_, lo[start:stop])
-        if img_lo.shape[1] != cone.dim:
-            raise DimensionError("map image dimension does not match the cone")
-        diffs = _evaluate(map_, hi[start:stop]) - img_lo
-        slacks = _slacks_batch(cone, diffs, table)
-        for i in np.flatnonzero(~(least_slack(slacks) >= -tol)):
-            j = int(np.argmin(slacks[i]))
-            violations.append(
-                IsotonicityViolation(
-                    pair=OrderedPairSample(lo[start + i], hi[start + i]),
-                    image_diff=diffs[i].copy(),
-                    failed_inequality=j,
-                    margin=float(slacks[i, j]),
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a violation
+        for start, stop in cones.row_blocks(len(lo), cone.dim):
+            img_lo = _evaluate(map_, lo[start:stop])
+            if img_lo.shape[1] != cone.dim:
+                raise DimensionError("map image dimension does not match the cone")
+            diffs = _evaluate(map_, hi[start:stop]) - img_lo
+            slacks = _slacks_batch(cone, diffs, table)
+            for i in np.flatnonzero(~(least_slack(slacks) >= -tol)):
+                j = int(np.argmin(slacks[i]))
+                violations.append(
+                    IsotonicityViolation(
+                        pair=OrderedPairSample(lo[start + i], hi[start + i]),
+                        image_diff=diffs[i].copy(),
+                        failed_inequality=j,
+                        margin=float(slacks[i, j]),
+                    )
                 )
-            )
     return IsotonicityReport(cone=cone, checked=len(lo), violations=tuple(violations))
 
 

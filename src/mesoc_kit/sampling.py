@@ -6,7 +6,10 @@ parametrizations of each cone (cumulative sums of nonnegative increments,
 norm floors, partial-sum coordinates), never by rejection, so every returned
 point satisfies its defining inequalities up to float rounding.  The sums
 and differences are ``cones._rev_cumsum`` and ``cones._diff``, the inverses
-of the reductions of :func:`~mesoc_kit.cones.factors`.
+of the reductions of :func:`~mesoc_kit.cones.factors`; a sampler's block has
+more rows than columns, so by the maps' loop rule (the ``cones`` module
+docstring) they work it down its columns in place, one 1-D call each, and
+hold no temporary as large as the block.
 Complementary pairs come from one rule for every kind: the Moreau split
 (P_K(v), P_K(v) - v) of standard normal points v.
 

@@ -53,6 +53,47 @@ def test_slacks_keep_the_bytes_of_the_per_kind_formulas(kind, data):
     _pin(cone, _rows(data, cone))
 
 
+# The four maps of the factor tables: each map, its whole-row formula, and
+# whether it works in place.
+_MAPS = {
+    "drops": (cones._drops, lambda a: np.concatenate([a[:, :-1] - a[:, 1:], a[:, -1:]], 1), False),
+    "sums": (cones._sums, lambda a: np.cumsum(a, axis=1), False),
+    "rev_cumsum": (cones._rev_cumsum, lambda a: np.cumsum(a[:, ::-1], axis=1)[:, ::-1], True),
+    "diff": (cones._diff, lambda a: np.diff(a, axis=1, prepend=0.0), True),
+}
+_MAP_SPECIALS = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.7e308, -1.7e308])
+
+
+@pytest.mark.parametrize("name", sorted(_MAPS))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_the_maps_keep_the_bytes_of_whole_row_formulas(name, data):
+    # blocks of n entries, from one row of n to n rows of one, n up to 1e5:
+    # tall ones are worked down their columns, the others along their rows
+    n = data.draw(st.one_of(st.integers(1, 64), st.integers(1, 10**5)))
+    rows = data.draw(st.one_of(st.sampled_from([1, n]), st.integers(1, n)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    a = rng.standard_normal((rows, max(1, n // rows)))
+    special = rng.random(a.shape) < data.draw(st.sampled_from([0.0, 0.01, 0.3]))
+    a[special] = rng.choice(_MAP_SPECIALS, special.sum())
+    a = np.array(a, order=data.draw(st.sampled_from("CF")))
+    fn, whole, in_place = _MAPS[name]
+    with np.errstate(all="ignore"):
+        want = whole(a)
+        got = fn(b := a.copy(order="K"))
+    if in_place:
+        assert got is b
+    else:
+        assert got.flags.f_contiguous and not np.shares_memory(got, b)
+        assert b.tobytes() == a.tobytes()
+    # A NaN compares by position: NumPy's contiguous add returns the first
+    # or the second operand's NaN by the entry's place in its loop (the tail
+    # past a multiple of 8), so the sign of a sum of two NaNs is NumPy's.
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes()
+
+
 @pytest.mark.parametrize(
     "cone",
     [mk.esoc(1, 3), mk.esoc_dual(1, 3), mk.esoc(3, 0), mk.esoc_dual(3, 0), mk.esoc(1, 0),

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,20 @@ def test_check_isotone_refuses_an_empty_check():
     for extra in ((), (witness,)):
         with pytest.raises(ValueError, match="n_samples"):
             mk.check_isotone(mk.example_instance().map, cone, -1, seed=0, extra_pairs=extra)
+
+
+@pytest.mark.parametrize("cone", [mk.esoc_dual(2, 0), mk.monotone(2), mk.monotone_dual(2),
+                                  mk.mesoc(2, 1), mk.cylinder_dual(1, mk.esoc(1, 1))])
+def test_check_isotone_is_silent_at_the_float_limit(cone):
+    # an overflow of the images, their difference or the slacks is a value
+    # that the report reads, not a NumPy warning
+    lim = 1.7e308
+    pairs = (order.OrderedPairSample(np.full(cone.dim, -lim), np.full(cone.dim, lim)),
+             order.OrderedPairSample(np.zeros(cone.dim), np.r_[lim, -lim, np.zeros(cone.dim - 2)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = order.check_isotone(lambda z: 2.0 * z, cone, 0, 0, extra_pairs=pairs)
+    assert report.checked == 2
 
 
 def test_hyperplane_test_refuses_no_samples():
