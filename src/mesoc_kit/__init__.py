@@ -15,7 +15,7 @@ _PUBLIC = {
     "cones": (
         "CompPair", "ComplementarityReport", "ConeSpec", "Decomposition",
         "PartitionedVector", "contains", "contains_batch", "cylinder", "cylinder_dual",
-        "decompose", "dual_of", "duality_chain", "esoc", "esoc_dual",
+        "decompose", "dual_of", "esoc", "esoc_dual",
         "in_complementarity_set", "lorentz", "membership_slacks", "mesoc", "mesoc_dual",
         "monotone", "monotone_dual", "monotone_nonneg", "monotone_nonneg_dual",
         "nonneg_orthant",

@@ -452,13 +452,7 @@ def cmd_check_complementarity(cone: ConeSpec, payload: dict, args) -> tuple[dict
         dual=_payload_vector(payload, "dual"),
     )
     report = in_complementarity_set(cone, pair, args.tol)
-    out = {
-        "member": report.member,
-        "mode": report.mode,
-        "residuals": report.residuals,
-        "failed": list(report.failed),
-        "scaling": report.scaling,
-    }
+    out = {"member": report.member, "residuals": report.residuals, "failed": list(report.failed)}
     return out, EXIT_OK if report.member else EXIT_CHECK_FAILED, {"tol": args.tol}
 
 

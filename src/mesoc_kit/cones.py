@@ -23,7 +23,7 @@ L(p, q) is reducible: A(x, u) = (x_1 - x_2, ..., x_{p-1} - x_p, x_p, u)
 takes it onto R_+^(p-1) x L^(q+1).  :func:`factors` is the one table of such
 reductions: for every kind it gives A, or A^-T for a dual kind, and the
 factors of the image; ``_INVERSE`` holds each reduction's inverse.  The
-slacks, the structured complementarity test, the decomposition of a point
+slacks, the terms of the complementarity test, the decomposition of a point
 into one member per factor (:func:`decompose`), the Lyapunov rank rule and
 basis (:mod:`mesoc_kit.lyapunov`) and the samplers' increments
 (:mod:`mesoc_kit.sampling`) derive from it.
@@ -561,38 +561,59 @@ def dual_of(cone: ConeSpec) -> ConeSpec:
     return ConeSpec(_DUAL_MAP[cone.kind], cone.p, cone.q)
 
 
+def complementarity_terms(cone: ConeSpec, z, w) -> np.ndarray:
+    """The terms of <z, w>, factor by factor, on R = A z and S = A^-T w of
+    :func:`factors`, whose pairing is <z, w>.  They add up to <z, w>, and
+    each is >= 0 when z is in ``cone`` and w in its dual, so a pair of
+    members is complementary exactly when every term is 0.  A ray, or a free
+    line against a zero, gives r * s.  A Lorentz factor (h, u) against
+    (g, v) gives (h - ||u||) g, ||u|| (g - ||v||) and ||u|| ||v|| + <u, v>
+    (Németh & Zhang, J. Global Optim. 62, 2015); an ESOC factor (x, u)
+    against (y, v) gives (x_i - ||u||) y_i for every i and the same two
+    (Ferreira & Németh, J. Global Optim. 70, 2018), and an ESOC dual factor
+    the same with the two points swapped.  No term divides, so a vanishing
+    norm block needs no other test."""
+    z, w = _as_vector(z, cone.dim), _as_vector(w, cone.dim)
+    table = factors(cone)
+    R, S = image(table, z[None, :]), image(factors(dual_of(cone)), w[None, :])
+    terms = []
+    for f, a, m, b in table[3]:
+        x, y = R(a, m)[0], S(a, m)[0]
+        if f in (RAY, FREE, ZERO) or m == b:  # L^1 is R_+
+            terms.append(x * y)
+            continue
+        u, v = R(m, b), S(m, b)
+        if f == ESOC_DUAL:  # the chain runs from the ESOC side
+            x, y, u, v = y, x, v, u
+        nu, nv = row_norms(u)[0], row_norms(v)[0]
+        terms += [(x - nu) * y, [nu * (y.sum() - nv), nu * nv + u[0] @ v[0]]]
+    return np.concatenate(terms)
+
+
+def _largest_term(cone, z, w):
+    return np.max(np.abs(complementarity_terms(cone, z, w)), initial=0.0)
+
+
+def _least_slacks(cone, z, w):
+    return (float(least_slack(membership_slacks(cone, z))),
+            float(least_slack(membership_slacks(dual_of(cone), w))))
+
+
 def pair_residuals(cone: ConeSpec, z, w) -> tuple[float, float, float]:
     """The conditions z in K, w in K* and <z, w> = 0 of a complementary pair,
     as the least slack of ``z`` in ``cone``, that of ``w`` in its dual and
-    |<z, w>|, Python floats that the pair, solution and projection checks read."""
+    the largest |term| of :func:`complementarity_terms`, absolute: Python
+    floats that the pair, solution and projection checks read."""
     z, w = _as_vector(z, cone.dim), _as_vector(w, cone.dim)
-    return (float(least_slack(membership_slacks(cone, z))),
-            float(least_slack(membership_slacks(dual_of(cone), w))), abs(float(z @ w)))
+    return (*_least_slacks(cone, z, w), float(_largest_term(cone, z, w)))
 
 
-def duality_chain(
-    xu: PartitionedVector, yv: PartitionedVector, tol: float = DEFAULT_TOL
-) -> tuple[float, float, float]:
-    """The chained pairing bounds for a primal/dual pair.
-
-    For (x, u) in L(p, q) and (y, v) in its dual the three quantities
-
-        <x, y>  >=  ||u|| * (y_1 + ... + y_p)  >=  ||u|| * ||v||
-
-    are returned in that order; the full pairing <x,y> + <u,v> is then
-    bounded below by the first minus the last.  Raises
-    :class:`MembershipError` when either argument fails its membership check.
-    """
-    if (xu.p, xu.q) != (yv.p, yv.q):
-        raise DimensionError("pair members have different block sizes")
-    L = mesoc(xu.p, xu.q)
-    if not contains(L, xu.concat(), tol):
-        raise MembershipError("first argument is not in the primal cone")
-    if not contains(dual_of(L), yv.concat(), tol):
-        raise MembershipError("second argument is not in the dual cone")
-    nu = float(np.linalg.norm(xu.u))
-    nv = float(np.linalg.norm(yv.u))
-    return (float(xu.x @ yv.x), nu * float(yv.x.sum()), nu * nv)
+def _unit(z):
+    """``z`` over the power of two just above max |z_i| (exact), so its
+    squares and products neither overflow nor underflow; ``z`` itself when it
+    is 0 or not finite."""
+    top = float(np.abs(z).max(initial=0.0))
+    return np.ldexp(z, -math.frexp(top)[1]) if 0.0 < top < math.inf else z
 
 
 @record
@@ -609,78 +630,36 @@ class CompPair:
 
 @record
 class ComplementarityReport:
-    """Outcome of a complementarity-set test with per-condition residuals.
-
-    ``mode`` is "structured" when the face-by-face characterization was used
-    and "direct" when the test fell back to plain orthogonality (always the
-    case for degenerate pairs with a vanishing norm block).  Residuals are
-    slack-like: a condition passes when its value is >= -tol, so equality
-    conditions report minus their absolute violation, and a NaN fails.
-    """
+    """Outcome of a complementarity-set test: ``residuals`` holds
+    ``primal_membership``, ``dual_membership`` and ``orthogonality``, each
+    passing at >= -tol (a NaN fails), and ``failed`` those that do not."""
 
     member: bool
-    mode: str
     residuals: dict[str, float] = factory(dict)
     failed: tuple[str, ...] = ()
-    scaling: float | None = None
 
     def __bool__(self) -> bool:
         return self.member
 
 
-def _report(mode, residuals, tol, scaling=None):
-    failed = tuple(name for name, r in residuals.items() if not r >= -tol)
-    return ComplementarityReport(
-        member=not failed, mode=mode, residuals=residuals, failed=failed, scaling=scaling
-    )
-
-
-def _direct_report(cone, zp, zd, tol):
-    primal, dual, product = pair_residuals(cone, zp, zd)
-    res = {"primal_membership": primal, "dual_membership": dual, "orthogonality": -product}
-    return _report("direct", res, tol)
-
-
+@np.errstate(over="ignore", invalid="ignore")  # an infinite entry gives a NaN residual
 def in_complementarity_set(
     cone: ConeSpec, pair: CompPair, tol: float = DEFAULT_TOL
 ) -> ComplementarityReport:
-    """Test whether (primal, dual) is a complementary pair of ``cone``.
-
-    The structured test runs factor by factor (:func:`factors`) on the
-    images of the primal under A and of the dual under A^-T, whose pairing
-    is <primal, dual>.  Besides both memberships, every ray r against s gives
-    r * s = 0 (``face_products``, the largest such product); a Lorentz
-    factor (h, u) against (g, v) with q > 0 gives h = ||u||, g = ||v|| and
-    v = -lambda * u with lambda = ||v|| / ||u|| > 0.  A free line r against
-    a zero s gives r * s = 0 too: membership bounds s only by tol, so r * s
-    can be as large as |r| * tol.  The ESOC pair, and a Lorentz factor whose
-    norm block vanishes in either point, take the direct orthogonality test
-    instead; the report's ``mode`` records which ran.
-    """
+    """Test whether (primal, dual) is a complementary pair of ``cone``: both
+    least membership slacks, absolute, and ``orthogonality``, minus the
+    largest |term| of :func:`complementarity_terms` over ||z|| ||w||, or 0
+    when every term is 0.  The terms are bilinear, so the ratio is taken on
+    :func:`_unit` points, where no norm or term overflows or underflows."""
     check_tol(tol)
-    zp = _as_vector(pair.primal, cone.dim)
-    zd = _as_vector(pair.dual, cone.dim)
-    table = factors(cone)
-    R, S = image(table, zp[None, :]), image(factors(dual_of(cone)), zd[None, :])
-    products, lorentz, lam = [np.empty(0)], {}, None
-    for f, a, m, b in table[3]:
-        if f in (RAY, FREE, ZERO) or (f == LORENTZ and m == b):  # L^1 is R_+
-            products.append(R(a, m)[0] * S(a, m)[0])
-        elif f == LORENTZ:
-            u, v = R(m, b)[0], S(m, b)[0]
-            nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-            if not (nu > tol and nv > tol):
-                return _direct_report(cone, zp, zd, tol)
-            lam = nv / nu
-            lorentz = {"primal_tightness": -abs(float(R(a, m)[0, 0] - nu)),
-                       "dual_tightness": -abs(float(S(a, m)[0, 0] - nv)),
-                       "antiparallel": -float(np.max(np.abs(v + lam * u)))}
-        elif f in (ESOC, ESOC_DUAL):
-            return _direct_report(cone, zp, zd, tol)
-    primal, dual, _ = pair_residuals(cone, zp, zd)
-    face = -float(np.max(np.abs(np.concatenate(products)), initial=0.0))
-    res = {"primal_membership": primal, "dual_membership": dual, "face_products": face}
-    return _report("structured", {**res, **lorentz}, tol, scaling=lam)
+    z, w = _as_vector(pair.primal, cone.dim), _as_vector(pair.dual, cone.dim)
+    primal, dual = _least_slacks(cone, z, w)
+    z, w = _unit(z), _unit(w)
+    largest = _largest_term(cone, z, w)
+    orthogonality = float(-(largest / np.linalg.norm(z) / np.linalg.norm(w))) if largest else 0.0
+    res = {"primal_membership": primal, "dual_membership": dual, "orthogonality": orthogonality}
+    failed = tuple(name for name, r in res.items() if not r >= -tol)
+    return ComplementarityReport(member=not failed, residuals=res, failed=failed)
 
 
 @record

@@ -397,22 +397,25 @@ class SolutionReport:
         return self.ok
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is a residual
 def verify_solution(instance: MicpInstance, z, tol: float = 1e-8) -> SolutionReport:
     """Check the four complementarity conditions at z against a scalar
     tolerance: G = 0, u in C, H in C*, <u, H> = 0.  The two slacks are
-    least membership slacks, +inf for a cone with no inequality; a NaN
+    least membership slacks, +inf for a cone with no inequality, and
+    ``orthogonality`` is the largest |term| of
+    :func:`~mesoc_kit.cones.complementarity_terms` of (u, H); a NaN
     residual fails its condition."""
     check_tol(tol)
     zv = _as_vector(z, instance.map.p + instance.map.q)
     G, H = evaluate_map(instance.map, zv)
     g_norm = float(np.abs(G).max()) if G.size else 0.0
-    inner, dual, product = pair_residuals(instance.inner, zv[instance.map.p :], H)
+    inner, dual, largest = pair_residuals(instance.inner, zv[instance.map.p :], H)
     # each condition as a slack that passes at >= -tol, so a NaN fails
     slacks = {"g_norm": -g_norm, "inner_membership": inner,
-              "dual_membership": dual, "orthogonality": -product}
+              "dual_membership": dual, "orthogonality": -largest}
     failed = tuple(name for name, s in slacks.items() if not s >= -tol)
     return SolutionReport(ok=not failed, g_norm=g_norm, inner_slack=inner, dual_slack=dual,
-                          orthogonality=product, failed=failed)
+                          orthogonality=largest, failed=failed)
 
 
 @record
@@ -423,6 +426,7 @@ class RegionReport:
     details: dict = factory(dict)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is a detail
 def region_membership(instance: MicpInstance, z, tol: float = 1e-10) -> RegionReport:
     """Locate z relative to the two comparison regions of the iteration.
 

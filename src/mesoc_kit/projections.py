@@ -81,13 +81,13 @@ class ProjectionResult:
         # a local, so a concurrent first read cannot see the source cleared
         source = self._source
         if source is not None:
-            r = source - self._point
             with np.errstate(over="ignore"):  # an overflow is evaluated again
+                r = source - self._point
                 d = math.sqrt(r @ r)
-            if d == math.inf and np.isfinite(source).all() and np.isfinite(self._point).all():
-                k = math.frexp(float(np.abs(source).max()))[1]  # as _rescaled scales
-                r = np.ldexp(source, -k) - np.ldexp(self._point, -k)
-                d = math.ldexp(math.sqrt(r @ r), k)
+                if d == math.inf and np.isfinite(source).all() and np.isfinite(self._point).all():
+                    k = math.frexp(float(np.abs(source).max()))[1]  # as _rescaled scales
+                    r = np.ldexp(source, -k) - np.ldexp(self._point, -k)
+                    d = float(np.ldexp(math.sqrt(r @ r), k))  # inf past the float range
             self._distance = d
             self._source = None
         return self._distance
@@ -382,8 +382,9 @@ def _lorentz_oracle(v: np.ndarray) -> np.ndarray:
 def moreau_residuals(cone: ConeSpec, v, y) -> dict[str, float]:
     """Moreau's conditions y in K, y - v in K* and <y, y - v> = 0, which hold
     for y = P_K(v) and no other y, as slacks that hold at >= 0: the least
-    slacks over 1 + ||v|| and minus the product over 1 + ||v||^2.  The
-    conditions are homogeneous, so when ||v||^2, the product or a slack
+    slacks over 1 + ||v|| and minus the largest |term| of <y, y - v>
+    (:func:`~mesoc_kit.cones.complementarity_terms`) over 1 + ||v||^2.  The
+    conditions are homogeneous, so when ||v||^2, the term or a slack
     overflows on finite v and y they are taken on 2^-k (v, y), scaled as
     :func:`_rescaled` scales, over 2^-k + ||2^-k v|| and 2^-2k + ||2^-k v||^2:
     the same ratios.  A least slack of +inf is that of a cone with no
@@ -398,11 +399,11 @@ def moreau_residuals(cone: ConeSpec, v, y) -> dict[str, float]:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is evaluated again
 def _moreau(cone, v, y, one):
-    primal, dual, product = cones.pair_residuals(cone, y, y - v)
+    primal, dual, largest = cones.pair_residuals(cone, y, y - v)
     scale, square = one + float(np.linalg.norm(v)), one * one + float(v @ v)
     res = {"primal_membership": primal / scale, "dual_membership": dual / scale,
-           "orthogonality": -product / square}
-    finite = square < math.inf and product < math.inf and primal > -math.inf and dual > -math.inf
+           "orthogonality": -largest / square}
+    finite = square < math.inf and largest < math.inf and primal > -math.inf and dual > -math.inf
     return res, not finite
 
 

@@ -306,8 +306,9 @@ def test_11_decomposition_round_trip():
     )
 
 
-def test_12_complementarity_routes_agree():
+def test_12_complementarity_chain_agrees_with_the_definition():
     cone = mk.mesoc(3, 2)
+    dual = mk.dual_of(cone)
     Z, W = sampling.complementarity_pairs(cone, sampling.rng_from_seed(99), 10_000)
     Z, W = Z[:10_000], W[:10_000]
     Zp, Wp = Z.copy(), W.copy()
@@ -319,18 +320,20 @@ def test_12_complementarity_routes_agree():
     valid_ok = invalid_ok = 0
     for zs, ws, want in ((Z, W, True), (Zp, Wp, False)):
         for z, w in zip(zs, ws):
-            structured = mk.in_complementarity_set(cone, mk.CompPair(z, w)).member
-            direct = cones._direct_report(cone, z, w, tol).member
-            if structured != direct:
+            chain = mk.in_complementarity_set(cone, mk.CompPair(z, w)).member
+            # the definition: z in K, w in K*, <z, w> = 0 relative to ||z|| ||w||
+            reference = (mk.contains(cone, z) and mk.contains(dual, w)
+                         and abs(z @ w) <= tol * np.linalg.norm(z) * np.linalg.norm(w))
+            if chain != reference:
                 mismatches += 1
-            elif structured == want:
+            elif chain == want:
                 if want:
                     valid_ok += 1
                 else:
                     invalid_ok += 1
     _check(
         12,
-        "structured and direct complementarity checks agree on valid and broken pairs",
+        "the complementarity chain agrees with the definition on valid and broken pairs",
         mismatches == 0 and valid_ok == len(Z) and invalid_ok == len(Z),
         f"mismatches={mismatches} valid_ok={valid_ok}/{len(Z)} "
         f"invalid_ok={invalid_ok}/{len(Z)}",

@@ -304,6 +304,58 @@ def test_contains_is_silent_at_the_float_limit(capsys, recwarn, tmp_path, kind, 
     assert not recwarn.list, [str(w.message) for w in recwarn]
 
 
+def _silent_at_the_limit(capsys, recwarn, tmp_path, command, cone, payloads, codes):
+    """Run ``command`` on each payload: an exit code in ``codes``, one JSON
+    report, and no traceback or warning."""
+    for payload in payloads:
+        doc = {"version": 1, "command": command, "cone": cli.cone_to_json(cone),
+               "payload": payload}
+        code, out, err = run_cli(capsys, *command.split("."), write_problem(tmp_path, doc))
+        assert code in codes and err == "", (cone, payload, code, err)
+        json.loads(out)
+    assert not recwarn.list, [str(w.message) for w in recwarn]
+
+
+def _limit_points(n):
+    return [[s * _LIMIT for s in signs] for signs in itertools.product([1.0, -1.0], repeat=n)]
+
+
+def _of_dim(kind, n):
+    """A cone of ``kind`` in R^n, with p = n - n // 2 where it has a u block."""
+    if kind in mk.cones.PARTITIONED_KINDS:
+        return mk.cones.ConeSpec(kind, n - n // 2, n // 2)
+    return mk.cones.ConeSpec(kind, n)
+
+
+# ||v - P(v)|| past the float range reads null, and the rescaled distance
+# used to raise OverflowError in math.ldexp
+@pytest.mark.parametrize("kind", _BASE_KINDS)
+def test_check_project_is_silent_at_the_float_limit(capsys, recwarn, tmp_path, kind):
+    cone = _of_dim(kind, 4)
+    points = _limit_points(4) + [[_LIMIT, -_LIMIT, _LIMIT, 1e308]]
+    _silent_at_the_limit(capsys, recwarn, tmp_path, "check.project", cone,
+                         [{"point": point} for point in points], {0, 5})
+
+
+@pytest.mark.parametrize("wrap", [None, "cylinder", "cylinder_dual"])
+@pytest.mark.parametrize("kind", _BASE_KINDS)
+def test_check_complementarity_is_silent_at_the_float_limit(capsys, recwarn, tmp_path, kind, wrap):
+    cone = _wrapped(kind, wrap, 2, 2)
+    points = _limit_points(cone.dim)
+    pairs = [{"primal": z, "dual": w} for z, w in zip(points, points[::-1] + points[1:])]
+    _silent_at_the_limit(capsys, recwarn, tmp_path, "check.complementarity", cone, pairs, {0, 5})
+
+
+# the shipped map over a cylinder on every base kind of dimension 2
+@pytest.mark.parametrize("kind", _BASE_KINDS)
+def test_check_verify_is_silent_at_the_float_limit(capsys, recwarn, tmp_path, kind):
+    shipped = json.loads((PROBLEMS / "check_verify_cylinder.json").read_text())["payload"]
+    cone = mk.cylinder(2, _of_dim(kind, 2))
+    points = _limit_points(4) + [[_LIMIT, -_LIMIT, _LIMIT, 1e308]]
+    _silent_at_the_limit(capsys, recwarn, tmp_path, "check.verify", cone,
+                         [dict(shipped, point=point) for point in points], {0, 5})
+
+
 # ---------------------------------------------------------------------------
 # output behaviour
 
@@ -624,16 +676,17 @@ def test_check_failed_exit_for_non_member_pair(capsys, tmp_path):
     "cone,primal,dual",
     [({"kind": "monotone", "p": 2}, [1e9, 1e9], [0, 5e-11]),
      ({"kind": "cylinder", "p": 1, "inner": {"kind": "nonneg_orthant", "p": 1}},
-      [1e6, 0], [5e-11, 1])],
+      [1e6, 0], [5e-11, 0])],
 )
 def test_check_complementarity_refuses_a_line_against_a_zero(capsys, tmp_path, cone, primal, dual):
-    # both memberships hold within tol, but <z, w> is 0.05 and 5e-5
+    # both memberships hold within tol, but <z, w> is 0.05 and 5e-5, about
+    # ||z|| ||w|| each
     doc = {"version": 1, "command": "check.complementarity", "cone": cone,
            "payload": {"primal": primal, "dual": dual}}
     code, out, _ = run_cli(capsys, "check", "complementarity", write_problem(tmp_path, doc))
     report = json.loads(out)
-    assert code == 5 and report["mode"] == "structured"
-    assert report["failed"] == ["face_products"]
+    assert code == 5 and report["failed"] == ["orthogonality"]
+    assert sorted(report["residuals"]) == ["dual_membership", "orthogonality", "primal_membership"]
 
 
 def test_check_failed_exit_for_non_solution(capsys, tmp_path):
@@ -1129,6 +1182,19 @@ def test_check_project_past_the_square_overflow(capsys, recwarn, tmp_path, cone,
     assert err == "" and not recwarn.list, [str(w.message) for w in recwarn]
     assert report["distance"] == pytest.approx(math.sqrt(0.5) * 1e200, rel=1e-15)
     assert all(math.isfinite(r) for r in report["residuals"].values())
+
+
+def test_check_project_distance_past_the_float_range(capsys, recwarn, tmp_path):
+    # ||v - P(v)|| is about 2.1e308: inf, which reads null, not OverflowError
+    point = [_LIMIT, -_LIMIT, _LIMIT, 1e308]
+    with np.errstate(over="ignore"):  # as the CLI projects
+        assert mk.project(mk.mesoc(2, 2), point).distance == math.inf
+    doc = {"version": 1, "command": "check.project", "cone": {"kind": "mesoc", "p": 2, "q": 2},
+           "payload": {"point": point}}
+    code, out, err = run_cli(capsys, "check", "project", write_problem(tmp_path, doc))
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True and report["distance"] is None, report
+    assert err == "" and not recwarn.list, [str(w.message) for w in recwarn]
 
 
 def test_check_project_refuses_a_wrong_point_past_the_overflow(capsys, tmp_path, monkeypatch):

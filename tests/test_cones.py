@@ -413,38 +413,37 @@ def test_dual_pairing_nonnegative(rng):
         assert inner.min() >= -1e-10, (cone, inner.min())
 
 
-def test_duality_chain_orders_and_guards(rng):
-    p, q = 3, 2
-    L, M = mk.mesoc(p, q), mk.mesoc_dual(p, q)
-    for _ in range(200):
-        z = mk.PartitionedVector.from_array(sampling.sample(L, rng, 1)[0], p, q)
-        w = mk.PartitionedVector.from_array(sampling.sample(M, rng, 1)[0], p, q)
-        a, b, c = mk.duality_chain(z, w)
-        assert a >= b - 1e-10 and b >= c - 1e-10
-    with pytest.raises(mk.MembershipError):
-        mk.duality_chain(
-            mk.PartitionedVector([0.0, 1.0, 0.0], [0.0, 0.0]),  # not nonincreasing
-            mk.PartitionedVector([1.0, 0.0, 0.0], [0.0, 0.0]),
-        )
+def test_complementarity_terms_are_nonnegative_on_members(rng):
+    # members of K and K*, not complementary: every term >= 0 up to
+    # rounding, and together they are <z, w>
+    for cone in all_cones():
+        Z = sampling.sample(cone, rng, 200)
+        W = sampling.sample(mk.dual_of(cone), rng, 200)
+        for z, w in zip(Z, W):
+            terms = cones.complementarity_terms(cone, z, w)
+            scale = np.linalg.norm(z) * np.linalg.norm(w)
+            assert terms.min(initial=0.0) >= -1e-14 * scale, (cone, terms)
+            assert abs(terms.sum() - z @ w) <= 1e-14 * scale, (cone, terms)
 
 
-def test_duality_chain_frozen_value():
-    z = mk.PartitionedVector([3.0, 2.0, 1.5], [0.9, 1.2])
-    w = mk.PartitionedVector([2.0, -1.0, 0.5], [1.0, 1.0])
-    a, b, c = mk.duality_chain(z, w)
-    assert_allclose([a, b, c], [4.75, 2.25, 1.5 * np.sqrt(2.0)])
+def test_complementarity_terms_frozen_value():
+    # the drops (1, 0.5 | 1.5, u) of z against the partial sums (2, 1 | 1.5, v)
+    # of w: two rays, then the Lorentz factor's three terms
+    z, w = [3.0, 2.0, 1.5, 0.9, 1.2], [2.0, -1.0, 0.5, 1.0, 1.0]
+    terms = cones.complementarity_terms(mk.mesoc(3, 2), z, w)
+    assert_allclose(terms, [2.0, 0.5, 0.0, 1.5 * (1.5 - np.sqrt(2.0)), 1.5 * np.sqrt(2.0) + 2.1],
+                    atol=1e-15)
+    assert terms.sum() == pytest.approx(np.dot(z, w), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
 # tolerances and the least slack
 
-_PV = mk.PartitionedVector
 # one call per public function that takes a tolerance; the check_isotone,
 # in_complementarity_set and verify_solution calls passed with a NaN one
 _TOL_CALLS = {
     "contains": lambda tol: mk.contains(mk.mesoc(2, 2), [2, 1, 0, 0], tol),
     "contains_batch": lambda tol: mk.contains_batch(mk.mesoc(2, 2), [[2, 1, 0, 0]], tol),
-    "duality_chain": lambda tol: mk.duality_chain(_PV([2, 1], [0, 0]), _PV([1, 0], [0, 0]), tol),
     "in_complementarity_set": lambda tol: mk.in_complementarity_set(
         mk.nonneg_orthant(2), mk.CompPair([1, 1], [1, 1]), tol),
     "decompose": lambda tol: mk.decompose(mk.mesoc(2, 2), [2, 1, 0, 0], tol),
@@ -489,6 +488,11 @@ def test_nan_slack_fails_every_check():
     assert len(report.violations) == report.checked == 5
     rep = mk.in_complementarity_set(mk.lorentz(2), mk.CompPair([1.0, nan], [1.0, -1.0]))
     assert not rep.member and "primal_membership" in rep.failed
+    # an infinite entry gives a NaN term: a residual that fails, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = mk.in_complementarity_set(mk.lorentz(2), mk.CompPair([np.inf, 1.0], [1.0, 1.0]))
+    assert not rep.member and rep.failed == ("orthogonality",)
     # a NaN point used to verify as a solution: every residual was NaN
     rep = mk.verify_solution(mk.example_instance(), [nan] * 4)
     assert not rep.ok and rep.failed == ("g_norm", "inner_membership", "dual_membership", "orthogonality")
@@ -547,62 +551,47 @@ def test_monotone_pairs_are_complementary(rng, n):
     assert np.abs(np.einsum("ij,ij->i", Z, W)).max() < 1e-12
 
 
-def test_complementarity_structured_report():
+def test_complementarity_report():
     # flat primal against its scaled antipodal dual: every residual tight
     rep = mk.in_complementarity_set(
         mk.mesoc(2, 2), mk.CompPair([1.0, 1.0, 0.6, 0.8], [0.5, 0.5, -0.6, -0.8])
     )
-    assert rep.member and rep.mode == "structured"
-    assert rep.scaling == pytest.approx(1.0)
-    assert set(rep.residuals) == {
-        "primal_membership",
-        "dual_membership",
-        "face_products",
-        "primal_tightness",
-        "dual_tightness",
-        "antiparallel",
-    }
+    assert rep.member and list(rep.residuals) == ["primal_membership", "dual_membership",
+                                                  "orthogonality"]
     assert max(abs(v) for v in rep.residuals.values()) < 1e-14
 
 
 def test_complementarity_rejections():
     cone = mk.mesoc(2, 2)
-    # v not antiparallel to u: caught by the structured characterization
-    rep = mk.in_complementarity_set(cone, mk.CompPair([1, 1, 0.6, 0.8], [0.5, 0.5, 0.8, -0.6]))
-    assert not rep.member and "antiparallel" in rep.failed
-    # norm not tight on the primal side
-    rep = mk.in_complementarity_set(cone, mk.CompPair([2, 2, 0.6, 0.8], [0.5, 0.5, -0.6, -0.8]))
-    assert not rep.member and "primal_tightness" in rep.failed
-    # degenerate u: falls back to the direct orthogonality test
-    rep = mk.in_complementarity_set(cone, mk.CompPair([1, 1, 0, 0], [1, 0, 0, 0]))
-    assert rep.mode == "direct" and not rep.member and rep.failed == ("orthogonality",)
+    # v not antiparallel to u; the primal norm not tight; <z, w> = 1 each
+    for pair in (mk.CompPair([1, 1, 0.6, 0.8], [0.5, 0.5, 0.8, -0.6]),
+                 mk.CompPair([2, 2, 0.6, 0.8], [0.5, 0.5, -0.6, -0.8]),
+                 mk.CompPair([1, 1, 0, 0], [1, 0, 0, 0])):
+        rep = mk.in_complementarity_set(cone, pair)
+        assert not rep.member and rep.failed == ("orthogonality",), rep
+    # a vanishing norm block needs no other test
     rep = mk.in_complementarity_set(cone, mk.CompPair([1, 0, 0, 0], [0, 1, 0, 0]))
-    assert rep.mode == "direct" and rep.member
+    assert rep.member and rep.residuals["orthogonality"] == 0.0
+    # <z, w> against ||z|| ||w|| where computing either directly would
+    # overflow or underflow: ||z|| = 1e200 next to <z, w> = 1e100, and
+    # <z, w> = 1e-200, whose square underflows
+    for z, w in (([1e200], [1e-100]), ([1e-200], [1.0])):
+        rep = mk.in_complementarity_set(mk.nonneg_orthant(1), mk.CompPair(z, w))
+        assert rep.failed == ("orthogonality",) and rep.residuals["orthogonality"] == -1.0
 
 
 def test_complementarity_monotone_nonneg_path(rng):
     cone = mk.monotone_nonneg(4)
     Z, W = sampling.complementarity_pairs(cone, rng, 200)
     for z, w in zip(Z, W):
-        rep = mk.in_complementarity_set(cone, mk.CompPair(z, w))
-        assert rep.member and rep.mode == "structured"
+        assert mk.in_complementarity_set(cone, mk.CompPair(z, w)).member
     bad = mk.in_complementarity_set(cone, mk.CompPair([2, 1, 1, 0], [1, 0, 0, 0]))
-    assert not bad.member and bad.failed == ("face_products",)
+    assert not bad.member and bad.failed == ("orthogonality",)
     # only the tail R_+ of the reduction fails: x_p * (y_1 + ... + y_p) = 1
     for c in (cone, mk.mesoc(4, 0)):
         tail = mk.in_complementarity_set(c, mk.CompPair([1, 1, 1, 1], [0, 0, 0, 1]))
-        assert not tail.member and tail.failed == ("face_products",)
-
-
-def test_complementarity_direct_kinds(rng):
-    # the ESOC pair has no structured characterization and routes through
-    # "direct"; the Lorentz cone, L(1, 2), takes the structured test
-    for cone, mode in ((mk.esoc(2, 2), "direct"), (mk.lorentz(3), "structured")):
-        Z, W = sampling.complementarity_pairs(cone, rng, 100)
-        for z, w in zip(Z, W):
-            rep = mk.in_complementarity_set(cone, mk.CompPair(z, w))
-            vanishes = min(np.linalg.norm(z[-2:]), np.linalg.norm(w[-2:])) <= 1e-10
-            assert rep.member and rep.mode == ("direct" if vanishes else mode)
+        assert not tail.member and tail.failed == ("orthogonality",)
+        assert cones.complementarity_terms(c, [1, 1, 1, 1], [0, 0, 0, 1]).tolist() == [0, 0, 0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """The factor table of ``cones.factors`` and what derives from it: the
 membership slacks, byte for byte against the per-kind formulas they replace,
-the structured complementarity test, the decomposition and the Lyapunov rank
-rule."""
+the terms of the complementarity test, the decomposition and the Lyapunov
+rank rule."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -118,75 +118,79 @@ def test_slacks_keep_their_documented_columns():
 
 
 # ---------------------------------------------------------------------------
-# structured complementarity
+# the complementarity chain
 
-_ESOC_FREE = [k for k in sorted(cones.KINDS) if k not in (cones.ESOC, cones.ESOC_DUAL)]
-
-
-def _over_esoc(cone):
-    return cone.kind in (cones.ESOC, cones.ESOC_DUAL) or (
-        cone.inner is not None and _over_esoc(cone.inner))
+_SCALES = st.sampled_from([10.0**k for k in range(-9, 10)])
 
 
-def _norm_block(cone):
-    """The width of the Lorentz factor's norm block, the last columns of the
-    innermost cone, or 0 without one."""
-    while cone.inner is not None:
-        cone = cone.inner
-    kind, _, q = cones.ordered_form(cone)
-    return q if kind in (cones.MESOC, cones.MESOC_DUAL) else 0
+def _wrapped_cone(data, kind, wrap):
+    """A cone of ``kind``, in a cylinder or dual cylinder when ``wrap`` says so."""
+    cone = _cone(data, kind, depth=1 if wrap else 2)
+    return ConeSpec(wrap, data.draw(st.integers(1, 3)), cone.dim, cone) if wrap else cone
 
 
-@pytest.mark.parametrize("kind", _ESOC_FREE)
-@settings(deadline=None, max_examples=30)
+@pytest.mark.parametrize("wrap", [None, cones.CYLINDER, cones.CYLINDER_DUAL])
+@pytest.mark.parametrize("kind", sorted(cones.KINDS))
+@settings(deadline=None, max_examples=20)
 @given(data=st.data())
-def test_moreau_pairs_are_structured_complementary(kind, data):
-    cone = _cone(data, kind)
-    assume(not _over_esoc(cone))
+def test_the_chain_holds_moreau_pairs_at_every_scale(kind, wrap, data):
+    cone = _wrapped_cone(data, kind, wrap)
+    scale = data.draw(_SCALES)
     rng = sampling.rng_from_seed(data.draw(st.integers(0, 99)))
-    Z, W = sampling.complementarity_pairs(cone, rng, 20)
-    t = _norm_block(cone)
+    Z, W = sampling.complementarity_pairs(cone, rng, 10)
+    Z, W = Z * scale, W * scale
     for z, w in zip(Z, W):
+        terms = cones.complementarity_terms(cone, z, w)
+        nz, nw = np.linalg.norm(z), np.linalg.norm(w)
+        assert abs(terms.sum() - z @ w) <= 1e-15 * nz * nw, (cone, z, w, terms)
+        # w = z - v carries the rounding of v, so a term is rounding-sized
+        # against (||z|| + ||w||)^2 >= ||v||^2, not always against ||z|| ||w||
+        assert np.abs(terms).max(initial=0.0) <= 1e-14 * (nz + nw) ** 2, (cone, z, w, terms)
         rep = mk.in_complementarity_set(cone, mk.CompPair(z, w))
-        # a norm block that vanishes in either point takes the direct test
-        vanishes = t and min(np.linalg.norm(z[-t:]), np.linalg.norm(w[-t:])) <= cones.DEFAULT_TOL
-        assert rep.member and rep.mode == ("direct" if vanishes else "structured"), (cone, rep)
-        primal, dual, product = cones.pair_residuals(cone, z, w)
-        assert min(primal, dual, -product) >= -cones.DEFAULT_TOL
+        assert "orthogonality" not in rep.failed, (cone, z, w, rep)
+        # above 1e3 the absolute membership tolerance refuses some members
+        assert rep.member or scale > 1e3, (cone, z, w, rep)
+        # the ratio does not depend on the scale of either point
+        apart = mk.in_complementarity_set(cone, mk.CompPair(z * 2.0**300, w * 2.0**-300))
+        assert apart.residuals["orthogonality"] == rep.residuals["orthogonality"]
     # a dual half taken from another point is not complementary
     for z, w in zip(Z, np.roll(W, 1, axis=0)):
-        if abs(z @ w) > 1e-6:
-            assert not mk.in_complementarity_set(cone, mk.CompPair(z, w)).member
+        if z @ w > 1e-6 * np.linalg.norm(z) * np.linalg.norm(w):
+            rep = mk.in_complementarity_set(cone, mk.CompPair(z, w))
+            assert "orthogonality" in rep.failed, (cone, z, w, rep)
 
 
-@pytest.mark.parametrize("cone", [mk.esoc(2, 2), mk.esoc_dual(3, 1), mk.esoc(1, 2),
-                                  mk.cylinder(1, mk.esoc(2, 2))], ids=str)
-def test_the_esoc_pair_stays_direct(cone, rng):
-    Z, W = sampling.complementarity_pairs(cone, rng, 50)
-    for z, w in zip(Z, W):
-        rep = mk.in_complementarity_set(cone, mk.CompPair(z, w))
-        assert rep.member and rep.mode == "direct"
+@pytest.mark.xfail(strict=True, reason="membership compares each slack with an absolute "
+                   "tolerance, so rounding at 1e6 refuses members (ROADMAP item 2)")
+def test_moreau_pairs_are_members_at_scale_1e6():
+    cone = mk.mesoc(3, 2)
+    Z, W = sampling.complementarity_pairs(cone, sampling.rng_from_seed(0), 20)
+    for z, w in zip(Z * 1e6, W * 1e6):
+        assert mk.in_complementarity_set(cone, mk.CompPair(z, w)).member
 
 
-def test_every_factor_reports_its_residuals():
-    # rays: face products; the Lorentz factor: tightness and antiparallel
+def test_every_factor_refuses_on_orthogonality():
+    # rays: r * s = 1 on the first drop, over ||z|| ||w|| = sqrt(2)
     rep = mk.in_complementarity_set(mk.monotone(3), mk.CompPair([1, 0, 0], [1, -1, 0]))
-    assert rep.mode == "structured" and rep.failed == ("face_products",)
-    assert rep.residuals["face_products"] == -1.0
+    assert rep.failed == ("orthogonality",)
+    assert rep.residuals["orthogonality"] == pytest.approx(-np.sqrt(0.5), rel=1e-15)
     # a free line against a zero: the zero holds within tol, r * s does not
     for cone, pair in [(mk.monotone(2), mk.CompPair([1e9, 1e9], [0, 5e-11])),
                        (mk.monotone_dual(2), mk.CompPair([0, 5e-11], [1e9, 1e9])),
-                       (mk.cylinder_dual(1, mk.nonneg_orthant(1)), mk.CompPair([5e-11, 1], [1e6, 0]))]:
+                       (mk.cylinder_dual(1, mk.nonneg_orthant(1)), mk.CompPair([5e-11, 0], [1e6, 0]))]:
         rep = mk.in_complementarity_set(cone, pair)
-        assert rep.mode == "structured" and rep.failed == ("face_products",), (cone, rep)
+        assert rep.failed == ("orthogonality",), (cone, rep)
+    # r * s is 5e-11 of ||z|| ||w|| once the zero's point has a unit entry
+    rep = mk.in_complementarity_set(mk.cylinder_dual(1, mk.nonneg_orthant(1)),
+                                    mk.CompPair([5e-11, 1], [1e6, 0]))
+    assert rep.member and rep.residuals["orthogonality"] == pytest.approx(-5e-11, rel=1e-12)
     pair = mk.CompPair([-3, 1, 0.6, 0.8], [0, 1, -0.6, -0.8])
     rep = mk.in_complementarity_set(mk.cylinder(1, mk.lorentz(3)), pair)
-    assert rep.member and rep.mode == "structured" and rep.scaling == pytest.approx(1.0)
-    assert list(rep.residuals) == ["primal_membership", "dual_membership", "face_products",
-                                   "primal_tightness", "dual_tightness", "antiparallel"]
-    # a vanishing norm block keeps the direct test
+    assert rep.member and list(rep.residuals) == ["primal_membership", "dual_membership",
+                                                  "orthogonality"]
+    # a vanishing norm block needs no other test
     rep = mk.in_complementarity_set(mk.lorentz(3), mk.CompPair([0, 0, 0], [1, 0, 0]))
-    assert rep.member and rep.mode == "direct"
+    assert rep.member and rep.residuals["orthogonality"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +202,7 @@ def test_every_factor_reports_its_residuals():
 @settings(deadline=None, max_examples=20)
 @given(data=st.data())
 def test_decompose_splits_a_member_into_factor_members(kind, wrap, data):
-    cone = _cone(data, kind, depth=1 if wrap else 2)
-    if wrap:
-        cone = ConeSpec(wrap, data.draw(st.integers(1, 3)), cone.dim, cone)
+    cone = _wrapped_cone(data, kind, wrap)
     parts = [part for part in cones.factors(cone)[3] if part[3] > part[1]]
     rng = sampling.rng_from_seed(data.draw(st.integers(0, 99)))
     for z in sampling.sample(cone, rng, 5):

@@ -29,10 +29,9 @@ RECORDS = [
     (cones.PartitionedVector, ([1.0, 2.0], 0.5), 2,
      "PartitionedVector(x=array([1., 2.]), u=array([0.5]))", None),
     (cones.CompPair, ([1.0, 2.0], (0.5,)), 2, "CompPair(primal=[1.0, 2.0], dual=(0.5,))", None),
-    (cones.ComplementarityReport, (True, "direct", {"orthogonality": -0.0}, ("a",), 2.0), 2,
-     "ComplementarityReport(member=True, mode='direct', residuals={'orthogonality': -0.0}, "
-     "failed=('a',), scaling=2.0)",
-     "ComplementarityReport(member=True, mode='direct', residuals={}, failed=(), scaling=None)"),
+    (cones.ComplementarityReport, (True, {"orthogonality": -0.0}, ("a",)), 1,
+     "ComplementarityReport(member=True, residuals={'orthogonality': -0.0}, failed=('a',))",
+     "ComplementarityReport(member=True, residuals={}, failed=())"),
     (cones.Decomposition, ((("ray", 0, 1, 1),), np.array([1.0, 2.0]), np.array([[1.0, 0.0]])), 3,
      "Decomposition(factors=(('ray', 0, 1, 1),), image=array([1., 2.]), "
      "summands=array([[1., 0.]]))", None),
