@@ -1,4 +1,5 @@
-"""Import cost of each ``mesoc-kit`` subcommand, and the cost of a cone record.
+"""Wall time of a ``mesoc-kit`` call, the import cost of each subcommand, and
+the cost of a cone record.
 
 Run from the repository root::
 
@@ -12,27 +13,33 @@ within each of ``RUNS`` rounds, so the directories share the machine's
 state.  A directory with a ``__pycache__`` would be timed from its cached
 bytecode, so the script names any it finds.
 
-1. Per subcommand, the median milliseconds of importing the modules it
+1. Per shipped ``problems/*.json``, the median wall milliseconds of a whole
+   ``python -B -m mesoc_kit <command> <file>`` call, from the start of the
+   child to its exit; then, as a reference, of ``python -B -c "import numpy,
+   argparse, json"``, the floor of every call.
+2. Per subcommand, the median milliseconds of importing the modules it
    loads (``SUBCOMMANDS``), with NumPy, ``argparse`` and ``json`` imported
    before the clock starts, as the CLI imports them; then, as a reference,
    ``numpy.random``, which the sampling subcommands load when they draw.
-2. The median ``-X importtime`` self time, in ms, of every ``mesoc_kit``
+3. The median ``-X importtime`` self time, in ms, of every ``mesoc_kit``
    module and of ``dataclasses`` when a child imports every module of the
    kit.
-3. The median over the rounds of the best of five ``timeit`` runs, in µs,
+4. The median over the rounds of the best of five ``timeit`` runs, in µs,
    of building ``ConeSpec("mesoc", 2, 2)``, of ``cones.mesoc(2, 2)``,
    ``cones.dual_of``, ``hash`` and ``==`` of two equal records.
 
-Each subcommand pays the first table's row on every call: with no
+Each subcommand pays the second table's row on every call: with no
 ``__pycache__`` (``PYTHONDONTWRITEBYTECODE=1``) every call compiles the
 modules it imports and builds their classes.
 """
 
+import json
 import os
 import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 RUNS = 15
@@ -77,6 +84,16 @@ def child(src: Path, code: str, *flags: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120, check=True)
 
 
+def call_ms(src: Path, args) -> float:
+    """Wall milliseconds of one fresh ``python -B *args`` on ``src``.  No
+    timeout: with one, ``subprocess`` polls for the exit in sleeps of up to
+    50 ms, and the figure would round up to that step."""
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-B", *args], cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(src)),
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return 1e3 * (time.perf_counter() - t0)
+
+
 def import_ms(src: Path, modules) -> float:
     imports = "\n".join(f"import {m}" for m in modules)
     return float(child(src, TIMED_IMPORT.format(imports=imports)).stdout)
@@ -102,12 +119,23 @@ def main() -> int:
             return 2
         if any((src / "mesoc_kit").rglob("__pycache__")):
             print(f"note: {src}/mesoc_kit has a __pycache__; its figures are of cached bytecode")
+    calls = {}
+    for path in sorted((ROOT / "problems").glob("*.json")):
+        command = json.loads(path.read_text(encoding="utf-8"))["command"]
+        calls[path.name] = ("-m", "mesoc_kit", *command.split("."), str(path.relative_to(ROOT)))
+    calls["numpy, argparse, json (reference)"] = ("-c", "import numpy, argparse, json")
+    walls = {(name, src): [] for name in calls for src in sources}
     rows = {**{name: tuple(f"mesoc_kit.{m}" for m in mods) for name, mods in SUBCOMMANDS.items()},
             "numpy.random (reference)": ("numpy.random",)}
     imports = {(row, src): [] for row in rows for src in sources}
     selfs = {src: [] for src in sources}
     ops = {src: [] for src in sources}
-    for _ in range(RUNS):
+    for k in range(RUNS):
+        # call by call, first source first in even rounds and last in odd
+        # ones, so the two sides of a row meet the same load on the machine
+        for name, args in calls.items():
+            for src in sources[::-1] if k % 2 else sources:
+                walls[name, src].append(call_ms(src, args))
         for src in sources:
             for row, modules in rows.items():
                 imports[row, src].append(import_ms(src, modules))
@@ -116,6 +144,10 @@ def main() -> int:
     heads = " ".join(f"{f'src {i + 1}':>9}" for i in range(len(sources)))
     for i, src in enumerate(sources):
         print(f"src {i + 1}: {src}")
+    print(f"\nwhole call ms, median of {RUNS} fresh python -B -m mesoc_kit calls")
+    print(f"{'problem file':>42} {heads}")
+    for name in calls:
+        print(f"{name:>42} " + " ".join(f"{statistics.median(walls[name, s]):>9.1f}" for s in sources))
     print(f"\nimport ms, median of {RUNS} fresh interpreters, NumPy preloaded")
     print(f"{'subcommand':>42} {heads}")
     for row in rows:

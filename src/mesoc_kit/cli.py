@@ -10,14 +10,16 @@ canonical JSON (sorted keys, two-space indent, trailing newline) or as flat
 ``key: value`` text; given the same file and flags the bytes are identical
 run to run.
 
-Exit codes: 0 success, 2 malformed problem file or flag, 3 dimension
-mismatch or unsupported cone, 4 iteration did not converge, 5 a checked
-property failed to hold.  Reports echo the command, the settings that
-influenced the run, and the exit status.
+Exit codes: 0 success, 2 malformed problem file or flag or a report that
+cannot be written, 3 dimension mismatch or unsupported cone, 4 iteration did
+not converge, 5 a checked property failed to hold.  Reports echo the
+command, the settings that influenced the run, and the exit status.
 
 ``_COMMANDS`` declares each subcommand with the flags it reads; it takes no
 other.  ``main`` loads the problem file, calls the subcommand's handler and
-writes the report the handler returns.
+writes the report the handler returns.  ``run``, the entry point of
+``python -m mesoc_kit`` and of the ``mesoc-kit`` script, calls ``main`` and
+ends the process once the report is flushed.
 
 At the top this module imports only the standard library, NumPy, ``cones``
 and ``errors``.  Each subcommand imports the rest of what it runs when it
@@ -37,10 +39,12 @@ paragraph has the cost of a call.
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import math
+import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
@@ -53,6 +57,7 @@ from .cones import (
     KINDS,
     CompPair,
     ConeSpec,
+    _exponent,
     check_tol,
     contains,
     decompose,
@@ -249,11 +254,17 @@ def emit(report: dict, output: str, command: str, code: int, settings: dict) -> 
     report = dict(report, command=command, exit_status=code, settings=settings)
     report = _jsonable(report)
     if output == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         lines: list[str] = []
         _flatten("", report, lines)
-        sys.stdout.write("\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+    if sys.stdout is None:  # the process started with stdout closed
+        raise SchemaError("cannot write the report: stdout is closed")
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:  # the reader of stdout is gone
+        raise SchemaError(f"cannot write the report: {exc}") from exc
     return code
 
 
@@ -492,7 +503,7 @@ def cmd_check_decompose(cone: ConeSpec, payload: dict, args) -> tuple[dict, int,
     if not gap < math.inf:  # an overflowed split of the finite point: the
         # split is homogeneous, so 2^-k z, scaled as projections._rescaled
         # scales, over 2^-k + max|2^-k z| gives the same ratio
-        k = math.frexp(float(np.abs(point).max()))[1]
+        k = _exponent(point)
         small = np.ldexp(point, -k)
         gap = _reconstruction_gap(decompose(cone, small, args.tol), small, math.ldexp(1.0, -k))
     ok = gap <= args.tol
@@ -631,5 +642,35 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
 
 
+def run() -> NoReturn:
+    """Run :func:`main` on ``sys.argv`` and end the process with its code.
+
+    The report is flushed and the exit handlers run (coverage, profilers,
+    user hooks); then ``os._exit`` ends the process, skipping the final
+    garbage collection and the teardown of NumPy and the kit, which free
+    nothing the process outlives (the README's "Start-up" paragraph has
+    their cost).  The kit starts no thread and closes the ``--trace`` file
+    before ``main`` returns.  A usage error, ``--help`` and ``--version``
+    exit through argparse's ``SystemExit``, and an uncaught exception exits
+    as usual.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:  # the reader of stdout is gone
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        code = EXIT_SCHEMA
+    atexit._run_exitfuncs()
+    # a handler may have written too; a stdout that failed above fails again
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:
+                pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

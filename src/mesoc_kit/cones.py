@@ -608,12 +608,17 @@ def pair_residuals(cone: ConeSpec, z, w) -> tuple[float, float, float]:
     return (*_least_slacks(cone, z, w), float(_largest_term(cone, z, w)))
 
 
+def _exponent(z) -> int:
+    """The k with max |z_i| in [2^(k-1), 2^k), so that 2^-k z, taken exactly
+    by ``np.ldexp(z, -k)``, lies in (-1, 1); 0 when z is 0 or not finite."""
+    return math.frexp(float(np.abs(z).max(initial=0.0)))[1]
+
+
 def _unit(z):
     """``z`` over the power of two just above max |z_i| (exact), so its
-    squares and products neither overflow nor underflow; ``z`` itself when it
-    is 0 or not finite."""
-    top = float(np.abs(z).max(initial=0.0))
-    return np.ldexp(z, -math.frexp(top)[1]) if 0.0 < top < math.inf else z
+    squares and products neither overflow nor underflow; ``z``'s values when
+    it is 0 or not finite."""
+    return np.ldexp(z, -_exponent(z))
 
 
 @record

@@ -85,7 +85,7 @@ class ProjectionResult:
                 r = source - self._point
                 d = math.sqrt(r @ r)
                 if d == math.inf and np.isfinite(source).all() and np.isfinite(self._point).all():
-                    k = math.frexp(float(np.abs(source).max()))[1]  # as _rescaled scales
+                    k = cones._exponent(source)  # as _rescaled scales
                     r = np.ldexp(source, -k) - np.ldexp(self._point, -k)
                     d = float(np.ldexp(math.sqrt(r @ r), k))  # inf past the float range
             self._distance = d
@@ -116,7 +116,7 @@ class ProjectionResult:
 
 def _rescaled(leaf, v: np.ndarray):
     """``2^k leaf(2^-k v)`` for the finite ``v``, with 2^-k v in (-1, 1)."""
-    k = math.frexp(float(np.abs(v).max()))[1]
+    k = cones._exponent(v)
     point, lengths = leaf(np.ldexp(v, -k))
     return np.ldexp(point, k), lengths
 
@@ -392,7 +392,7 @@ def moreau_residuals(cone: ConeSpec, v, y) -> dict[str, float]:
     v = cones._as_vector(v, cone.dim)
     res, overflowed = _moreau(cone, v, y, 1.0)
     if overflowed and np.isfinite(v).all() and np.isfinite(y).all():
-        k = math.frexp(float(np.abs(v).max()))[1]
+        k = cones._exponent(v)
         res, _ = _moreau(cone, np.ldexp(v, -k), np.ldexp(y, -k), math.ldexp(1.0, -k))
     return res
 

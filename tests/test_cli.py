@@ -1291,12 +1291,101 @@ def test_version_flag(capsys):
     assert "mesoc-kit" in capsys.readouterr().out
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "mesoc_kit", "contains", str(PROBLEMS / "contains_mesoc.json")],
-        capture_output=True,
-        text=True,
+# ---------------------------------------------------------------------------
+# the process entry point: cli.run ends the process with os._exit once the
+# report is flushed and the exit handlers have run
+
+
+def _module_call(*argv, code=None, env=None, **kwargs):
+    """``python -m mesoc_kit *argv`` (or ``python -c code``) on this tree's
+    sources, with stdout and stderr captured unless given."""
+    src = str(Path(mk.__file__).resolve().parent.parent)
+    args = ["-c", code] if code is not None else ["-m", "mesoc_kit", *argv]
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, *args],
+        stderr=subprocess.PIPE,
         timeout=120,
+        env=dict(env if env is not None else os.environ, PYTHONPATH=src),
+        **kwargs,
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["contains"] is True
+
+
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda path: path.stem)
+def test_module_entry_point(path):
+    command = json.loads(path.read_text())["command"]
+    proc = _module_call(*command.split("."), str(path))
+    golden = (GOLDEN / f"{path.stem}.json.out").read_bytes()
+    assert proc.stdout == golden
+    assert proc.returncode == json.loads(golden)["exit_status"]
+    assert proc.stderr == b""
+
+
+def test_module_entry_point_schema_error(tmp_path):
+    path = write_problem(tmp_path, {"version": 2, "command": "contains", "cone": {}, "payload": {}})
+    proc = _module_call("contains", path)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == b"error: unsupported problem version 2\n"
+
+
+def test_module_entry_point_writes_the_whole_trace(tmp_path):
+    trace = tmp_path / "trace.csv"
+    proc = _module_call("solve", str(PROBLEMS / "solve_cylinder.json"), "--trace", str(trace))
+    assert proc.returncode == 0 and proc.stderr == b""
+    rows = trace.read_text().splitlines()
+    assert len(rows) == 36 == json.loads(proc.stdout)["iterations"] + 2
+    assert rows[-1].endswith(",1")  # the last row is written in full
+
+
+def test_module_entry_point_runs_the_exit_handlers():
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'handler ran')\n"
+        f"sys.argv = ['mesoc-kit', 'contains', {str(PROBLEMS / 'contains_mesoc.json')!r}]\n"
+        "runpy.run_module('mesoc_kit', run_name='__main__')\n"
+        "print('not reached')\n"
+    )
+    proc = _module_call(code=code)
+    golden = (GOLDEN / "contains_mesoc.json.out").read_bytes()
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == golden + b"handler ran\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code,stream,start",
+    [
+        (["--version"], 0, "stdout", b"mesoc-kit 0.1.0"),
+        (["nope"], 2, "stderr", b"usage: mesoc-kit"),
+    ],
+)
+def test_module_entry_point_argparse_exits(argv, code, stream, start):
+    proc = _module_call(*argv)
+    assert proc.returncode == code
+    assert getattr(proc, stream).startswith(start)
+
+
+def test_closed_stdout_exits_2():
+    # as `python -m mesoc_kit contains FILE >&-`
+    proc = _module_call(
+        "contains", str(PROBLEMS / "contains_mesoc.json"), stdout=None, preexec_fn=lambda: os.close(1)
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write the report: stdout is closed\n"
+
+
+# unbuffered, the write in emit fails; buffered, the flush in run does
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["write", "flush"])
+@pytest.mark.parametrize("name", ["contains_mesoc", "solve_cylinder"])
+def test_stdout_without_a_reader_exits_2(name, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    path = PROBLEMS / f"{name}.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _module_call(json.loads(path.read_text())["command"], str(path), env=env, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write the report: [Errno 32] Broken pipe\n"
