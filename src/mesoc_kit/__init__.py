@@ -36,7 +36,6 @@ _PUBLIC = {
     ),
     "order": (
         "IsotonicityReport", "OrderedPairSample", "check_isotone", "cone_leq",
-        "hyperplane_isotone_test",
     ),
     "projections": ("ProjectionResult", "project", "project_batch", "project_oracle"),
     "sampling": ("complementarity_pairs", "rng_from_seed", "sample", "sample_ordered_pairs"),

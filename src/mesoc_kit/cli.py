@@ -57,6 +57,7 @@ from .cones import (
     KINDS,
     CompPair,
     ConeSpec,
+    _as_vector,
     _exponent,
     check_tol,
     contains,
@@ -405,42 +406,35 @@ def cmd_check_isotone(cone: ConeSpec, payload: dict, args) -> tuple[dict, int, d
 
     settings = {"samples": args.samples, "seed": args.seed, "tol": args.tol}
     if "normal" in payload:
+        from . import micp_solver
+
         if "map" in payload or "pairs" in payload:
             raise SchemaError("payload holds a 'normal' and a 'map' or 'pairs': give one test")
-        try:
-            report = order.hyperplane_isotone_test(
-                cone, _payload_vector(payload, "normal"), args.samples, args.seed, args.tol
-            )
-        except MesocKitError:
-            raise
-        except ValueError as exc:  # the normal is not a unit vector
-            raise SchemaError(f"payload key 'normal': {exc}") from exc
-        out = {
-            "mode": "hyperplane",
-            "held": report.held,
-            "checked": report.checked,
-            "min_margin": report.min_margin,
-        }
-        if report.witness is not None:
-            out["witness"] = {"x": report.witness.lo, "y": report.witness.hi}
-        return out, EXIT_OK if report.held else EXIT_CHECK_FAILED, settings
-    map_ = map_from_json(payload.get("map"))
-    pairs = payload.get("pairs", [])
-    if not isinstance(pairs, list):
-        raise SchemaError("payload key 'pairs' must be a list")
-    extra = []
-    for entry in pairs:
-        if not isinstance(entry, dict) or "lo" not in entry or "hi" not in entry:
-            raise SchemaError("each extra pair needs 'lo' and 'hi' lists")
-        extra.append(order.OrderedPairSample(
-            np.asarray(_finite(entry["lo"], "pair 'lo'"), dtype=float),
-            np.asarray(_finite(entry["hi"], "pair 'hi'"), dtype=float),
-        ))
+        a = _as_vector(_payload_vector(payload, "normal"), cone.dim)
+        # outside input, so held to 1e-8 absolutely (an overflowed norm is inf)
+        if abs(np.linalg.norm(a) - 1.0) > 1e-8:
+            raise SchemaError("payload key 'normal': normal must be a unit vector")
+        # the projection onto a-perp is the update z - <a, z> a of F(z) = a a^T z
+        mode, extra = "hyperplane", ()
+        map_ = micp_solver.AffineMap(cone.dim, 0, np.outer(a, a), np.zeros(cone.dim))
+    else:
+        mode, map_ = "map", map_from_json(payload.get("map"))
+        pairs = payload.get("pairs", [])
+        if not isinstance(pairs, list):
+            raise SchemaError("payload key 'pairs' must be a list")
+        extra = []
+        for entry in pairs:
+            if not isinstance(entry, dict) or "lo" not in entry or "hi" not in entry:
+                raise SchemaError("each extra pair needs 'lo' and 'hi' lists")
+            extra.append(order.OrderedPairSample(
+                np.asarray(_finite(entry["lo"], "pair 'lo'"), dtype=float),
+                np.asarray(_finite(entry["hi"], "pair 'hi'"), dtype=float),
+            ))
     report = order.check_isotone(
         map_, cone, args.samples, args.seed, args.tol, extra_pairs=tuple(extra)
     )
     out = {
-        "mode": "map",
+        "mode": mode,
         "held": report.ok,
         "checked": report.checked,
         "violations": len(report.violations),

@@ -34,7 +34,7 @@ from .cones import (
     mesoc,
     row_norms,
 )
-from .errors import OracleError
+from .errors import DimensionError, OracleError
 
 
 @record
@@ -141,10 +141,14 @@ def is_lyapunov_like(
 
     Residuals are normalized per pair by (1 + |z|)(1 + |w|); the worst pair
     is returned as a witness when the check fails.  With no pair to check
-    (``n_pairs`` below 1, or an empty ``pairs``) it raises ``ValueError``.
+    (``n_pairs`` below 1, or an empty ``pairs``) it raises ``ValueError``,
+    and with a matrix that is not dim x dim ``DimensionError``, before it
+    samples.
     """
     check_tol(tol)
     T = matrix.entries if isinstance(matrix, LyapMatrix) else np.asarray(matrix, dtype=float)
+    if T.shape != (cone.dim, cone.dim):
+        raise DimensionError(f"matrix must be {cone.dim} x {cone.dim}, got shape {T.shape}")
     Z, W = _pairs(cone, sampling.rng_from_seed(seed), n_pairs, pairs)
     vals = np.abs(np.einsum("ij,jk,ik->i", W, T, Z))
     scale = (1.0 + row_norms(Z)) * (1.0 + row_norms(W))

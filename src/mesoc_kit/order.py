@@ -26,7 +26,7 @@ import numpy as np
 from . import cones, sampling
 from ._record import record
 from .cones import (
-    DEFAULT_TOL, ConeSpec, _as_vector, _slacks_batch, check_tol, contains, dual_of, least_slack,
+    DEFAULT_TOL, ConeSpec, _as_vector, _slacks_batch, check_tol, contains, least_slack,
 )
 from .errors import DimensionError
 
@@ -67,8 +67,8 @@ def _evaluate(map_, Z: np.ndarray) -> np.ndarray:
     """Evaluate a candidate-isotone map on the rows of Z.
 
     Structured maps are checked through their unprojected fixed-point update
-    z - F(z); plain callables are applied as-is, one row at a time unless
-    they broadcast.
+    z - F(z), on all rows of Z in one call; plain callables are called on
+    each row in turn, whether or not they broadcast.
     """
     update = getattr(map_, "update_batch", None)
     if update is not None:
@@ -136,48 +136,3 @@ def check_isotone(
                     )
                 )
     return IsotonicityReport(cone=cone, checked=len(lo), violations=tuple(violations))
-
-
-@record
-class HyperplaneReport:
-    """Outcome of the supporting-inequality test for a unit normal ``a``:
-    <x, y> >= <a, x> * <a, y> over sampled x in K, y in K*."""
-
-    held: bool
-    checked: int
-    min_margin: float
-    witness: OrderedPairSample | None
-
-
-def hyperplane_isotone_test(
-    cone: ConeSpec,
-    normal,
-    n_samples: int,
-    seed: int,
-    tol: float = DEFAULT_TOL,
-) -> HyperplaneReport:
-    """Sampled test of the inequality characterizing order-preserving
-    reflection hyperplanes: for every x in the cone and y in its dual,
-    <x, y> >= <a, x> <a, y> must hold for the unit normal ``a``.
-    """
-    check_tol(tol)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    a = _as_vector(normal, cone.dim)
-    na = np.linalg.norm(a)
-    # held to 1e-8 absolutely; written so that a NaN norm is refused too
-    if not abs(na - 1.0) <= 1e-8:
-        raise ValueError("normal must be a unit vector")
-    rng = sampling.rng_from_seed(seed)
-    X = sampling.sample(cone, rng, n_samples)
-    Y = sampling.sample(dual_of(cone), rng, n_samples)
-    margins = np.einsum("ij,ij->i", X, Y) - (X @ a) * (Y @ a)
-    worst = int(np.argmin(margins))
-    held = bool(margins[worst] >= -tol)
-    witness = None if held else OrderedPairSample(X[worst], Y[worst])
-    return HyperplaneReport(
-        held=held,
-        checked=n_samples,
-        min_margin=float(margins[worst]),
-        witness=witness,
-    )

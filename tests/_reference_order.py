@@ -9,7 +9,7 @@ report the same pairs with the same bytes.
 import numpy as np
 
 from mesoc_kit import sampling
-from mesoc_kit.cones import _as_vector, _slacks_batch, least_slack
+from mesoc_kit.cones import _as_vector, _slacks_batch, dual_of, least_slack
 from mesoc_kit.order import IsotonicityViolation, OrderedPairSample, _evaluate
 
 
@@ -34,3 +34,13 @@ def check_isotone(map_, cone, n_samples, seed, tol=1e-10, extra_pairs=(), scale=
             )
         )
     return len(lo), violations
+
+
+def hyperplane_margins(cone, normal, n_samples, seed):
+    """<x, y> - <a, x><a, y> over sampled x in K and y in K*: the sampled
+    hyperplane test that ``check_isotone`` on z - <a, z>a replaced."""
+    rng = sampling.rng_from_seed(seed)
+    X = sampling.sample(cone, rng, n_samples)
+    Y = sampling.sample(dual_of(cone), rng, n_samples)
+    a = np.asarray(normal, dtype=float)
+    return np.einsum("ij,ij->i", X, Y) - (X @ a) * (Y @ a)

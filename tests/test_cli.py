@@ -422,13 +422,29 @@ def test_hyperplane_mode(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check", "isotone", write_problem(tmp_path, doc))
     assert code == 0
     report = json.loads(out)
+    # the map mode's report: the map test runs on z - <a, z> a
     assert report["mode"] == "hyperplane" and report["held"] is True
+    assert report["checked"] == 200 and report["violations"] == 0 and "witness" not in report
 
     doc["payload"]["normal"] = [1.0, 0.0, 0.0, 0.0]
     code, out, _ = run_cli(capsys, "check", "isotone", write_problem(tmp_path, doc))
     assert code == 5
     report = json.loads(out)
-    assert report["held"] is False and "witness" in report
+    assert report["mode"] == "hyperplane" and report["held"] is False
+    assert report["violations"] > 0 and "min_margin" not in report
+    witness = report["witness"]
+    assert set(witness) == {"lo", "hi", "image_diff", "failed_inequality", "margin"}
+    assert witness["margin"] < 0 and not mk.contains(mk.mesoc(2, 2), witness["image_diff"])
+
+
+def test_hyperplane_normal_is_held_to_1e8(capsys, tmp_path):
+    # np.isclose kept its default rtol=1e-5, so a length of 1 + 9e-6 passed
+    doc = {"version": 1, "command": "check.isotone", "cone": {"kind": "mesoc", "p": 2, "q": 2}}
+    for length, expect in ((1.0 + 9e-6, 2), (1.0 + 2e-8, 2), (1.0 + 5e-9, 0)):
+        doc["payload"] = {"normal": [0.0, 0.0, length, 0.0]}
+        code, out, err = run_cli(capsys, "check", "isotone", write_problem(tmp_path, doc))
+        assert code == expect, (length, err)
+        assert (out == "" and "unit vector" in err) if code else json.loads(out)["held"]
 
 
 def _edited(name, path=(), value=None):

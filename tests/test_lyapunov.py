@@ -129,6 +129,22 @@ def test_an_empty_sample_is_refused():
             mk.is_lyapunov_like(np.eye(2), cone, pairs=pairs)
 
 
+@pytest.mark.parametrize("matrix", [np.eye(3), np.eye(4), [1.0, 0.0], np.zeros((2, 2, 2)),
+                                    mk.LyapMatrix(np.eye(3))],
+                         ids=["3x3", "4x4", "list", "2x2x2", "LyapMatrix 3x3"])
+def test_a_matrix_of_another_shape_is_refused_before_sampling(monkeypatch, matrix):
+    # these drew their pairs and then ended in NumPy's einsum ValueError
+    def no_draw(*args, **kwargs):
+        raise AssertionError("pairs drawn for a matrix of the wrong shape")
+
+    monkeypatch.setattr(sampling, "complementarity_pairs", no_draw)
+    cone = mk.nonneg_orthant(2)
+    with pytest.raises(mk.DimensionError, match="2 x 2"):
+        mk.is_lyapunov_like(matrix, cone)
+    with pytest.raises(mk.DimensionError, match="2 x 2"):
+        mk.is_lyapunov_like(matrix, cone, pairs=[([1.0, 0.0], [0.0, 1.0])])
+
+
 def test_lyap_matrix_container():
     b = mk.lyap_basis_mesoc(2, 2)[0]
     assert b.dim == 4 and b.params == {"diag": 1.0}

@@ -1,4 +1,4 @@
-"""Cone orders, sampled isotonicity falsification, hyperplane inequality."""
+"""Cone orders, sampled isotonicity falsification, the hyperplane projection."""
 
 import math
 import tracemalloc
@@ -140,34 +140,55 @@ def test_check_isotone_is_silent_at_the_float_limit(cone):
     assert report.checked == 2
 
 
-def test_hyperplane_test_refuses_no_samples():
-    for n in (0, -1):
-        with pytest.raises(ValueError, match="n_samples"):
-            mk.hyperplane_isotone_test(mk.mesoc(2, 2), [0.0, 0.0, 1.0, 0.0], n, seed=0)
+def _hyperplane_map(normal):
+    """F(z) = a a^T z, whose update z - <a, z> a projects onto a-perp."""
+    a = np.asarray(normal, dtype=float)
+    return mk.AffineMap(a.size, 0, np.outer(a, a), np.zeros(a.size))
 
 
 def test_hyperplane_inequality():
     L = mk.mesoc(2, 2)
-    # reflection normal along the first tail coordinate: inequality holds
-    held = mk.hyperplane_isotone_test(L, [0.0, 0.0, 1.0, 0.0], 2000, seed=21)
-    assert held.held and held.min_margin >= 0 and held.witness is None
-    # normal along x_1: fails, and the reported witness violates it
-    failed = mk.hyperplane_isotone_test(L, [1.0, 0.0, 0.0, 0.0], 2000, seed=22)
-    assert not failed.held
-    x, y = failed.witness.lo, failed.witness.hi
-    a = np.array([1.0, 0.0, 0.0, 0.0])
-    assert float(x @ y) < float(a @ x) * float(a @ y)
-    with pytest.raises(ValueError):
-        mk.hyperplane_isotone_test(L, [1.0, 1.0, 0.0, 0.0], 10, seed=0)
+    # reflection normal along the first tail coordinate: the projection is isotone
+    held = mk.check_isotone(_hyperplane_map([0.0, 0.0, 1.0, 0.0]), L, 2000, seed=21)
+    assert held.ok and held.checked == 2000
+    # normal along x_1: fails, and the witness's image difference leaves K
+    failed = mk.check_isotone(_hyperplane_map([1.0, 0.0, 0.0, 0.0]), L, 2000, seed=22)
+    assert not failed.ok
+    for v in failed.violations:
+        assert mk.cone_leq(L, v.pair.lo, v.pair.hi)
+        assert not mk.contains(L, v.image_diff) and v.margin < 0
+        z = v.pair.hi - v.pair.lo
+        assert_allclose(v.image_diff, z - z[0] * np.array([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
 
 
-def test_hyperplane_normal_is_held_to_1e8():
-    # np.isclose kept its default rtol=1e-5, so a length of 1 + 9e-6 passed
-    L = mk.mesoc(2, 2)
-    for length in (1.0 + 9e-6, 1.0 + 2e-8, np.nan):
-        with pytest.raises(ValueError, match="unit vector"):
-            mk.hyperplane_isotone_test(L, [0.0, 0.0, length, 0.0], 50, seed=0)
-    assert mk.hyperplane_isotone_test(L, [0.0, 0.0, 1.0 + 5e-9, 0.0], 50, seed=0).held
+def _each_kind(d):
+    """A cone of every kind of dimension ``d``: p = 2 where the kind takes
+    a q, and the cylinders over ``lorentz(d - 2)``."""
+    out = []
+    for kind in sorted(mk.cones.KINDS):
+        if kind in (mk.cones.CYLINDER, mk.cones.CYLINDER_DUAL):
+            out.append(mk.ConeSpec(kind, 2, d - 2, mk.lorentz(d - 2)))
+        elif kind in mk.cones.PARTITIONED_KINDS:
+            out.append(mk.ConeSpec(kind, 2, d - 2))
+        else:
+            out.append(mk.ConeSpec(kind, d))
+    return out
+
+
+def test_map_test_catches_every_hyperplane_violation_of_the_inequality():
+    # <x, y> >= <a, x><a, y> over x in K, y in K* holds exactly when z - <a, z> a
+    # maps K into K (K** = K); on the same sample sizes the map test is the
+    # stronger of the two: it misses no normal the inequality catches
+    counts = {"agree": 0, "map_only": 0, "reference_only": 0}
+    for d in (4, 5):
+        for cone in _each_kind(d):
+            g = np.random.default_rng(0).normal(size=(20, d))
+            for a in np.vstack([np.eye(d), g / np.linalg.norm(g, axis=1, keepdims=True)]):
+                held = mk.check_isotone(_hyperplane_map(a), cone, 200, seed=0).ok
+                ref = bool(reference.hyperplane_margins(cone, a, 200, seed=0).min() >= -1e-10)
+                key = "agree" if held == ref else "map_only" if ref else "reference_only"
+                counts[key] += 1
+    assert counts["reference_only"] == 0 and counts["map_only"] > 0, counts
 
 
 def test_check_isotone_refuses_a_scale_that_is_not_finite_and_positive():
