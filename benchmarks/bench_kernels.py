@@ -141,33 +141,6 @@ separate timing did not show (2.1 against 2.0); no map of the benchmark
 has one field.  At 200000 rows these timings include the page faults of
 fresh arrays, which is why they move between runs.
 
-The short-block table times ``row_norms`` on u blocks of one and two
-columns and 1 to 4096 rows, as one ``einsum`` call and down the columns,
-in µs per call (each the median of seven interleaved rounds of 2000 calls).
-It prints the fewest rows from which the column form wins or ties (within
-5%) on every longer block of two columns; that sets
-``cones.NARROW_MIN_ROWS``.  Medians of three runs, ``einsum`` then column:
-
-    rows     width 1       width 2
-       1    3.9  3.9      4.7  7.0
-       2    3.4  2.6      5.3  7.3
-       8    3.7  2.4      3.1  4.1
-      32    3.4  2.8      5.3  6.8
-     128    3.3  2.5      5.7  6.3
-     256    6.1  4.7      7.3  7.1
-     320    4.0  3.0      6.3  6.0
-     384    4.4  3.5      8.3  7.4
-     512    5.6  4.8      9.9  8.9
-    1024    6.2  4.8     11.6  7.9
-    4096   16.7 11.2     35.7 16.4
-
-One column is one square, no dearer than ``einsum`` at any length.  Two
-columns add a slice and a second call; below 256 rows that costs more than
-the one ``einsum`` call, from 256 rows on it ties or wins (each of the
-three runs put the crossing at 256 rows, an earlier one at 384), so the
-constant is 256.  The solver's order certificates take the norms of a
-solve's steps, tens of rows for the worked example, in one ``einsum`` call.
-
 Block sizes, medians over six runs of the script
 (each the median of five interleaved rounds per size), in ms:
 
@@ -315,8 +288,6 @@ SAMPLER_ROWS = 200_000
 NARROW_ROWS = 200_000
 NARROW_WIDTHS = (1, 2, 3, 4, 8)
 NARROW_TIE = 1.05  # a column form this much slower ties: the run-to-run spread
-SHORT_ROWS = (1, 2, 8, 32, 128, 256, 320, 384, 512, 1024, 4096)
-SHORT_CALLS = 2000
 ISOTONE_PAIRS = 200_000
 KIND_ROWS = 200_000
 KIND_CONES = [
@@ -497,53 +468,6 @@ def with_narrow_max(width: int, fn, *args):
         return fn(*args)
     finally:
         cones.NARROW_MAX = saved
-
-
-def with_narrow_min_rows(rows: int, fn, *args):
-    """``fn(*args)`` with ``row_norms`` working blocks of two to
-    ``cones.NARROW_MAX`` columns down their columns from ``rows`` rows."""
-    saved = cones.NARROW_MIN_ROWS
-    cones.NARROW_MIN_ROWS = rows
-    try:
-        return fn(*args)
-    finally:
-        cones.NARROW_MIN_ROWS = saved
-
-
-def short_blocks(rounds: int = 7) -> int:
-    """Microseconds per ``row_norms`` call on blocks of one and two columns
-    and ``SHORT_ROWS`` rows, as one ``einsum`` call (``cones.NARROW_MAX``
-    set to 0) and down the columns (``cones.NARROW_MIN_ROWS`` set to 0),
-    each the median of ``rounds`` interleaved rounds of ``SHORT_CALLS``
-    calls; returns the fewest rows from which the column form wins or ties
-    (within ``NARROW_TIE``) on every longer block of two columns, the value
-    for ``cones.NARROW_MIN_ROWS``."""
-    rng = np.random.default_rng(SEED)
-    forms = {"einsum": lambda A: with_narrow_max(0, cones.row_norms, A),
-             "column": lambda A: with_narrow_min_rows(0, cones.row_norms, A)}
-
-    def per_call(fn, A):
-        t0 = time.perf_counter()
-        for _ in range(SHORT_CALLS):
-            fn(A)
-        return (time.perf_counter() - t0) / SHORT_CALLS
-
-    print(f"{'short blocks':>22} {'rows':>5} {'einsum us':>9} {'column us':>10} {'ratio':>6}")
-    floor = None
-    for w in (1, 2):
-        for m in SHORT_ROWS:
-            A = rng.standard_normal((m, 2 * w))[:, w:]  # a u block, as the cones pass it
-            seconds = {form: [] for form in forms}
-            for _ in range(rounds):
-                for form, fn in forms.items():
-                    seconds[form].append(per_call(fn, A))
-            ein_us, col_us = (1e6 * statistics.median(seconds[form]) for form in forms)
-            print(f"{f'width {w}':>22} {m:>5} {ein_us:>9.2f} {col_us:>10.2f} {col_us / ein_us:>6.2f}")
-            if w == 2:
-                floor = None if col_us > NARROW_TIE * ein_us else (floor or m)
-    print(f"at two columns the column form wins or ties from {floor} rows; "
-          f"cones.NARROW_MIN_ROWS = {cones.NARROW_MIN_ROWS}")
-    return floor
 
 
 def descent_2d(rows: np.ndarray) -> np.ndarray:
@@ -807,7 +731,6 @@ def main() -> int:
     measure_twins(*TWINS)
     samplers_same = measure_samplers() and measure_isotone()
     narrow_blocks()
-    short_blocks()
     block_sizes()
     one_row_agrees = one_row()
     kinds_same = per_kind()

@@ -86,13 +86,19 @@ EXIT_CHECK_FAILED = 5
 
 # the most entries of lyap-rank's first constraint matrix (8 MB of floats)
 MAX_CONSTRAINT_ENTRIES = 10**6
+# the most entries of check isotone's sampled lo and hi (80 MB of floats each)
+MAX_SAMPLE_ENTRIES = 10**7
+# the most cylinders nested in one cone; the kit recurses once or twice per
+# cylinder, and Python stops at a depth of 1000
+MAX_CONE_DEPTH = 100
 
 
 # --------------------------------------------------------------------------
 # problem file handling
 
 
-def cone_from_json(obj) -> ConeSpec:
+def cone_from_json(obj, depth: int = 0) -> ConeSpec:
+    """The cone ``obj`` describes, with ``depth`` cylinders around it."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("cone must be an object with a 'kind' key")
     kind = obj["kind"]
@@ -102,7 +108,9 @@ def cone_from_json(obj) -> ConeSpec:
     if kind in (CYLINDER, CYLINDER_DUAL):
         if "inner" not in obj:
             raise SchemaError("cylinder cones need an 'inner' cone")
-        inner = cone_from_json(obj["inner"])
+        if depth == MAX_CONE_DEPTH:
+            raise SchemaError(f"a cone may nest at most {MAX_CONE_DEPTH} cylinders")
+        inner = cone_from_json(obj["inner"], depth + 1)
     try:
         return ConeSpec(
             kind,
@@ -166,6 +174,8 @@ def load_problem(path: str, command: str) -> tuple[ConeSpec, dict]:
         raise SchemaError(f"cannot read problem file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"problem file is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("problem file nests too deep to read") from None
     if not isinstance(doc, dict):
         raise SchemaError("problem file must hold a JSON object")
     for key in ("version", "command", "cone", "payload"):
@@ -405,6 +415,12 @@ def cmd_check_isotone(cone: ConeSpec, payload: dict, args) -> tuple[dict, int, d
     from . import order
 
     settings = {"samples": args.samples, "seed": args.seed, "tol": args.tol}
+    # lo and hi each hold --samples x dim floats
+    most = MAX_SAMPLE_ENTRIES // cone.dim
+    if args.samples > most:
+        raise SchemaError(
+            f"--samples must be at most {MAX_SAMPLE_ENTRIES} / dim = {most}, got {args.samples}"
+        )
     if "normal" in payload:
         from . import micp_solver
 
@@ -511,15 +527,6 @@ def cmd_check_decompose(cone: ConeSpec, payload: dict, args) -> tuple[dict, int,
     return report, EXIT_OK if ok else EXIT_CHECK_FAILED, {"tol": args.tol}
 
 
-_CHECKS = {
-    "project": cmd_check_project,
-    "isotone": cmd_check_isotone,
-    "complementarity": cmd_check_complementarity,
-    "verify": cmd_check_verify,
-    "decompose": cmd_check_decompose,
-}
-
-
 # --------------------------------------------------------------------------
 # argument parsing
 
@@ -582,6 +589,13 @@ _COMMANDS = {
     "check.complementarity": _Command("whether a pair is complementary", DEFAULT_TOL),
     "check.verify": _Command("verify a candidate solution", 1e-8),
     "check.decompose": _Command("split a point into one summand per factor", DEFAULT_TOL),
+}
+
+# the check handlers by name, from _COMMANDS; main looks each up here
+_CHECKS = {
+    name: globals()["cmd_check_" + name]
+    for group, _, name in (command.partition(".") for command in _COMMANDS)
+    if group == "check"
 }
 
 

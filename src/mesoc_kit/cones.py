@@ -278,12 +278,6 @@ BLOCK_ENTRIES = 2**16
 # benchmarks/bench_kernels.py).
 NARROW_MAX = 2
 
-# row_norms sums the squared columns of a block of two to NARROW_MAX columns
-# only from this many rows: below, the slices and additions of the column
-# form cost more than one einsum call (the short-block table of
-# benchmarks/bench_kernels.py).
-NARROW_MIN_ROWS = 256
-
 
 def row_norms(A: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row of the 2-D array ``A``.
@@ -291,20 +285,15 @@ def row_norms(A: np.ndarray) -> np.ndarray:
     One ``einsum`` pass over the rows; ``np.linalg.norm(A, axis=1)`` runs a
     short reduction loop per row, about 5x slower at 200000 x 8.  The two
     agree bit for bit up to two columns and within a few ulp beyond.  A
-    block of one column, or of at most :data:`NARROW_MAX` columns and at
-    least :data:`NARROW_MIN_ROWS` rows, sums its squared columns instead,
-    with the bits of ``einsum``, which adds a row's first two squares as one
-    sum: at 200000 x 2 it takes about 0.8 ms against 1.3, and at 16384 x 2
-    0.04 ms against 0.12.  A shorter block of two columns, such as the steps
-    of a solve that its order certificates take, makes one ``einsum`` call,
-    which costs less than the column form's slices and additions.  The
-    square root is taken in place, which spares a second vector of norms.
+    block of at most :data:`NARROW_MAX` columns sums its squared columns
+    instead, with the bits of ``einsum``, which adds a row's first two
+    squares as one sum: at 200000 x 2 it takes about 0.8 ms against 1.3,
+    and at 16384 x 2 0.04 ms against 0.12.  Below a few hundred rows one
+    ``einsum`` call costs a few µs less, but no ``perfbench`` workload
+    times the norms of so short a narrow block.  The square root is taken
+    in place, which spares a second vector of norms.
     """
-    m, n = A.shape
-    if 0 < n <= NARROW_MAX and (n == 1 or m >= NARROW_MIN_ROWS):
-        s = _column_squares(A)
-    else:
-        s = np.einsum("ij,ij->i", A, A)
+    s = _column_squares(A) if 0 < A.shape[1] <= NARROW_MAX else np.einsum("ij,ij->i", A, A)
     return np.sqrt(s, out=s)
 
 
@@ -330,18 +319,6 @@ def _by_rows(ufunc, a, v, out):
     for j in range(a.shape[1]):
         ufunc(a[:, j], v, out=out[:, j])
     return out
-
-
-def row_sums(A: np.ndarray) -> np.ndarray:
-    """``A.sum(axis=1)``, which adds a row's entries to 0.0 in turn, so a
-    block of at most :data:`NARROW_MAX` columns added a column at a time
-    has its bytes: 0.4 ms against 4.4 at 200000 x 2."""
-    if A.shape[1] > NARROW_MAX:
-        return A.sum(axis=1)
-    s = A[:, 0] + 0.0  # -0.0 + 0.0 is 0.0, as NumPy's sum gives it
-    for j in range(1, A.shape[1]):
-        s += A[:, j]
-    return s
 
 
 def row_blocks(m: int, width: int) -> list[tuple[int, int]]:
@@ -502,7 +479,7 @@ def _slacks_batch(cone: ConeSpec, Z: np.ndarray, table=None) -> np.ndarray:
         if f == ZERO:  # and -h
             out.append(-cols(a, m))
         elif f == ESOC_DUAL:  # and sum(x) - ||u||
-            out.append(row_sums(cols(a, m)) - row_norms(cols(m, b)))
+            out.append(cols(a, m).sum(axis=1) - row_norms(cols(m, b)))
     if table[2] and all(type(s) is tuple for s in out):  # rays, then a Lorentz head
         return cols(out[0][0], out[-1][1])
     if len(out) == 1 and type(out[0]) is not tuple:

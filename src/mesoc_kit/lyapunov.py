@@ -29,6 +29,7 @@ from .cones import (
     _INVERSE,
     ConeSpec,
     _as_vector,
+    _exponent,
     check_tol,
     factors,
     mesoc,
@@ -140,7 +141,11 @@ def is_lyapunov_like(
     """Sampled check of <w, T z> = 0 over complementary pairs of the cone.
 
     Residuals are normalized per pair by (1 + |z|)(1 + |w|); the worst pair
-    is returned as a witness when the check fails.  With no pair to check
+    is returned as a witness when the check fails.  Each pair is evaluated
+    on 2^-a z and 2^-b w over (2^-a + |2^-a z|)(2^-b + |2^-b w|), with
+    a, b >= 0 from :func:`~mesoc_kit.cones._exponent`: the same ratio, as
+    powers of two scale exactly, and no overflow of |<w, T z>| or of the
+    scale at large z and w.  With no pair to check
     (``n_pairs`` below 1, or an empty ``pairs``) it raises ``ValueError``,
     and with a matrix that is not dim x dim ``DimensionError``, before it
     samples.
@@ -150,8 +155,11 @@ def is_lyapunov_like(
     if T.shape != (cone.dim, cone.dim):
         raise DimensionError(f"matrix must be {cone.dim} x {cone.dim}, got shape {T.shape}")
     Z, W = _pairs(cone, sampling.rng_from_seed(seed), n_pairs, pairs)
-    vals = np.abs(np.einsum("ij,jk,ik->i", W, T, Z))
-    scale = (1.0 + row_norms(Z)) * (1.0 + row_norms(W))
+    a = np.maximum([_exponent(z) for z in Z], 0)
+    b = np.maximum([_exponent(w) for w in W], 0)
+    Zs, Ws = np.ldexp(Z, -a[:, None]), np.ldexp(W, -b[:, None])
+    vals = np.abs(np.einsum("ij,jk,ik->i", Ws, T, Zs))
+    scale = (np.ldexp(1.0, -a) + row_norms(Zs)) * (np.ldexp(1.0, -b) + row_norms(Ws))
     res = vals / scale
     worst = int(np.argmax(res))
     ok = bool(res[worst] <= tol)

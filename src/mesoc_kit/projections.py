@@ -7,9 +7,9 @@ passes on one row from there on) and the nonnegative orthant (a clip).  The
 **norm tail** projects L(p, q), lorentz(n) = L(1, n - 1) and the ESOC(p, q):
 P(w, z) = (x, s z/||z||), where (x, s) projects (w, ||z||) onto the monotone
 nonnegative cone of R^(p+1), or onto {x_i >= t >= 0} for the ESOC
-(:func:`_esoc_fit`), in closed form at p = 1.  A **cylinder** R^p x C
-keeps the x block and projects the u block onto C.  **Moreau** gives each
-dual kind, P_K*(v) = v + P_K(-v).
+(:func:`_esoc_fit_batch`, on one row in :func:`project`), in closed form
+at p = 1.  A **cylinder** R^p x C keeps the x block and projects the u
+block onto C.  **Moreau** gives each dual kind, P_K*(v) = v + P_K(-v).
 
 :func:`project` computes only the projected point.  Its
 :class:`ProjectionResult` keeps a copy of the input and, for the isotonic
@@ -125,7 +125,9 @@ def _norm_tail(v: np.ndarray, p: int, esoc: bool = False):
     """Project (w, z) = (v[:p], v[p:]) onto {x_1 >= ... >= x_p >= ||u||}:
     (x, s) fits (w, ||z||) in the monotone nonnegative cone, the isotonic
     fit clipped at 0 inside ``pav_fit``, and u = s z/||z||.  Its blocks are
-    those of that fit, index p standing for ||u||; with ``esoc``, the ESOC's."""
+    those of that fit, index p standing for ||u||.  With ``esoc``, (x, s)
+    is :func:`_esoc_fit_batch` of the one row (w, ||z||), with ||z|| = 0
+    at q = 0, and has no blocks."""
     head = v
     if p < v.size:
         tail = v[p:]
@@ -137,35 +139,18 @@ def _norm_tail(v: np.ndarray, p: int, esoc: bool = False):
             return _rescaled(lambda w: _norm_tail(w, p, esoc), v)
         head = v[: p + 1].copy()
         head[p] = norm
-    try:
-        fit, counts = _esoc_fit(head, p) if esoc else pav_fit(head, nonneg=True)
-    except OverflowError:
-        return _rescaled(lambda w: _norm_tail(w, p, esoc), v)
+    if esoc:
+        # s, a mean of ||z|| < 2^512 and entries below s, cannot overflow
+        row = head if p < v.size else np.append(v, 0.0)
+        fit, counts = _esoc_fit_batch(row[None], p)[0], None
+    else:
+        try:
+            fit, counts = pav_fit(head, nonneg=True)
+        except OverflowError:
+            return _rescaled(lambda w: _norm_tail(w, p), v)
     if p == v.size:
-        return fit, counts
+        return fit[:p], counts  # the ESOC's fit holds s too
     return np.concatenate([fit[:p], tail * (fit[p] / norm if norm > 0.0 else 0.0)]), counts
-
-
-def _esoc_fit(head: np.ndarray, p: int):
-    """The projection (max(w, s), s) of (w, r) = (head[:p], head[p]) onto
-    {x_i >= t >= 0}, and no blocks: s is the root of s - r + sum_i
-    (s - w_i)_+ = 0, clipped at 0 (Ferreira & Németh, J. Global Optim. 70,
-    2018).  From s = r each sorted w_i below s is pulled in: with k pulled,
-    s = (r + their sum)/(k + 1).  A ``head`` of p entries has r = 0.
-    Raises ``OverflowError`` when the values are finite and s is not."""
-    s = total = float(head[p]) if head.size > p else 0.0
-    for k, w in enumerate(np.sort(head[:p]).tolist(), 2):
-        if not w < s:  # a NaN is never pulled in
-            break
-        total += w
-        s = total / k
-    # s <= r, and the pulled sum overflows to +inf alone from finite values
-    if s == math.inf and np.isfinite(head).all():
-        raise OverflowError("a pulled sum of finite values overflowed")
-    s = max(s, 0.0)  # keeps a NaN, as np.maximum does; s is never -0.0
-    fit = np.maximum(head, s)
-    fit[p:] = s
-    return fit, None
 
 
 def _norm_tail_1(v: np.ndarray):
@@ -262,10 +247,17 @@ def _batch_point(cone: ConeSpec, V: np.ndarray) -> np.ndarray:
     return V + _batch_point(cones.dual_of(cone), -V)
 
 
+# a running sum may overflow, past the run (not read) or to -inf in it (s is
+# clipped to 0), and infinities of both signs add to NaN: none of it warns
+@np.errstate(over="ignore", invalid="ignore")
 def _esoc_fit_batch(H: np.ndarray, p: int) -> np.ndarray:
-    """Row-wise :func:`_esoc_fit` of the 2-D ``H``, with its bytes: s_k =
-    C_k/(k + 1) over one ``cumsum`` C_k = r + w_(1) + ... + w_(k), with k
-    the length of the leading run of w_(k+1) < s_k, where its loop stops."""
+    """The projection (max(w, s), s) of every row (w, r) = (H[:p], H[p]) of
+    the 2-D ``H`` onto {x_i >= t >= 0}: s is the root of s - r + sum_i
+    (s - w_i)_+ = 0, clipped at 0 (Ferreira & Németh, J. Global Optim. 70,
+    2018).  From s = r each sorted w_i below s is pulled in: with k pulled,
+    s_k = C_k/(k + 1) over one ``cumsum`` C_k = r + w_(1) + ... + w_(k),
+    and k is the length of the leading run of w_(k+1) < s_k.  A NaN is
+    never pulled in, and a NaN s stays NaN."""
     S = np.sort(H[:, :p], axis=1)
     C = np.cumsum(np.column_stack([H[:, p], S]), axis=1)
     C /= np.arange(1.0, p + 2.0)

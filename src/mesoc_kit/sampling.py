@@ -21,7 +21,7 @@ the resident peak above the process's baseline 38.1 MiB, against 50.4 and
 64.0 MiB for a chain of whole-array temporaries joined by ``np.hstack``
 (``benchmarks/bench_kernels.py``).  A block of at most ``cones.NARROW_MAX``
 columns is worked down its columns, one 1-D call per column
-(``cones._by_rows``, ``cones.row_sums``, :func:`_put`), because NumPy pays
+(``cones._by_rows``, :func:`_put`), because NumPy pays
 a 2-D call on so narrow a block per row: ``sample_ordered_pairs`` of
 200000 ``mesoc(2, 2)`` pairs (12.2 MiB) takes about 40 ms against 55 with
 every block worked as a whole.  Its traced peak is 18.8 MiB (21.4 for the whole-array formulas): the unit directions'
@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import cones
-from .cones import ConeSpec, _by_rows, _diff, _rev_cumsum, row_norms, row_sums
+from .cones import ConeSpec, _by_rows, _diff, _rev_cumsum, row_norms
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -121,7 +121,7 @@ def _members(cone, rng, size, out):
     elif kind == cones.ESOC_DUAL:
         e = rng.exponential(1.0, (size, p))
         _put(x, e)
-        total = row_sums(e)
+        total = e.sum(axis=1)
         del e  # released before the direction draw
         u = _unit_rows(rng.standard_normal((size, q)))
         _by_rows(np.multiply, u, total * rng.uniform(0.0, 1.0, size), out[:, p:])

@@ -4,14 +4,14 @@ These are the formulas ``mesoc_kit.cones`` used before it derived the slacks
 from its factor table.  Every slack's bytes and its column order are the
 contract: ``contains`` reports print the slacks, and ``check isotone``'s
 ``failed_inequality`` indexes them.  The helpers (``row_norms``,
-``row_sums``, ``_by_rows``, ``_columns``, ``ordered_form``) are the kit's
-own, which this file does not pin.
+``_by_rows``, ``_columns``, ``ordered_form``) are the kit's own, which this
+file does not pin.
 """
 
 import numpy as np
 
 from mesoc_kit import cones
-from mesoc_kit.cones import _by_rows, _columns, ordered_form, row_norms, row_sums
+from mesoc_kit.cones import _by_rows, _columns, ordered_form, row_norms
 
 FREE, ZERO = "free", "zero"  # R and {0}
 _PRIMAL_TAILS = {cones.MESOC: cones.LORENTZ, cones.MONOTONE_NONNEG: cones.LORENTZ,
@@ -54,7 +54,7 @@ def slacks_batch(cone, Z):
     if kind == cones.ESOC:
         return _by_rows(np.subtract, X, row_norms(U), np.empty(X.shape, order="F"))
     if kind == cones.ESOC_DUAL:
-        return _columns(X, row_sums(X) - row_norms(U))
+        return _columns(X, X.sum(axis=1) - row_norms(U))
     if kind == cones.NONNEG_ORTHANT:
         return _columns(X)
     if kind == cones.CYLINDER:

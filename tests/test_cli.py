@@ -814,6 +814,69 @@ def test_lyap_rank_caps_the_constraint_matrix(capsys, tmp_path, n_pairs, code):
         assert out == "" and "'n_pairs' must be at most 1000000 / dim^2 = 62500" in err
 
 
+def test_check_isotone_caps_the_samples(capsys, monkeypatch):
+    # mesoc(2, 2): 10^7 / 4 samples at most.  10^12 asked NumPy for 29.1 TiB;
+    # the refusal comes before anything is drawn
+    from mesoc_kit import order, sampling
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled past the bound")
+
+    monkeypatch.setattr(sampling, "sample_ordered_pairs", refuse)
+    monkeypatch.setattr(order, "check_isotone", refuse)
+    most = cli.MAX_SAMPLE_ENTRIES // 4
+    for samples in (most + 1, 10**12):
+        code, out, err = run_cli(capsys, "check", "isotone", str(PROBLEMS / "check_isotone_mesoc.json"),
+                                 "--samples", str(samples))
+        assert code == 2 and out == ""
+        assert err == f"error: --samples must be at most 10000000 / dim = {most}, got {samples}\n"
+
+
+def _nested_cylinders(depth: int, inner: str = '{"kind": "nonneg_orthant", "p": 1}') -> str:
+    """The JSON text of ``depth`` cylinders nested over ``inner``, written
+    out, as ``json.dumps`` stops at Python's recursion limit."""
+    return '{"kind": "cylinder", "p": 1, "inner": ' * depth + inner + "}" * depth
+
+
+@pytest.mark.parametrize(
+    "cone,point,code",
+    [
+        (_nested_cylinders(cli.MAX_CONE_DEPTH), json.dumps([1.0] * (cli.MAX_CONE_DEPTH + 1)), 0),
+        (_nested_cylinders(cli.MAX_CONE_DEPTH + 1), "[1.0]", 2),
+        # these two ended in a RecursionError traceback from json.load
+        (_nested_cylinders(2000), "[1.0]", 2),
+        ('{"kind": "nonneg_orthant", "p": 1}', "[" * 5000 + "]" * 5000, 2),
+    ],
+    ids=["cone-at-bound", "cone-past-bound", "cone-2000", "point-5000"],
+)
+def test_deep_nesting_exits_2(capsys, tmp_path, cone, point, code):
+    # at 496 cylinders the echo of the cone hit the recursion limit
+    path = tmp_path / "problem.json"
+    path.write_text(f'{{"version": 1, "command": "contains", "cone": {cone}, "payload": {{"point": {point}}}}}')
+    got, out, err = run_cli(capsys, "contains", str(path))
+    assert got == code
+    if code:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    else:
+        assert json.loads(out)["contains"] is True and err == ""
+
+
+def test_check_handlers_come_from_the_command_table(capsys, monkeypatch):
+    assert ["check." + name for name in cli._CHECKS] == [c for c in cli._COMMANDS if c.startswith("check.")]
+    assert all(cli._CHECKS[name] is getattr(cli, "cmd_check_" + name) for name in cli._CHECKS)
+    # main looks the handler up in _CHECKS on every call, so a wrapper put
+    # there runs (the benchmark tracer wraps them so)
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args[0])
+        return cli.cmd_check_project(*args)
+
+    monkeypatch.setitem(cli._CHECKS, "project", wrapper)
+    code, out, _ = run_cli(capsys, "check", "project", str(PROBLEMS / "check_project_monotone_nonneg.json"))
+    assert code == 0 and len(calls) == 1 and json.loads(out)["ok"] is True
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [
@@ -1039,9 +1102,11 @@ def test_cli_fuzz_exit_codes(capsys, tmp_path, argv, data):
         dim, p = spec.dim, (spec.p if spec.inner is not None else 1)
     except mk.MesocKitError:
         dim, p = 2, 1
-    flags = []
+    flags, oversize = [], False
     if argv == ("check", "isotone"):
-        flags = ["--samples", "20"]
+        # now and then one sample over the bound, which exits 2 undrawn
+        oversize = data.draw(st.sampled_from([False, False, False, True]))
+        flags = ["--samples", str(cli.MAX_SAMPLE_ENTRIES // dim + 1 if oversize else 20)]
         if data.draw(st.booleans()):
             payload = {"normal": data.draw(_fuzz_points(dim))}
         else:
@@ -1062,8 +1127,21 @@ def test_cli_fuzz_exit_codes(capsys, tmp_path, argv, data):
     else:
         payload = {"point": data.draw(_fuzz_points(dim))}
     doc = {"version": 1, "command": ".".join(argv), "cone": cone, "payload": payload}
-    code, _, _ = run_cli(capsys, *argv, write_problem(tmp_path, doc), *flags)
+    text = json.dumps(doc)
+    # now and then the cone inside cylinders nested past the bound or 2000
+    # deep, or the payload a list nested 5000 deep: each exits 2
+    nesting = data.draw(st.sampled_from([None] * 6 + ["cone", "payload"]))
+    if nesting == "cone":
+        depth = data.draw(st.sampled_from([cli.MAX_CONE_DEPTH + 1, 2000]))
+        text = text.replace(json.dumps(cone), _nested_cylinders(depth, json.dumps(cone)), 1)
+    elif nesting == "payload":
+        text = json.dumps(dict(doc, payload="@")).replace('"@"', "[" * 5000 + "]" * 5000)
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, *argv, str(path), *flags)
     assert code in (0, 2, 3, 4, 5)
+    if nesting or oversize:
+        assert code == 2 and err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_check_project_cone_without_constraints(capsys, tmp_path):

@@ -10,6 +10,8 @@ Lyapunov rank, whose complementary pairs are Moreau splits drawn through
 dual has the rank of its primal.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,23 @@ def test_frozen_cases():
     # a member is its own projection
     v = [3.0, 2.0, 1.2, 1.6]
     assert mk.project(mk.esoc(2, 2), v).point.tolist() == v
+    # the fit's running sums overflow here, past its run and, to -inf, in
+    # it: no warning, as when the fit summed Python floats
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mk.project(mk.esoc(3, 1), [1.7e308] * 3 + [1.0]).point.tolist() == [1.7e308] * 3 + [1.0]
+        assert mk.project(mk.esoc(3, 0), [-1e308, -1e308, 1.0]).point.tolist() == [0.0, 0.0, 1.0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the Moreau rule v + P_K(-v) turns "
+                   "an infinite entry into NaN (inf - inf)")
+def test_a_dual_projects_an_infinite_entry_as_its_twin():
+    # esoc_dual(2, 0) is R_+^2, which nonneg_orthant(2) projects to [0, 0]
+    v = [0.0, -np.inf]
+    assert mk.project(mk.nonneg_orthant(2), v).point.tolist() == [0.0, 0.0]
+    assert mk.project_batch(mk.esoc_dual(2, 0), [v]).tolist() == [[0.0, 0.0]]
+    assert mk.project(mk.esoc_dual(2, 0), v).point.tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize(

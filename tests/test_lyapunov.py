@@ -107,6 +107,30 @@ def test_basis_with_one_ordered_coordinate_is_the_lorentz_basis(q):
         assert mk.is_lyapunov_like(b, cone, pairs=pairs).ok, b.params
 
 
+def _unscaled_residuals(T, Z, W):
+    """The residuals |<w, T z>| / ((1 + |z|)(1 + |w|)) taken as written."""
+    vals = np.abs(np.einsum("ij,jk,ik->i", W, T, Z))
+    return vals / ((1.0 + mk.cones.row_norms(Z)) * (1.0 + mk.cones.row_norms(W)))
+
+
+def test_large_pairs_do_not_overflow():
+    # at 1e160 |<w, T z>| and the scale both overflowed, and inf/inf failed
+    # the identity with a NaN residual
+    cone = mk.mesoc(2, 2)
+    Z, W = sampling.complementarity_pairs(cone, sampling.rng_from_seed(1), 50)
+    for scale in (1.0, 1e100, 1e160, 1e300):
+        chk = mk.is_lyapunov_like(np.eye(4), cone, pairs=list(zip(Z * scale, W * scale)))
+        assert chk.ok and chk.max_residual < 1e-15, scale
+    # at scale 1 every residual keeps the bits of the unscaled formula
+    for T in (np.eye(4), np.diag([1.0, 0.0, 0.0, 0.0]), np.arange(16.0).reshape(4, 4)):
+        want = _unscaled_residuals(T, Z, W)
+        chk = mk.is_lyapunov_like(T, cone, pairs=list(zip(Z, W)), tol=1.0)
+        assert chk.max_residual == want.max()
+        for k in range(len(Z)):
+            one = mk.is_lyapunov_like(T, cone, pairs=[(Z[k], W[k])], tol=1.0)
+            assert one.max_residual == want[k]
+
+
 def test_esoc_predictions_follow_sznajders_rule():
     # 1 + q(q - 1)/2 for p >= 2 and q >= 1 (Sznajder); the dual has the rank
     # of its primal, and R^p x C adds p * dim
