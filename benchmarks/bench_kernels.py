@@ -181,10 +181,11 @@ and of a cylinder over ``mesoc`` and over ``esoc`` (``KIND_CONES``), half
 sampled members and half normal rows, against the same row blocks through
 the per-kind slack formulas of ``tests/_reference_slacks.py``, which are
 the parent commit's ``contains_batch`` before the slacks came from the
-factor table of ``cones.factors``.  Seven interleaved rounds, each side
-first in every other one; it exits 1 unless every result has the same
-bytes.  Medians of three runs on a 2-vCPU Xeon (NumPy 2.4), then the range
-of the three, in ms, factor table first:
+factor table of ``cones.factors``.  It exits 1 unless every result has
+the same bytes.  The first two tables below were taken when each cone's
+table call alternated with its own per-kind reference, seven rounds, each
+side first in every other one.  Medians of three runs on a 2-vCPU Xeon
+(NumPy 2.4), then the range of the three, in ms, factor table first:
 
     cone                        table  per kind   table range  per kind range
     mesoc(8, 8)                   5.7       5.2       5.3-7.7        5.1-7.3
@@ -238,6 +239,37 @@ monotone_dual(16) 2.96x the time of monotone(16) on the parent and
 1.39-1.46x here (median 11.4 against 7.9 ms): the partial sums take 15
 ufunc calls down the columns where the drops take one 2-D subtract, and a
 zero's -h still copies A^-T's columns into a new slack matrix.
+
+In those rounds a dual kind's table call often ran right after the 20 ms
+``np.cumsum`` of its own reference, which the other kinds' calls did not.
+So the table now times the cones' ``contains_batch`` calls against each
+other, in seven ``rotating_rounds`` that call every cone once, then the
+references in seven rounds of their own, and prints each cone's median
+over the rounds of its time over that of ``monotone(16)`` in the same
+round.  Medians of three runs on the same shared machine, the range of the
+three in brackets:
+
+    cone                        table ms          per kind ms       / monotone(16)
+    mesoc(8, 8)                  9.1 (8.5-9.5)     8.7 (7.8-9.2)    1.05 (1.03-1.07)
+    mesoc_dual(8, 8)             9.9 (9.0-10.3)   12.9 (12.2-13.9)  1.11 (1.09-1.13)
+    esoc(8, 8)                  14.2 (11.1-14.4)  13.4 (12.3-14.4)  1.56 (1.39-1.58)
+    esoc_dual(8, 8)             13.8 (12.0-14.2)  13.0 (12.9-13.9)  1.52 (1.51-1.56)
+    monotone(16)                 9.0 (7.9-9.0)     8.7 (8.3-8.8)    1.00
+    monotone_dual(16)           13.1 (11.6-13.1)  23.1 (22.2-23.3)  1.49 (1.47-1.50)
+    monotone_nonneg(16)          8.9 (8.3-9.0)     8.7 (8.4-8.9)    1.00 (0.99-1.08)
+    monotone_nonneg_dual(16)    10.5 (9.5-10.6)   20.4 (20.2-20.7)  1.18 (1.16-1.22)
+    nonneg_orthant(16)           8.5 (7.7-8.6)     8.4 (7.4-8.4)    0.94 (0.92-0.97)
+    lorentz(16)                  9.0 (7.9-9.2)     8.7 (7.8-9.2)    0.97 (0.96-1.01)
+    cylinder(4, mesoc(6, 6))     8.5 (7.3-8.8)     8.3 (7.8-8.9)    0.96 (0.95-0.99)
+    cylinder(4, esoc(6, 6))     12.7 (11.2-13.1)  12.2 (11.1-13.3)  1.39 (1.33-1.46)
+    cylinder_dual(4, mesoc_dual) 15.0 (14.2-16.0)  20.4 (18.5-21.1)  1.74 (1.64-1.80)
+
+Timed apart from their references, ``monotone_dual(16)`` and
+``monotone_nonneg_dual(16)`` take about half the time of their per-kind
+formulas, and ``mesoc_dual`` and the dual cylinder about three quarters.
+``monotone_dual(16)`` takes 1.5x the time of ``monotone(16)``; the ESOC
+kinds and the dual cylinder, whose slacks are not one view of the block,
+are the slowest against it.
 
 The decompose table times ``cones.decompose`` of one sampled member of
 ``mesoc(p, 10)`` and of ``mesoc_dual(p, 10)`` at p = 10^3, 10^4 and 10^5
@@ -628,35 +660,55 @@ def one_row(rounds: int = 7) -> bool:
     return agree
 
 
+def rotating_rounds(calls: list, rounds: int) -> tuple[list, list]:
+    """Run every call of ``calls`` once per round for ``rounds`` rounds, the
+    order rotated by one each round and reversed in every other one, so no
+    call always runs after the same one; return each call's seconds per
+    round and its last result."""
+    seconds, outs = [[] for _ in calls], [None] * len(calls)
+    for r in range(rounds):
+        order = [(r + i) % len(calls) for i in range(len(calls))]
+        for i in (order[::-1] if r % 2 else order):
+            outs[i], s = timed(calls[i])
+            seconds[i].append(s)
+    return seconds, outs
+
+
 def per_kind(rounds: int = 7) -> bool:
     """Time ``contains_batch`` on ``KIND_ROWS`` rows of every cone of
-    ``KIND_CONES``, half sampled members and half normal rows, against the
-    same row blocks through the per-kind slack formulas of
-    ``tests/_reference_slacks.py`` (the parent's ``contains_batch``), in
-    ``rounds`` interleaved rounds; whether every result has the same bytes."""
-    print(f"{'cone':>44} {'table':>10} {'per kind':>10} {'bytes':>6}")
-    same = True
+    ``KIND_CONES``, half sampled members and half normal rows, in ``rounds``
+    :func:`rotating_rounds` over the cones, then the same row blocks through
+    the per-kind slack formulas of ``tests/_reference_slacks.py`` (the
+    parent's ``contains_batch``) in rounds of their own, so each kind is
+    timed after other kinds of the same form.  Print each cone's median ms
+    on both sides and the median over the rounds of its ``contains_batch``
+    time over that of ``monotone(16)`` in the same round; return whether
+    every result has the same bytes on both sides."""
+    data = []
     for cone in KIND_CONES:
         rng = np.random.default_rng(SEED)
         Z = rng.standard_normal((KIND_ROWS, cone.dim))
         Z[::2] = sampling.sample(cone, rng, KIND_ROWS // 2)
+        data.append((cone, Z))
 
-        def per_kind_contains(Z):
-            return cones.by_row_blocks(
-                lambda B: cones.least_slack(_reference_slacks.slacks_batch(cone, B)) >= -TOL,
-                Z, np.empty(len(Z), dtype=bool))
+    def per_kind_contains(cone, Z):
+        return cones.by_row_blocks(
+            lambda B: cones.least_slack(_reference_slacks.slacks_batch(cone, B)) >= -TOL,
+            Z, np.empty(len(Z), dtype=bool))
 
-        sides = {"table": lambda: cones.contains_batch(cone, Z, TOL),
-                 "per kind": lambda: per_kind_contains(Z)}
-        seconds, outs = {side: [] for side in sides}, {}
-        for r in range(rounds):  # each side runs first in every other round
-            for side in sorted(sides, reverse=r % 2 == 1):
-                outs[side], s = timed(sides[side])
-                seconds[side].append(s)
-        ok = outs["table"].tobytes() == outs["per kind"].tobytes()
+    table, table_outs = rotating_rounds(
+        [lambda cone=cone, Z=Z: cones.contains_batch(cone, Z, TOL) for cone, Z in data], rounds)
+    reference, reference_outs = rotating_rounds(
+        [lambda cone=cone, Z=Z: per_kind_contains(cone, Z) for cone, Z in data], rounds)
+    base = table[KIND_CONES.index(cones.monotone(16))]
+    print(f"{'cone':>44} {'table':>10} {'per kind':>10} {'/ monotone(16)':>15} {'bytes':>6}")
+    same = True
+    for (cone, _), t, ref, got, want in zip(data, table, reference, table_outs, reference_outs):
+        ok = got.tobytes() == want.tobytes()
         same = same and ok
-        ms = [1e3 * statistics.median(seconds[side]) for side in sides]
-        print(f"{str(cone):>44} {ms[0]:>8.2f}ms {ms[1]:>8.2f}ms {'yes' if ok else 'NO':>6}")
+        ratio = statistics.median(a / b for a, b in zip(t, base))
+        print(f"{str(cone):>44} {1e3 * statistics.median(t):>8.2f}ms "
+              f"{1e3 * statistics.median(ref):>8.2f}ms {ratio:>15.2f} {'yes' if ok else 'NO':>6}")
     return same
 
 

@@ -27,15 +27,16 @@ Each of ``ROUNDS`` rounds solves every instance once; a group's figure for
 the round is its total ``picard_solve`` wall time over its total steps, so
 it includes the bookkeeping after the loop.  The ``finish`` column is that
 bookkeeping alone, per solve: :func:`finish` runs what ``picard_solve``
-does after its loop (the trace with its iterates, step norms and order
-certificates pending, and the solution from views of a copy of the last
-iterate) on the loop's lists.  The script prints the median and quartiles
-over the rounds.  Before timing, every solve is replayed with a reference
+does after its loop (the trace of the loop's lists, whose arrays and order
+certificates are built on first read, and the solution from views of a
+copy of the last iterate) on the loop's lists.  The script prints the
+median and quartiles over the rounds.  Before timing, every solve is replayed with a reference
 step built from the batch map update and the projected point,
 ``map.update_batch(z[None, :])[0]`` and ``project(inner, .).point``, and
-:func:`eager_trace` builds a trace from the replayed lists with every field
-computed, as ``picard_solve`` did before its iterates and certificates were
-built on first read.  The solver's trace is read through its lazy fields,
+:func:`eager_trace` computes every field of the trace from the replayed
+lists as plain arrays, not through an ``IterationTrace``, the order
+certificates as ``contains_batch`` of the order cone on the steps between
+the stacked iterates.  The solver's trace is read through its lazy fields,
 ``final`` first, then the status, iterates, step norms and order
 certificates; the script exits 1 when any of them, or the solution,
 differs from the eager trace in any bit.
@@ -144,20 +145,21 @@ def large_instance(seed: int = 1):
 
 def finish(instance, iterates: list, step_norms: list, status: str):
     """What ``picard_solve`` does after its loop, on the loop's lists: the
-    trace with its iterates, step norms and certificates pending, and the
-    solution from views of a copy of the last iterate."""
+    trace of the lists, and the solution from views of a copy of the last
+    iterate."""
     return micp_solver._finish(instance, iterates, step_norms, status)
 
 
 def eager_trace(instance, iterates: list, step_norms: list, status: str):
-    """The trace with every field computed, as ``picard_solve`` built it
-    before its iterates and certificates were computed on first read."""
+    """The trace's fields as plain arrays, computed here and not through an
+    ``IterationTrace``."""
     iterates = np.array(iterates)
-    return mk.IterationTrace(
+    return types.SimpleNamespace(
+        final=iterates[-1],
+        status=status,
         iterates=iterates,
         step_norms=np.array(step_norms),
         order_certificates=mk.contains_batch(instance.order_cone, np.diff(iterates, axis=0)),
-        status=status,
     )
 
 

@@ -62,22 +62,22 @@ LORENTZ = "lorentz"
 CYLINDER = "cylinder"
 CYLINDER_DUAL = "cylinder_dual"
 
-KINDS = frozenset(
-    {
-        MESOC,
-        MESOC_DUAL,
-        ESOC,
-        ESOC_DUAL,
-        MONOTONE,
-        MONOTONE_DUAL,
-        MONOTONE_NONNEG,
-        MONOTONE_NONNEG_DUAL,
-        NONNEG_ORTHANT,
-        LORENTZ,
-        CYLINDER,
-        CYLINDER_DUAL,
-    }
-)
+# the dual kind of each kind but the cylinders, whose dual :func:`dual_of`
+# builds from their base cone
+_DUAL_MAP = {
+    MESOC: MESOC_DUAL,
+    MESOC_DUAL: MESOC,
+    ESOC: ESOC_DUAL,
+    ESOC_DUAL: ESOC,
+    MONOTONE: MONOTONE_DUAL,
+    MONOTONE_DUAL: MONOTONE,
+    MONOTONE_NONNEG: MONOTONE_NONNEG_DUAL,
+    MONOTONE_NONNEG_DUAL: MONOTONE_NONNEG,
+    NONNEG_ORTHANT: NONNEG_ORTHANT,
+    LORENTZ: LORENTZ,
+}
+
+KINDS = frozenset(_DUAL_MAP) | {CYLINDER, CYLINDER_DUAL}
 
 # kinds whose vectors split into (x, u) blocks; only they take a q
 PARTITIONED_KINDS = frozenset({MESOC, MESOC_DUAL, ESOC, ESOC_DUAL, CYLINDER, CYLINDER_DUAL})
@@ -510,20 +510,6 @@ def contains_batch(cone: ConeSpec, Z, tol: float = DEFAULT_TOL) -> np.ndarray:
                              Z, np.empty(len(Z), dtype=bool))
 
 
-_DUAL_MAP = {
-    MESOC: MESOC_DUAL,
-    MESOC_DUAL: MESOC,
-    ESOC: ESOC_DUAL,
-    ESOC_DUAL: ESOC,
-    MONOTONE: MONOTONE_DUAL,
-    MONOTONE_DUAL: MONOTONE,
-    MONOTONE_NONNEG: MONOTONE_NONNEG_DUAL,
-    MONOTONE_NONNEG_DUAL: MONOTONE_NONNEG,
-    NONNEG_ORTHANT: NONNEG_ORTHANT,
-    LORENTZ: LORENTZ,
-}
-
-
 def dual_of(cone: ConeSpec) -> ConeSpec:
     """The dual cone, in the same representation family.
 
@@ -672,7 +658,7 @@ def decompose(cone: ConeSpec, z, tol: float = DEFAULT_TOL) -> Decomposition:
     in the cone."""
     z = _as_vector(z, cone.dim)
     if not contains(cone, z, tol):
-        raise MembershipError(f"point is not in {cone}")
+        raise MembershipError(f"point is not in the {cone.kind} cone of dimension {cone.dim}")
     lo, hi, reduce, parts = factors(cone)
     img = z.copy()
     if reduce:

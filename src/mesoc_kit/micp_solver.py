@@ -14,11 +14,12 @@ z -> z - F(z) is isotone for the order of the cone of nonincreasing
 coordinates with a norm tail, and the first step moves up in that order,
 the iteration is monotone and its limit solves the problem.  Each step's
 order certificate (is z_{k+1} - z_k in that cone?) is recorded in the trace
-but never enforced.  The loop keeps its iterates and step norms in lists;
-the trace stacks the iterates, turns the step norms into an array and
-computes every order certificate in one ``contains_batch`` call when it is
-first asked for them (:class:`IterationTrace`), so a caller that reads only
-the solution or ``final`` pays for none of them.
+but never enforced.  The loop keeps its iterates and step norms in lists
+and builds the trace from them with the one constructor of
+:class:`IterationTrace`, which stacks the iterates, turns the step norms
+into an array and computes every order certificate from the iterates in one
+``contains_batch`` call when it is first asked for them, so a caller that
+reads only the solution or ``final`` pays for none of them.
 
 :func:`picard_solve` stops with status ``converged`` (step norm within
 ``conv_tol``), ``diverged`` (iterate norm above :data:`DIVERGENCE_LIMIT`),
@@ -239,52 +240,40 @@ class IterationTrace:
     ||z_(i+1) - z_i||, its ``order_certificates`` (is z_(i+1) - z_i in the
     order cone?) and its ``status``.
 
-    ``IterationTrace(iterates, step_norms, order_certificates, status)``
-    reports the values it is given.  A trace from :func:`picard_solve`
-    holds the loop's lists and the order cone instead: the first read of
-    ``iterates`` stacks the list of iterates into one array, the first read
-    of ``step_norms`` turns the list of step norms into one, and the first
-    read of ``order_certificates`` runs ``contains_batch`` on the rows of
-    ``np.diff(iterates, axis=0)``.  ``final`` and ``n_steps`` build
-    nothing.  The public attributes are read-only.
+    ``IterationTrace(iterates, step_norms, status, cone=order_cone)`` takes
+    the iterates and step norms as lists, as the loop of
+    :func:`picard_solve` keeps them, or as arrays.  The first read of
+    ``iterates`` or ``step_norms`` makes an array of a list, and the first
+    read of ``order_certificates`` runs ``contains_batch`` of ``cone`` on
+    the rows of ``np.diff(iterates, axis=0)``, so the certificates always
+    agree with the iterates.  ``final`` and ``n_steps`` build nothing.  The
+    public attributes are read-only.
     """
 
-    __slots__ = ("_iterates", "_pending", "_step_norms", "_pending_norms", "_certificates", "_cone",
-                 "_status")
+    __slots__ = ("_iterates", "_step_norms", "_certificates", "_cone", "_status")
 
-    def __init__(self, iterates: np.ndarray, step_norms: np.ndarray,
-                 order_certificates: np.ndarray, status: str):
+    def __init__(self, iterates: list | np.ndarray, step_norms: list | np.ndarray, status: str, *,
+                 cone: ConeSpec):
         self._iterates = iterates
-        self._pending = None
         self._step_norms = step_norms
-        self._pending_norms = None
-        self._certificates = order_certificates
-        self._cone = None
+        self._certificates = None
+        self._cone = cone
         self._status = status
 
     @property
     def iterates(self) -> np.ndarray:
-        # a local, so a concurrent first read cannot see the list cleared
-        pending = self._pending
-        if pending is not None:
-            self._iterates = np.array(pending)
-            self._pending = None
-        return self._iterates
+        self._iterates = iterates = np.asarray(self._iterates)
+        return iterates
 
     @property
     def step_norms(self) -> np.ndarray:
-        pending = self._pending_norms
-        if pending is not None:
-            self._step_norms = np.array(pending)
-            self._pending_norms = None
-        return self._step_norms
+        self._step_norms = step_norms = np.asarray(self._step_norms)
+        return step_norms
 
     @property
     def order_certificates(self) -> np.ndarray:
-        cone = self._cone
-        if cone is not None:
-            self._certificates = contains_batch(cone, np.diff(self.iterates, axis=0))
-            self._cone = None
+        if self._certificates is None:
+            self._certificates = contains_batch(self._cone, np.diff(self.iterates, axis=0))
         return self._certificates
 
     @property
@@ -293,13 +282,11 @@ class IterationTrace:
 
     @property
     def n_steps(self) -> int:
-        pending = self._pending_norms
-        return len(pending) if pending is not None else len(self._step_norms)
+        return len(self._step_norms)
 
     @property
     def final(self) -> np.ndarray:
-        pending = self._pending
-        return pending[-1] if pending is not None else self._iterates[-1]
+        return self._iterates[-1]
 
     def __repr__(self) -> str:
         return (f"IterationTrace(iterates={self.iterates!r}, step_norms={self.step_norms!r}, "
@@ -368,14 +355,9 @@ def picard_solve(instance: MicpInstance) -> tuple[PartitionedVector, IterationTr
 
 def _finish(instance: MicpInstance, iterates: list, step_norms: list,
             status: str) -> tuple[PartitionedVector, IterationTrace]:
-    """What :func:`picard_solve` does after its loop: the trace with its
-    iterates, step norms and certificates pending, and the solution."""
-    trace = IterationTrace.__new__(IterationTrace)
-    trace._iterates = trace._step_norms = trace._certificates = None
-    trace._pending = iterates
-    trace._pending_norms = step_norms
-    trace._cone = instance.order_cone
-    trace._status = status
+    """What :func:`picard_solve` does after its loop: the trace of the
+    loop's lists, and the solution."""
+    trace = IterationTrace(iterates, step_norms, status, cone=instance.order_cone)
     # the trace keeps the last iterate in its list, so the solution is a
     # copy; the loop has shown every iterate but the start finite
     z = iterates[-1].copy()

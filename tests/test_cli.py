@@ -289,6 +289,17 @@ def test_decompose_refuses_a_non_member_at_the_float_limit(capsys, tmp_path):
     assert code == 5 and out == "" and "is not in" in err
 
 
+def test_decompose_names_a_nested_cone_in_one_short_line(capsys, tmp_path):
+    # the refusal names the outer kind and the dimension, not the whole nest
+    cone = mk.mesoc(1, 1)
+    for _ in range(100):
+        cone = mk.cylinder(1, cone)
+    code, out, err = _decompose(capsys, tmp_path, cone, -np.ones(cone.dim))
+    lines = err.splitlines()
+    assert code == 5 and out == "" and len(lines) == 1, err
+    assert lines[0].startswith("error:") and "cylinder" in lines[0] and len(lines[0]) < 200, lines[0]
+
+
 # An overflow to +-inf, or inf - inf = NaN, is a slack of the report, never a
 # warning on stderr; the verdicts at the float limit belong to ROADMAP item 2.
 @pytest.mark.parametrize("wrap", [None, "cylinder", "cylinder_dual"])

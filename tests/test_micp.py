@@ -8,6 +8,7 @@ agree with it to machine precision.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -610,13 +611,16 @@ def _loop_lists(instance):
 
 
 def _eager(instance, iterates, step_norms, status):
-    """The trace as picard_solve built it before its fields were lazy."""
+    """The trace's fields as plain arrays, computed here and not through an
+    IterationTrace: the certificates are contains_batch of the order cone on
+    the steps between the stacked iterates."""
     iterates = np.array(iterates)
-    return mk.IterationTrace(
+    return types.SimpleNamespace(
+        final=iterates[-1],
+        status=status,
         iterates=iterates,
         step_norms=np.array(step_norms),
         order_certificates=mk.contains_batch(instance.order_cone, np.diff(iterates, axis=0)),
-        status=status,
     )
 
 
@@ -648,7 +652,7 @@ def test_lazy_trace_equals_the_eager_one(case):
     sol, trace = mk.picard_solve(instance)
     assert trace.status == eager.status == case.split("=")[0]
     # final and n_steps first, before anything is stacked
-    assert trace.n_steps == eager.n_steps == len(lists[1])
+    assert trace.n_steps == len(eager.step_norms) == len(lists[1])
     assert trace.final.tobytes() == eager.final.tobytes()
     for name in ("order_certificates", "iterates", "step_norms"):
         got, want = getattr(trace, name), getattr(eager, name)
@@ -671,13 +675,32 @@ def test_solution_shares_no_memory_with_the_trace():
     assert not np.shares_memory(trace.iterates, sol.x) and not np.shares_memory(trace.iterates, sol.u)
 
 
-def test_trace_built_from_given_arrays():
-    iterates = np.array([[0.0, 0.0], [1.0, 0.5]])
-    norms, certs = np.array([1.25]), np.array([True])
-    trace = mk.IterationTrace(iterates=iterates, step_norms=norms, order_certificates=certs, status="max_iter")
-    assert trace.iterates is iterates and trace.step_norms is norms
-    assert trace.order_certificates is certs and trace.status == "max_iter"
-    assert trace.n_steps == 1 and (trace.final == [1.0, 0.5]).all()
-    positional = mk.IterationTrace(iterates, norms, certs, "converged")
-    assert positional.iterates is iterates and positional.status == "converged"
-    assert "status='converged'" in repr(positional)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", list(_STATUS_CASES))
+def test_trace_from_arrays_or_lists_equals_the_solvers(case):
+    instance = _STATUS_CASES[case]()
+    _, solved = mk.picard_solve(instance)
+    iterates, step_norms, status = _loop_lists(instance)
+    cone = instance.order_cone
+    for trace in (mk.IterationTrace(np.array(iterates), np.array(step_norms), status, cone=cone),
+                  mk.IterationTrace(iterates, step_norms, status, cone=cone)):
+        assert trace.n_steps == solved.n_steps and trace.status == solved.status
+        assert trace.final.tobytes() == solved.final.tobytes()
+        for name in ("iterates", "step_norms", "order_certificates"):
+            got, want = getattr(trace, name), getattr(solved, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert f"status={status!r}" in repr(trace)
+        for name in ("iterates", "step_norms", "order_certificates", "status"):
+            with pytest.raises(AttributeError):
+                setattr(trace, name, None)
+
+
+def test_trace_takes_no_certificates():
+    # the certificates come from the iterates, so a call that hands them in
+    # is refused before anything is built
+    iterates, norms, certs = np.array([[0.0, 0.0], [1.0, 0.5]]), np.array([1.25]), np.array([True])
+    with pytest.raises(TypeError):
+        mk.IterationTrace(iterates=iterates, step_norms=norms, order_certificates=certs, status="max_iter")
+    with pytest.raises(TypeError):
+        mk.IterationTrace(iterates, norms, certs, "converged")
